@@ -16,7 +16,7 @@ import sys
 from .chains import build_distinguished_chain, find_chain_start
 from .core import Diagram, parse_polynomial
 from .coverage import coverage_report
-from .errors import NoExtension, PolyadicError
+from .errors import PolyadicError
 from .export import document_header, export_dot, export_json, to_stable_json
 from .measure import (
     dim_lower_bound_check,
@@ -127,7 +127,7 @@ def _cmd_chain(args) -> int:
                 diagram, s.v, s.v_prime, s.shared, s.direction, target
             )
             doc["chain"] = chain.to_json()
-        except (NoExtension, PolyadicError) as exc:
+        except PolyadicError as exc:
             doc["chain_error"] = str(exc)
     _emit_json(args, "chain.json", doc)
     return 0
@@ -209,6 +209,25 @@ def _cmd_verify_all(args) -> int:
     return 0 if result.passed else 1
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_NON_NEGATIVE = _int_at_least(0)
+_POSITIVE = _int_at_least(1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyadic",
@@ -224,46 +243,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--ordering", default="source-lex", help="preset name or JSON file")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--budget", type=int, default=10**6, help="tower size budget")
+    common.add_argument("--budget", type=_POSITIVE, default=10**6, help="tower size budget")
     common.add_argument("--out", default=None, help="directory for output files")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("describe", parents=[common], help="polynomial and vertex counts")
-    p.add_argument("--levels", type=int, default=5)
+    p.add_argument("--levels", type=_NON_NEGATIVE, default=5)
     p.set_defaults(fn=_cmd_describe)
 
     p = sub.add_parser("covered", parents=[common], help="coverage report for one level")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_NON_NEGATIVE, required=True)
     p.set_defaults(fn=_cmd_covered)
 
     p = sub.add_parser("chain", parents=[common], help="chain starts and one extension")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--target-len", type=int, default=None, help="splitting vertices to reach")
+    p.add_argument("--level", type=_NON_NEGATIVE, required=True)
+    p.add_argument(
+        "--target-len", type=_NON_NEGATIVE, default=None, help="splitting vertices to reach"
+    )
     p.set_defaults(fn=_cmd_chain)
 
     p = sub.add_parser("probe", parents=[common], help="depth-i conflict search")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--floor", type=int, default=0, help="minimum terminal min-coordinate")
+    p.add_argument("--i", type=_NON_NEGATIVE, required=True)
+    p.add_argument("--horizon", type=_POSITIVE, required=True)
+    p.add_argument("--floor", type=_NON_NEGATIVE, default=0, help="minimum terminal min-coordinate")
     p.set_defaults(fn=_cmd_probe)
 
     p = sub.add_parser("measure", parents=[common], help="weights and mass bounds")
-    p.add_argument("--levels", type=int, default=6)
+    p.add_argument("--levels", type=_NON_NEGATIVE, default=6)
     p.set_defaults(fn=_cmd_measure)
 
     p = sub.add_parser("vershik", parents=[common], help="towers at one level")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_NON_NEGATIVE, required=True)
     p.set_defaults(fn=_cmd_vershik)
 
     p = sub.add_parser("export", parents=[common], help="diagram as JSON or DOT")
-    p.add_argument("--levels", type=int, default=4)
+    p.add_argument("--levels", type=_NON_NEGATIVE, default=4)
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--parallel-edges", action="store_true")
     p.set_defaults(fn=_cmd_export)
 
     p = sub.add_parser("verify-all", parents=[common], help="run every invariant suite")
-    p.add_argument("--levels", type=int, default=6)
+    p.add_argument("--levels", type=_NON_NEGATIVE, default=6)
     p.set_defaults(fn=_cmd_verify_all)
 
     return parser

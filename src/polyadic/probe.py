@@ -17,10 +17,12 @@ like depth-i pairs as far as this horizon can see.  An uncensored genuine
 conflict would need an infinite window, so any entry in that bucket is a
 soundness bug; reports keep the bucket so the claim is checkable.
 
-The per-pair simulation never builds paths: the i-symbol of the rank-m tower
-path is position m of the tower's i-symbol block, so stepping a pair is
-scanning two integer arrays at rank offsets.  The test suite replays sampled
-pairs with the raw successor machine to pin the equivalence.
+The simulation never builds paths.  One bottom-up pass gives each admitted
+tower per-level arrays: row k, column m holds an id of the rank-m path's
+first k edges and the min-coordinate of its level-k vertex.  Pairs, grouped
+by i-symbol id, step together in fixed-size chunks, one array comparison per
+time step, until each mismatches or reaches its tower boundary.  The test
+suite replays pairs with the raw successor machine to pin the equivalence.
 """
 
 from __future__ import annotations
@@ -131,44 +133,56 @@ class ProbeReport:
         }
 
 
-def _symbol_blocks(
-    ordering: Ordering, k: int, horizon: int, admitted: list[Vertex], budget: int
-) -> dict[Vertex, np.ndarray]:
-    """Tower k-symbol blocks for the admitted level-`horizon` vertices.
+_PAIR_CHUNK = 4096  # pairs stepped together; bounds the kernel's working arrays
 
-    Symbols are integer ids, one per distinct level-k path; block position m
-    holds the id of the first k edges of the rank-m tower path.  Built level
-    by level: a block is the label-order concatenation of its sources' blocks.
+
+def _prefix_blocks(
+    ordering: Ordering, horizon: int, admitted: list[Vertex], budget: int
+) -> list[np.ndarray]:
+    """Per admitted tower, a 2 x (horizon + 1) x dim array of per-level data.
+
+    Column m describes the rank-m tower path and row k its level-k prefix:
+    plane 0 holds the prefix's symbol id (one id per distinct level-k path,
+    increasing in canonical vertex order, then tower rank), plane 1 the
+    minimum coordinate of its level-k vertex.  Built level by level: a block
+    is the label-order concatenation of its sources' blocks plus its own row.
     """
     diagram = ordering.diagram
-    blocks: dict[Vertex, np.ndarray] = {}
-    offset = 0
-    for v in diagram.vertices(k):
-        dim = diagram.dimension(v)
-        blocks[v] = np.arange(offset, offset + dim, dtype=np.int64)
-        offset += dim
-    for level in range(k + 1, horizon + 1):
+    blocks = {diagram.vertices(0)[0]: np.zeros((2, horizon + 1, 1), dtype=np.int64)}
+    for level in range(1, horizon + 1):
         nxt: dict[Vertex, np.ndarray] = {}
+        offset = 0
         for v in diagram.vertices(level):
-            if diagram.dimension(v) > budget:
+            dim = diagram.dimension(v)
+            if dim > budget:
                 continue
-            nxt[v] = np.concatenate([blocks[e.source] for e in ordering.edges_in(v)])
+            block = np.concatenate([blocks[e.source] for e in ordering.edges_in(v)], axis=2)
+            block[0, level] = np.arange(offset, offset + dim)
+            block[1, level] = v.min_coord
+            nxt[v] = block
+            offset += dim
         blocks = nxt
-    return {v: blocks[v] for v in admitted}
+    return [blocks[v] for v in admitted]
 
 
-def _divergence_level(ordering: Ordering, a: PathRef, b: PathRef) -> int:
-    xa = ordering.path_unrank(a.terminal, a.rank)
-    xb = ordering.path_unrank(b.terminal, b.rank)
-    for idx, (ea, eb) in enumerate(zip(xa.edges, xb.edges)):
-        if ea != eb:
-            return idx + 1
-    return max(xa.level, xb.level)
+def _lived(
+    sym: np.ndarray, a: np.ndarray, b: np.ndarray, room: np.ndarray, step: int
+) -> np.ndarray:
+    """Per pair, the steps t = 1..room survived before sym[a + step*t] != sym[b + step*t].
 
-
-def _trace(ordering: Ordering, ref: PathRef) -> tuple[int, ...]:
-    path = ordering.path_unrank(ref.terminal, ref.rank)
-    return tuple(v.min_coord for v in path.vertices())
+    A pair that never mismatches lives its whole room.  All undecided pairs
+    advance together, one comparison per t, and a pair drops out once it
+    mismatches or runs out of room, so the work is the total steps lived.
+    """
+    lived = room.copy()
+    live = np.flatnonzero(room > 0)
+    t = 1
+    while live.size:
+        miss = sym[a[live] + step * t] != sym[b[live] + step * t]
+        lived[live[miss]] = t - 1
+        live = live[~miss & (room[live] > t)]
+        t += 1
+    return lived
 
 
 def probe_depth_pairs(
@@ -196,82 +210,68 @@ def probe_depth_pairs(
         for v in all_terminals
         if v.min_coord >= min_coord_floor and diagram.dimension(v) <= budget
     ]
-    if i >= horizon:
+    if i >= horizon or not admitted:
         return ProbeReport(i, horizon, min_coord_floor, budget, 0, 0, 0, skipped, (), 0)
 
-    blocks_i = _symbol_blocks(ordering, i, horizon, admitted, budget)
-    blocks_i1 = _symbol_blocks(ordering, i + 1, horizon, admitted, budget)
-    dims = {v: diagram.dimension(v) for v in admitted}
+    # one global position axis: every admitted tower's paths, tower after tower
+    blocks = _prefix_blocks(ordering, horizon, admitted, budget)
+    ids, mins = np.concatenate(blocks, axis=2)
+    sizes = np.array([block.shape[2] for block in blocks])
+    tower = np.repeat(np.arange(len(blocks)), sizes)
+    first = (np.cumsum(sizes) - sizes)[tower]
+    last = first + sizes[tower] - 1
+    sym, sym1 = ids[i], ids[i + 1]
 
-    # group every (terminal, rank) by its i-symbol id; pairs live inside groups
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for vi, v in enumerate(admitted):
-        for rank, sym in enumerate(blocks_i[v]):
-            groups.setdefault(int(sym), []).append((vi, rank))
+    # pairs live inside i-symbol groups; sorted position p pairs with every
+    # later member of its group, so pair indices run group by group, row-major
+    order = np.argsort(sym, kind="stable")
+    group_end = np.searchsorted(sym[order], sym[order], side="right")
+    row_len = group_end - np.arange(len(order)) - 1
+    row_start = np.cumsum(row_len) - row_len
+    candidates = int(row_len.sum())
 
-    candidates = 0
     killed = 0
     max_killed_window = 0
     survivors: list[ProbeCandidate] = []
+    for lo in range(0, candidates, _PAIR_CHUNK):
+        idx = np.arange(lo, min(lo + _PAIR_CHUNK, candidates))
+        p = np.searchsorted(row_start, idx, side="right") - 1
+        a, b = order[p], order[p + 1 + idx - row_start[p]]
+        fwd = np.minimum(last[a] - a, last[b] - b)
+        back = np.minimum(a - first[a], b - first[b])
+        lived_fwd = _lived(sym, a, b, fwd, 1)
+        lived_back = _lived(sym, a, b, back, -1)
+        dead = (lived_fwd < fwd) | (lived_back < back)
+        killed += int(dead.sum())
+        window = lived_fwd[dead] + lived_back[dead] + 1
+        max_killed_window = max(max_killed_window, int(window.max(initial=0)))
 
-    for sym in sorted(groups):
-        members = groups[sym]
-        for p in range(len(members)):
-            vi_a, r_a = members[p]
-            va = admitted[vi_a]
-            a_i, a_i1 = blocks_i[va], blocks_i1[va]
-            dim_a = dims[va]
-            for q in range(p + 1, len(members)):
-                vi_b, r_b = members[q]
-                vb = admitted[vi_b]
-                b_i, b_i1 = blocks_i[vb], blocks_i1[vb]
-                candidates += 1
-
-                fwd_room = min(dim_a - 1 - r_a, dims[vb] - 1 - r_b)
-                back_room = min(r_a, r_b)
-
-                kill_fwd = 0  # first forward step with an i-mismatch, 0 if none
-                if fwd_room:
-                    seg = a_i[r_a + 1 : r_a + 1 + fwd_room] != b_i[r_b + 1 : r_b + 1 + fwd_room]
-                    hit = np.argmax(seg)
-                    if seg[hit]:
-                        kill_fwd = int(hit) + 1
-                kill_back = 0
-                if back_room:
-                    seg = (
-                        a_i[r_a - back_room : r_a][::-1]
-                        != b_i[r_b - back_room : r_b][::-1]
-                    )
-                    hit = np.argmax(seg)
-                    if seg[hit]:
-                        kill_back = int(hit) + 1
-
-                if kill_fwd or kill_back:
-                    killed += 1
-                    lived_fwd = kill_fwd - 1 if kill_fwd else fwd_room
-                    lived_back = kill_back - 1 if kill_back else back_room
-                    max_killed_window = max(max_killed_window, lived_fwd + lived_back + 1)
-                    continue
-
-                lo_a, lo_b = r_a - back_room, r_b - back_room
-                span = back_room + fwd_room + 1
-                diff = np.nonzero(
-                    a_i1[lo_a : lo_a + span] != b_i1[lo_b : lo_b + span]
-                )[0]
-                ref_a, ref_b = PathRef(va, r_a), PathRef(vb, r_b)
-                survivors.append(
-                    ProbeCandidate(
-                        x=ref_a,
-                        x_prime=ref_b,
-                        divergence_level=_divergence_level(ordering, ref_a, ref_b),
-                        forward_steps=fwd_room,
-                        backward_steps=back_room,
-                        censored_forward=True,
-                        censored_backward=True,
-                        conflict_times=tuple(int(t) - back_room for t in diff),
-                        min_coord_trace=(_trace(ordering, ref_a), _trace(ordering, ref_b)),
-                    )
+        # survivors read every field off the per-level arrays; no path is built
+        a, b, fwd, back = a[~dead], b[~dead], fwd[~dead], back[~dead]
+        divergence = np.argmax(ids[:, a] != ids[:, b], axis=0)
+        refs = [
+            [PathRef(admitted[t], r) for t, r in zip(tower[x].tolist(), (x - first[x]).tolist())]
+            for x in (a, b)
+        ]
+        fields = zip(
+            a.tolist(), b.tolist(), fwd.tolist(), back.tolist(), divergence.tolist(),
+            *refs, mins[:, a].T.tolist(), mins[:, b].T.tolist(),
+        )
+        for pa, pb, f, bk, div, ref_a, ref_b, trace_a, trace_b in fields:
+            diff = np.flatnonzero(sym1[pa - bk : pa + f + 1] != sym1[pb - bk : pb + f + 1])
+            survivors.append(
+                ProbeCandidate(
+                    x=ref_a,
+                    x_prime=ref_b,
+                    divergence_level=div,
+                    forward_steps=f,
+                    backward_steps=bk,
+                    censored_forward=True,
+                    censored_backward=True,
+                    conflict_times=tuple((diff - bk).tolist()),
+                    min_coord_trace=(tuple(trace_a), tuple(trace_b)),
                 )
+            )
 
     return ProbeReport(
         i=i,

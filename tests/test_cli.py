@@ -223,6 +223,23 @@ class TestFailures:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("describe", "--poly", PASCAL_TEXT, "--levels", "-3"),
+            ("probe", "--poly", PASCAL_TEXT, "--i", "1", "--horizon", "0"),
+            ("probe", "--poly", PASCAL_TEXT, "--i", "1", "--horizon", "4", "--budget", "0"),
+        ],
+    )
+    def test_out_of_range_integer_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert f"argument {argv[-2]}:" in captured.err
+
     def test_multiplicity_file_missing(self, capsys):
         code, _, err = run(
             capsys, "describe", "--poly", PASCAL_TEXT, "--mode", "shape",

@@ -1,11 +1,14 @@
 """Depth-i conflict search: array simulation vs direct odometer replay."""
 
 import math
+import random
 
 import pytest
 
-from polyadic import Ordering
+from polyadic import Ordering, probe
 from polyadic.errors import MaximalAtHorizon, MinimalAtHorizon
+from polyadic.export import to_stable_json
+from polyadic.measure import dense_orbit_trace
 from polyadic.probe import probe_depth_pairs, survival_profile
 from polyadic.vershik import k_coding_symbol
 
@@ -86,15 +89,25 @@ def report_survivors(report):
     }
 
 
-@pytest.mark.parametrize(
-    "system,i,horizon,preset,seed",
-    [
-        ("pascal", 1, 4, "source-lex", None),
-        ("pascal", 2, 5, "source-revlex", None),
-        ("quartic", 1, 2, "source-lex", None),
-        ("q3", 1, 3, "random", 5),
-    ],
-)
+def path_fields(ordering, candidate):
+    """Divergence level and min-coordinate trace from the two unranked paths."""
+    xa = ordering.path_unrank(candidate.x.terminal, candidate.x.rank)
+    xb = ordering.path_unrank(candidate.x_prime.terminal, candidate.x_prime.rank)
+    first_differing_edge = next(
+        k for k, (ea, eb) in enumerate(zip(xa.edges, xb.edges)) if ea != eb
+    )
+    return first_differing_edge + 1, (dense_orbit_trace(xa), dense_orbit_trace(xb))
+
+
+REPLAY_CASES = [
+    ("pascal", 1, 4, "source-lex", None),
+    ("pascal", 2, 5, "source-revlex", None),
+    ("quartic", 1, 2, "source-lex", None),
+    ("q3", 1, 3, "random", 5),
+]
+
+
+@pytest.mark.parametrize("system,i,horizon,preset,seed", REPLAY_CASES)
 def test_array_simulation_matches_replay(all_diagrams, system, i, horizon, preset, seed):
     ordering = Ordering(all_diagrams[system], preset=preset, seed=seed)
     report = probe_depth_pairs(ordering, i, horizon)
@@ -103,6 +116,34 @@ def test_array_simulation_matches_replay(all_diagrams, system, i, horizon, prese
     assert report.coding_killed == killed
     assert report.censored == len(survivors)
     assert report_survivors(report) == survivors
+
+
+@pytest.mark.parametrize(
+    "system,i,horizon,preset,seed,sample",
+    [case + (None,) for case in REPLAY_CASES] + [("pascal", 1, 10, "source-lex", None, 150)],
+)
+def test_survivor_fields_match_paths(all_diagrams, system, i, horizon, preset, seed, sample):
+    ordering = Ordering(all_diagrams[system], preset=preset, seed=seed)
+    survivors = probe_depth_pairs(ordering, i, horizon).survivors
+    assert survivors
+    if sample is not None:
+        survivors = random.Random(0).sample(survivors, sample)
+    for c in survivors:
+        assert (c.divergence_level, c.min_coord_trace) == path_fields(ordering, c)
+
+
+@pytest.mark.parametrize(
+    "system,i,horizon,preset,seed", REPLAY_CASES + [("pascal", 1, 8, "source-lex", None)]
+)
+def test_pair_chunking_leaves_report_unchanged(
+    all_diagrams, monkeypatch, system, i, horizon, preset, seed
+):
+    ordering = Ordering(all_diagrams[system], preset=preset, seed=seed)
+    expected = probe_depth_pairs(ordering, i, horizon)
+    monkeypatch.setattr(probe, "_PAIR_CHUNK", 5)
+    chunked = probe_depth_pairs(ordering, i, horizon)
+    assert to_stable_json(chunked.to_json()) == to_stable_json(expected.to_json())
+    assert chunked.survivors == expected.survivors  # includes conflict-free survivors
 
 
 def test_floor_filter_matches_replay(pascal_lex):
