@@ -18,6 +18,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterator, Mapping
 
 from .errors import (
@@ -272,18 +273,16 @@ class Diagram:
 
     `multiplicity` is "coefficients" (the polynomial diagram), "all-ones",
     or a mapping from each degree-d source vector to a positive edge count.
-    `max_level` is a working horizon used as the default scope by the
-    verification suites and exporters; per-level queries accept any level.
+    Vertices the diagram hands out are interned: one `Vertex` object per
+    coordinate tuple, so equal vertices from it are also identical.
     """
 
     def __init__(
         self,
         spec: PolynomialSpec,
         multiplicity: str | Mapping[Coords, int] = "coefficients",
-        max_level: int = 12,
     ) -> None:
         self.spec = spec
-        self.max_level = max_level
         if multiplicity == "coefficients":
             table = {exp: coef for exp, coef in spec.terms}
             self.mode = "coefficients"
@@ -299,7 +298,8 @@ class Diagram:
             self.mode = "custom"
         self._mult = table
         self._levels: dict[int, tuple[Vertex, ...]] = {}
-        self._dim: dict[Vertex, int] = {}
+        self._interned: dict[Coords, Vertex] = {}
+        self._dim: dict[Coords, int] = {(0,) * spec.arity: 1}
         self._expansion: dict[int, dict[Coords, int]] = {}
 
     @property
@@ -312,7 +312,16 @@ class Diagram:
 
     @property
     def root(self) -> Vertex:
-        return Vertex(0, (0,) * self.arity)
+        return self._vertex((0,) * self.arity)
+
+    def _vertex(self, coords: Coords) -> Vertex:
+        """The interned vertex at `coords` (a valid lattice point)."""
+        v = self._interned.get(coords)
+        return v or self._interned.setdefault(coords, Vertex(sum(coords) // self.degree, coords))
+
+    def _lower(self, coords: Coords) -> list[tuple[Coords, int]]:
+        """(u, edge count) for each source vector s with u = coords - s >= 0."""
+        return [(u, n) for s, n in self._mult.items() if min(u := tuple(map(sub, coords, s))) >= 0]
 
     def vertex_count(self, level: int) -> int:
         return self.spec.vertex_count(level)
@@ -321,7 +330,7 @@ class Diagram:
         """All level-`level` vertices in canonical (descending lex) order."""
         if level not in self._levels:
             self._levels[level] = tuple(
-                Vertex(level, c) for c in compositions_desc(level * self.degree, self.arity)
+                map(self._vertex, compositions_desc(level * self.degree, self.arity))
             )
         return self._levels[level]
 
@@ -337,50 +346,43 @@ class Diagram:
                 raise ValueError(f"coordinate sum {total} is not a multiple of degree {self.degree}")
         elif total != level * self.degree:
             raise ValueError(f"coordinate sum {total} != level {level} * degree {self.degree}")
-        return Vertex(level, coords)
-
-    def multiplicity_of_vector(self, s: Coords) -> int:
-        return self._mult.get(tuple(s), 0)
+        return self._vertex(coords)
 
     def multiplicity(self, u: Vertex, w: Vertex) -> int:
         """Edge count from u to w; zero unless w sits one level up at offset in S."""
         if w.level != u.level + 1:
             return 0
-        diff = tuple(b - a for a, b in zip(u.coords, w.coords))
-        if any(x < 0 for x in diff):
-            return 0
-        return self._mult.get(diff, 0)
+        return self._mult.get(tuple(map(sub, w.coords, u.coords)), 0)
 
     def source_set(self, w: Vertex) -> tuple[Vertex, ...]:
         """Vertices one level down joined to w, in canonical order."""
-        out = []
-        for s in self.spec.source_vectors:
-            u = tuple(a - b for a, b in zip(w.coords, s))
-            if all(x >= 0 for x in u):
-                out.append(Vertex(w.level - 1, u))
-        out.sort(key=lambda v: v.coords, reverse=True)
-        return tuple(out)
+        return tuple(self._vertex(u) for u, _ in sorted(self._lower(w.coords), reverse=True))
 
     def targets(self, u: Vertex) -> tuple[Vertex, ...]:
         """Vertices one level up joined to u, in canonical order."""
         out = {tuple(a + b for a, b in zip(u.coords, s)) for s in self.spec.source_vectors}
-        return tuple(Vertex(u.level + 1, c) for c in sorted(out, reverse=True))
+        return tuple(self._vertex(c) for c in sorted(out, reverse=True))
 
     def edges_between(self, u: Vertex, w: Vertex) -> tuple[EdgeRef, ...]:
         return tuple(EdgeRef(u, w, k) for k in range(1, self.multiplicity(u, w) + 1))
 
     def indegree(self, w: Vertex) -> int:
-        return sum(self.multiplicity(u, w) for u in self.source_set(w))
+        return sum(count for _, count in self._lower(w.coords))
 
     def dimension(self, v: Vertex) -> int:
-        """Number of root-to-v paths, via the level recursion (exact integer)."""
-        if v.level == 0:
-            return 1
-        if v not in self._dim:
-            self._dim[v] = sum(
-                self.multiplicity(u, v) * self.dimension(u) for u in self.source_set(v)
-            )
-        return self._dim[v]
+        """Number of root-to-v paths, via the level recursion (exact integer).
+
+        Fills in the uncached part of v's down-set bottom-up, with no recursion.
+        """
+        dims = self._dim
+        if v.coords not in dims:
+            layers = [{v.coords}]
+            while layers[-1]:
+                layers.append({u for w in layers[-1] for u, _ in self._lower(w) if u not in dims})
+            for layer in reversed(layers):
+                for w in layer:
+                    dims[w] = sum(n * dims[u] for u, n in self._lower(w))
+        return dims[v.coords]
 
     def expansion_coefficients(self, level: int) -> dict[Coords, int]:
         """Coefficient table of (sum_s m_s x^s)**level, by iterated multiplication.
@@ -415,7 +417,7 @@ class Diagram:
             return None
         coords = list(w.coords)
         coords[j - 1] -= self.degree
-        return Vertex(w.level - 1, tuple(coords))
+        return self._vertex(tuple(coords))
 
     def _greedy_source_steps(self, frm: Vertex, to: Vertex) -> tuple[EdgeRef, ...]:
         """A concrete descending path from `frm` to `to >= frm`, greedy per step."""

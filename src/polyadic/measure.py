@@ -13,6 +13,7 @@ edge tables the products no longer telescope against p.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -131,7 +132,11 @@ def cylinder_measure(diagram: Diagram, path: FinitePath, weight: WeightVector) -
 def vertex_measure(diagram: Diagram, v: Vertex, weight: WeightVector) -> Number:
     """Total mass of all paths into v: dim(v) * theta^v."""
     _require_coefficient_mode(diagram)
-    return diagram.dimension(v) * _power(weight.theta, v.coords)
+    dim = diagram.dimension(v)
+    try:
+        return dim * _power(weight.theta, v.coords)
+    except OverflowError:  # a float weight and a dimension past the float range
+        return math.exp(math.log(dim) + sum(e * math.log(t) for t, e in zip(weight.theta, v.coords)))
 
 
 def level_mass(diagram: Diagram, level: int, weight: WeightVector) -> Number:

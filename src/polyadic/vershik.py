@@ -7,6 +7,12 @@ restarts everything below it at the minimal path into the new source.  Paths
 to the same terminal vertex form a tower, ordered by deepest-differing-edge
 comparison; rank and unrank convert between a path and its tower position.
 
+An ordering keeps one table per vertex, keyed by its coordinates: incoming
+edges in label order, labels by (source coords, copy), and prefix sums of
+source dimensions.  Table edges share the diagram's interned vertices, so
+paths built here pass validation on identity; equal vertices from elsewhere
+compare by value.
+
 All of this is finite-horizon: a path maximal up to its terminal vertex has
 no successor here, because the infinite-diagram successor would depend on
 edges below the horizon.  Callers that simulate orbits must treat those
@@ -18,10 +24,10 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterator, Mapping
 
-from .core import Diagram, EdgeRef, Vertex
+from .core import Coords, Diagram, EdgeRef, Vertex
 from .errors import (
     MaximalAtHorizon,
     MinimalAtHorizon,
@@ -47,7 +53,7 @@ class FinitePath:
             if self.edges[-1].target != self.terminal:
                 raise ValueError("path does not end at its terminal vertex")
             for a, b in zip(self.edges, self.edges[1:]):
-                if a.target != b.source:
+                if a.target is not b.source and a.target != b.source:
                     raise ValueError("path edges are not contiguous")
         elif self.terminal.level != 0:
             raise ValueError("empty path must sit at the root")
@@ -129,12 +135,10 @@ class Ordering:
         self.preset = preset
         self.seed = seed
         self.table = dict(table) if table else {}
-        self._edges_in: dict[Vertex, tuple[EdgeRef, ...]] = {}
-        self._label: dict[Vertex, dict[EdgeRef, int]] = {}
-        self._minimal: dict[Vertex, FinitePath] = {}
-        self._maximal: dict[Vertex, FinitePath] = {}
-        self._prefix_dims: dict[Vertex, list[int]] = {}
-        self._coding: dict[tuple[Vertex, int], tuple[Vertex, ...]] = {}
+        self._tables: dict[Coords, tuple[tuple[EdgeRef, ...], dict, list[int]]] = {}
+        self._minimal: dict[Coords, FinitePath] = {}
+        self._maximal: dict[Coords, FinitePath] = {}
+        self._coding: dict[tuple[Coords, int], tuple[Vertex, ...]] = {}
 
     def describe(self) -> dict:
         if self.preset == "explicit":
@@ -144,18 +148,18 @@ class Ordering:
             out["seed"] = self.seed
         return out
 
-    def _base_edges(self, w: Vertex) -> list[EdgeRef]:
-        sources = sorted(self.diagram.source_set(w), key=lambda v: v.coords)
-        return [
-            EdgeRef(u, w, c)
-            for u in sources
-            for c in range(1, self.diagram.multiplicity(u, w) + 1)
-        ]
-
-    def edges_in(self, w: Vertex) -> tuple[EdgeRef, ...]:
-        """Incoming edges of w in label order (position k holds label k + 1)."""
-        if w not in self._edges_in:
-            base = self._base_edges(w)
+    def _table(self, w: Vertex) -> tuple[tuple[EdgeRef, ...], dict, list[int]]:
+        """(edges in label order, {(source coords, copy): 0-based label},
+        prefix sums of source dimensions in label order, length indegree + 1)."""
+        table = self._tables.get(w.coords)
+        if table is None:
+            d = self.diagram
+            w = d._vertex(w.coords)
+            base = [
+                EdgeRef(d._vertex(u), w, c)
+                for u, count in sorted(d._lower(w.coords))
+                for c in range(1, count + 1)
+            ]
             key = f"{w.level}:{','.join(map(str, w.coords))}"
             if key in self.table:
                 perm = self.table[key]
@@ -163,48 +167,46 @@ class Ordering:
                     raise NonBijectiveLabeling(
                         f"labels for {key} are {perm}, not a permutation of 1..{len(base)}"
                     )
-                ordered: list[EdgeRef | None] = [None] * len(base)
-                for edge, label in zip(base, perm):
-                    ordered[label - 1] = edge
-                base = ordered  # type: ignore[assignment]
+                base = [edge for _, edge in sorted(zip(perm, base))]  # labels are distinct
             elif self.preset == "source-revlex":
                 base.reverse()
             elif self.preset == "random":
                 random.Random(_mix(self.seed, w)).shuffle(base)
-            self._edges_in[w] = tuple(base)
-            self._label[w] = {e: i + 1 for i, e in enumerate(base)}
-        return self._edges_in[w]
+            sums = [0, *accumulate(d.dimension(e.source) for e in base)]
+            labels = {(e.source.coords, e.copy): i for i, e in enumerate(base)}
+            table = self._tables[w.coords] = (tuple(base), labels, sums)
+        return table
+
+    def edges_in(self, w: Vertex) -> tuple[EdgeRef, ...]:
+        """Incoming edges of w in label order (position k holds label k + 1)."""
+        return self._table(w)[0]
 
     def label_of(self, edge: EdgeRef) -> int:
-        self.edges_in(edge.target)
-        return self._label[edge.target][edge]
+        return self._table(edge.target)[1][edge.source.coords, edge.copy] + 1
 
     def indegree(self, w: Vertex) -> int:
-        return len(self.edges_in(w))
+        return len(self._table(w)[0])
+
+    def _extreme_path(self, v: Vertex, cache: dict, pos: int) -> FinitePath:
+        # follow the incoming edge at label position `pos` down to the root
+        path = cache.get(v.coords)
+        if path is None:
+            edges = []
+            current = v
+            while current.level > 0:
+                e = self._table(current)[0][pos]
+                edges.append(e)
+                current = e.source
+            path = cache[v.coords] = FinitePath(v, tuple(reversed(edges)))
+        return path
 
     def minimal_path(self, v: Vertex) -> FinitePath:
         """The all-label-1 path into v."""
-        if v not in self._minimal:
-            edges = []
-            current = v
-            while current.level > 0:
-                e = self.edges_in(current)[0]
-                edges.append(e)
-                current = e.source
-            self._minimal[v] = FinitePath(v, tuple(reversed(edges)))
-        return self._minimal[v]
+        return self._extreme_path(v, self._minimal, 0)
 
     def maximal_path(self, v: Vertex) -> FinitePath:
         """The all-maximal-label path into v."""
-        if v not in self._maximal:
-            edges = []
-            current = v
-            while current.level > 0:
-                e = self.edges_in(current)[-1]
-                edges.append(e)
-                current = e.source
-            self._maximal[v] = FinitePath(v, tuple(reversed(edges)))
-        return self._maximal[v]
+        return self._extreme_path(v, self._maximal, -1)
 
     def successor(self, x: FinitePath) -> FinitePath:
         """Next path in the tower of x's terminal vertex.
@@ -212,41 +214,35 @@ class Ordering:
         Finds the lowest edge with a higher-labeled sibling, advances it, and
         prepends the minimal path into the advanced edge's source.
         """
+        tables = self._tables
         for k, edge in enumerate(x.edges):
-            labels = self.edges_in(edge.target)
-            lab = self._label[edge.target][edge]
-            if lab < len(labels):
-                nxt = labels[lab]
-                prefix = self.minimal_path(nxt.source).edges
+            edges, labels, _ = tables.get(edge.target.coords) or self._table(edge.target)
+            lab = labels[edge.source.coords, edge.copy] + 1
+            if lab < len(edges):
+                nxt = edges[lab]
+                prefix = self._extreme_path(nxt.source, self._minimal, 0).edges
                 return FinitePath(x.terminal, prefix + (nxt,) + x.edges[k + 1 :])
         raise MaximalAtHorizon(f"no successor within the tower of {x.terminal}")
 
     def predecessor(self, x: FinitePath) -> FinitePath:
         """Inverse of successor; the advanced edge's source gets a maximal prefix."""
+        tables = self._tables
         for k, edge in enumerate(x.edges):
-            self.edges_in(edge.target)
-            lab = self._label[edge.target][edge]
-            if lab > 1:
-                prv = self.edges_in(edge.target)[lab - 2]
-                prefix = self.maximal_path(prv.source).edges
+            edges, labels, _ = tables.get(edge.target.coords) or self._table(edge.target)
+            lab = labels[edge.source.coords, edge.copy]
+            if lab > 0:
+                prv = edges[lab - 1]
+                prefix = self._extreme_path(prv.source, self._maximal, -1).edges
                 return FinitePath(x.terminal, prefix + (prv,) + x.edges[k + 1 :])
         raise MinimalAtHorizon(f"no predecessor within the tower of {x.terminal}")
-
-    def _prefix(self, w: Vertex) -> list[int]:
-        # prefix sums of source dimensions in label order; length indegree + 1
-        if w not in self._prefix_dims:
-            sums = [0]
-            for e in self.edges_in(w):
-                sums.append(sums[-1] + self.diagram.dimension(e.source))
-            self._prefix_dims[w] = sums
-        return self._prefix_dims[w]
 
     def path_rank(self, x: FinitePath) -> int:
         """Tower position of x: 0 for the minimal path, dim - 1 for the maximal."""
         rank = 0
+        tables = self._tables
         for edge in x.edges:
-            self.edges_in(edge.target)
-            rank += self._prefix(edge.target)[self._label[edge.target][edge] - 1]
+            _, labels, sums = tables.get(edge.target.coords) or self._table(edge.target)
+            rank += sums[labels[edge.source.coords, edge.copy]]
         return rank
 
     def path_unrank(self, v: Vertex, rank: int) -> FinitePath:
@@ -258,9 +254,9 @@ class Ordering:
         edges = []
         current = v
         while current.level > 0:
-            sums = self._prefix(current)
+            table, _, sums = self._table(current)
             idx = bisect_right(sums, rank) - 1
-            edge = self.edges_in(current)[idx]
+            edge = table[idx]
             rank -= sums[idx]
             edges.append(edge)
             current = edge.source
@@ -290,16 +286,13 @@ class Ordering:
         """
         if not 0 <= j < w.level:
             raise ValueError(f"need 0 <= j < level {w.level}, got {j}")
-        key = (w, j)
+        key = (w.coords, j)
         if key not in self._coding:
+            edges = self._table(w)[0]
             if w.level == j + 1:
-                word = tuple(e.source for e in self.edges_in(w))
+                word = tuple(e.source for e in edges)
             else:
-                word = tuple(
-                    chain.from_iterable(
-                        self.vertex_coding(e.source, j) for e in self.edges_in(w)
-                    )
-                )
+                word = tuple(chain.from_iterable(self.vertex_coding(e.source, j) for e in edges))
             self._coding[key] = word
         return self._coding[key]
 

@@ -269,6 +269,12 @@ class TestDimension:
                 }
                 assert expansion == recursion
 
+    def test_deep_level_on_a_cold_diagram(self):
+        # bottom-up over a down-set of about a million vertices, no recursion
+        diagram = Diagram(parse_polynomial("x1 + x2"))
+        assert diagram.dimension(diagram.vertex((1000, 1000))) == math.comb(2000, 1000)
+        assert sum(diagram.dimension(v) for v in diagram.vertices(1000)) == 2**1000
+
     def test_shape_mode_counts_differ(self):
         spec = parse_polynomial(QUARTIC)
         plain = Diagram(spec, multiplicity="all-ones")

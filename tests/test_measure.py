@@ -1,5 +1,6 @@
 """Weights, cylinder masses, and the per-level mass identities."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,15 @@ class TestLevelMass:
             w = solve_symmetric_weight(diagram)
             for level in range(1, 7):
                 assert abs(level_mass(diagram, level, w) - 1) < 1e-9
+
+    def test_float_weight_past_float_dimensions(self):
+        # central Pascal dimensions at level 1100 exceed the float range
+        diagram = Diagram(parse_polynomial("x1 + x2"))
+        w = solve_symmetric_weight(diagram)
+        assert abs(level_mass(diagram, 1100, w) - 1) < 1e-9
+        center = diagram.vertex((550, 550))
+        exact = vertex_measure(diagram, center, weight_from_theta(diagram, (HALF, HALF)))
+        assert math.isclose(vertex_measure(diagram, center, w), float(exact), rel_tol=1e-9)
 
 
 class TestMinimalMass:

@@ -1,8 +1,11 @@
 """Edge labelings, successor dynamics, towers, ranks, and coding words."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyadic import Diagram, Ordering, parse_polynomial
+from polyadic import Diagram, EdgeRef, Ordering, PolynomialSpec, Vertex, parse_polynomial
+from polyadic.core import compositions_desc
 from polyadic.errors import (
     MaximalAtHorizon,
     MinimalAtHorizon,
@@ -307,3 +310,71 @@ class TestFinitePaths:
         assert walk[0] == quartic.root
         assert walk[-1] == quartic.vertex((8, 4))
         assert [v.level for v in walk] == [0, 1, 2, 3]
+
+
+@st.composite
+def diagram_orderings(draw):
+    """A random valid polynomial under a seeded random ordering or a custom edge table."""
+    arity = draw(st.integers(min_value=2, max_value=3))
+    degree = draw(st.integers(min_value=1, max_value=3))
+    counts = st.integers(min_value=1, max_value=3)
+    vectors = list(compositions_desc(degree, arity))
+    spec = PolynomialSpec.from_coefficients(arity, {s: draw(counts) for s in vectors})
+    if draw(st.booleans()):
+        diagram = Diagram(spec)
+        ordering = Ordering(diagram, preset="random", seed=draw(st.integers(0, 2**32)))
+    else:
+        diagram = Diagram(spec, multiplicity={s: draw(counts) for s in vectors})
+        ordering = Ordering(diagram)
+    level = draw(st.integers(min_value=1, max_value=4))
+    v = draw(st.sampled_from(diagram.vertices(level)))
+    while diagram.dimension(v) > 200:
+        v = diagram.source_set(v)[0]
+    return diagram, ordering, v
+
+
+class TestTableProperties:
+    @given(case=diagram_orderings())
+    @settings(max_examples=60, deadline=None)
+    def test_tower_machine(self, case):
+        diagram, ordering, v = case
+        for w in {v, *diagram.source_set(v)}:
+            # the labeled edges are exactly the edges of the multiplicity table
+            expected = sorted(
+                (u.coords, c)
+                for u in diagram.source_set(w)
+                for c in range(1, diagram.multiplicity(u, w) + 1)
+            )
+            assert sorted((e.source.coords, e.copy) for e in ordering.edges_in(w)) == expected
+        tower = list(ordering.iter_tower(v))
+        dim = diagram.dimension(v)
+        assert len(tower) == dim == diagram.expansion_coefficients(v.level)[v.coords]
+        assert tower[-1] == ordering.maximal_path(v)
+        for rank, x in enumerate(tower):
+            assert ordering.path_rank(x) == rank
+            assert ordering.path_rank(ordering.path_unrank(v, rank)) == rank
+            if rank + 1 < dim:
+                assert ordering.predecessor(ordering.successor(x)) == x
+
+    def test_equal_but_not_identical_paths(self, quartic):
+        ordering = Ordering(quartic, preset="random", seed=3)
+        v = quartic.vertex((8, 4))
+        for x in list(ordering.iter_tower(v))[1:-1]:
+            twin = {u: Vertex(u.level, u.coords) for u in x.vertices()}
+            edges = tuple(EdgeRef(twin[e.source], twin[e.target], e.copy) for e in x.edges)
+            fresh = FinitePath(twin[v], edges)
+            assert fresh == x
+            assert fresh.terminal is not x.terminal
+            assert all(a.source is not b.source for a, b in zip(fresh.edges, x.edges))
+            assert ordering.path_rank(fresh) == ordering.path_rank(x)
+            assert ordering.successor(fresh) == ordering.successor(x)
+            assert ordering.predecessor(fresh) == ordering.predecessor(x)
+
+    def test_equal_coords_at_different_levels_rejected(self, pascal):
+        # the identity short-cut must not let a level mismatch through
+        first = EdgeRef(pascal.root, pascal.vertex((1, 0)))
+        lifted = Vertex(2, (1, 0))
+        second = EdgeRef(lifted, Vertex(3, (2, 0)))
+        with pytest.raises(ValueError):
+            FinitePath(second.target, (first, second))
+        assert first.target.coords == lifted.coords
