@@ -61,7 +61,6 @@ from .vershik import (
     DEFAULT_TOWER_BUDGET,
     FinitePath,
     Ordering,
-    Tower,
     k_coding_symbol,
     make_ordering,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "ProbeCandidate",
     "ProbeReport",
     "SourceUncoveredReport",
-    "Tower",
     "VerifyResult",
     "Vertex",
     "WeightVector",

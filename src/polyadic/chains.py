@@ -207,7 +207,7 @@ def check_link_consequences(diagram: Diagram, w0: Vertex, w1: Vertex, j: int) ->
     """
     if w0.level != w1.level or w0 == w1:
         raise HypothesisNotMet("w0 and w1 must be distinct vertices on one level")
-    if not set(diagram.source_set(w0)) & set(diagram.source_set(w1)):
+    if set(diagram.source_set(w0)).isdisjoint(diagram.source_set(w1)):
         raise HypothesisNotMet(f"{w0} and {w1} share no source")
     d = diagram.degree
     level = w1.level

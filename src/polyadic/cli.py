@@ -41,7 +41,12 @@ def _load_multiplicity(arg: str):
         return "all-ones"
     with open(arg, encoding="utf-8") as fh:
         rows = json.load(fh)
-    return {tuple(row["exp"]): int(row["count"]) for row in rows}
+    try:
+        return {tuple(row["exp"]): int(row["count"]) for row in rows}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"bad multiplicity table {arg}: expected a list of {{exp, count}} objects ({exc!r})"
+        ) from exc
 
 
 def _ordering_spec(args) -> dict:
@@ -49,6 +54,17 @@ def _ordering_spec(args) -> dict:
     if os.path.exists(arg):
         with open(arg, encoding="utf-8") as fh:
             spec = json.load(fh)
+        table = spec.get("explicit", {}) if isinstance(spec, dict) else None
+        if not (
+            isinstance(table, dict)
+            and isinstance(spec.get("seed"), (int, type(None)))
+            and all(isinstance(labels, list) for labels in table.values())
+            and all(isinstance(x, int) for labels in table.values() for x in labels)
+        ):
+            raise ValueError(
+                f"bad ordering file {arg}: expected an object with a 'preset' and an integer "
+                "'seed', or 'explicit' mapping 'level:coords' keys to label lists"
+            )
     else:
         spec = {"preset": arg}
     if args.seed is not None and "explicit" not in spec:

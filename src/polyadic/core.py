@@ -18,7 +18,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from operator import sub
+from operator import add, sub
 from typing import Iterator, Mapping
 
 from .errors import (
@@ -275,6 +275,11 @@ class Diagram:
     or a mapping from each degree-d source vector to a positive edge count.
     Vertices the diagram hands out are interned: one `Vertex` object per
     coordinate tuple, so equal vertices from it are also identical.
+
+    Neighbours are cached per vertex: `source_set` and `targets` return one
+    tuple per coords.  `coverage` keeps each level's cover map in `_covers`.
+    `dimension` and the `Ordering` tables deliberately read the uncached
+    `_lower`, so a cold deep-level down-set is not kept alive vertex by vertex.
     """
 
     def __init__(
@@ -301,6 +306,9 @@ class Diagram:
         self._interned: dict[Coords, Vertex] = {}
         self._dim: dict[Coords, int] = {(0,) * spec.arity: 1}
         self._expansion: dict[int, dict[Coords, int]] = {}
+        self._covers: dict[int, dict[Vertex, tuple[Vertex, ...]]] = {}
+        self._sources: dict[Coords, tuple[Vertex, ...]] = {}
+        self._targets: dict[Coords, tuple[Vertex, ...]] = {}
 
     @property
     def arity(self) -> int:
@@ -356,12 +364,19 @@ class Diagram:
 
     def source_set(self, w: Vertex) -> tuple[Vertex, ...]:
         """Vertices one level down joined to w, in canonical order."""
-        return tuple(self._vertex(u) for u, _ in sorted(self._lower(w.coords), reverse=True))
+        found = self._sources.get(w.coords)
+        if found is None:
+            lower = sorted((u for u, _ in self._lower(w.coords)), reverse=True)
+            found = self._sources[w.coords] = tuple(map(self._vertex, lower))
+        return found
 
     def targets(self, u: Vertex) -> tuple[Vertex, ...]:
         """Vertices one level up joined to u, in canonical order."""
-        out = {tuple(a + b for a, b in zip(u.coords, s)) for s in self.spec.source_vectors}
-        return tuple(self._vertex(c) for c in sorted(out, reverse=True))
+        found = self._targets.get(u.coords)
+        if found is None:
+            upper = sorted((tuple(map(add, u.coords, s)) for s in self._mult), reverse=True)
+            found = self._targets[u.coords] = tuple(map(self._vertex, upper))
+        return found
 
     def edges_between(self, u: Vertex, w: Vertex) -> tuple[EdgeRef, ...]:
         return tuple(EdgeRef(u, w, k) for k in range(1, self.multiplicity(u, w) + 1))

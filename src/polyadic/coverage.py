@@ -5,34 +5,32 @@ S(w) subset-of S(w').  Covered vertices admit a closed form once the level
 exceeds the number of variables: w is covered iff some coordinate exceeds
 (level - 1) * d.  The oracle here recomputes coverage by exhaustive source-set
 comparison so the closed form can be checked level by level; everything
-downstream (chains, probes) consumes the oracle, not the formula.
+downstream (chains, probes) consumes the oracle, not the formula.  Each
+level's cover map is computed once and kept on the Diagram, beside its
+vertex levels and neighbour caches.
 
 Coverage depends only on the diagram shape, never on edge multiplicities.
 """
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import Coords, Diagram, Vertex, compositions_desc
+from .core import Diagram, Vertex, compositions_desc
 from .errors import LadderPreconditionViolated, PreconditionNotMet
-
-_COVER_CACHE: "weakref.WeakKeyDictionary[Diagram, dict[int, dict[Vertex, tuple[Vertex, ...]]]]"
-_COVER_CACHE = weakref.WeakKeyDictionary()
 
 
 def _covering_map(diagram: Diagram, level: int) -> dict[Vertex, tuple[Vertex, ...]]:
     """For each level-`level` vertex, the tuple of vertices covering it."""
-    per_diagram = _COVER_CACHE.setdefault(diagram, {})
-    if level not in per_diagram:
+    covers = diagram._covers
+    if level not in covers:
         vertices = diagram.vertices(level)
         sources = {w: frozenset(diagram.source_set(w)) for w in vertices}
-        per_diagram[level] = {
+        covers[level] = {
             w: tuple(v for v in vertices if v != w and sources[w] <= sources[v])
             for w in vertices
         }
-    return per_diagram[level]
+    return covers[level]
 
 
 def covering_vertices(diagram: Diagram, w: Vertex) -> tuple[Vertex, ...]:
@@ -122,37 +120,20 @@ def slack(diagram: Diagram, w: Vertex, j: int) -> int:
     return diagram.degree - (sum(w.coords) - w.coord(j))
 
 
-def _predicted_cover_forward(diagram: Diagram, w: Vertex, j: int) -> set[Vertex]:
-    """Covering set predicted with sigma = w' - w, sigma(j) in [-slack, -1]."""
-    out = set()
-    for b in range(1, slack(diagram, w, j) + 1):
-        for spread in compositions_desc(b, diagram.arity - 1):
-            coords = list(w.coords)
-            coords[j - 1] -= b
-            it = iter(spread)
-            for idx in range(diagram.arity):
-                if idx != j - 1:
-                    coords[idx] += next(it)
-            if all(c >= 0 for c in coords):
-                out.add(Vertex(w.level, tuple(coords)))
-    return out
+def _predicted_cover(diagram: Diagram, w: Vertex, j: int, sign: int, most: int) -> set[Vertex]:
+    """The vertices w + sign * sigma, where sigma drains 1..most from coordinate j.
 
-
-def _predicted_cover_reverse(diagram: Diagram, w: Vertex, j: int) -> set[Vertex]:
-    """Covering set read with sigma = w - w', sigma(j) in [-d, -1] literally."""
+    sigma takes b from coordinate j and spreads b over the others, for each
+    b = 1..most; shifts leaving the lattice are dropped.  sign = +1 reads
+    sigma as w' - w, sign = -1 as w - w'.
+    """
     out = set()
-    for b in range(1, diagram.degree + 1):
+    for b in range(1, most + 1):
         for spread in compositions_desc(b, diagram.arity - 1):
-            coords = list(w.coords)
-            coords[j - 1] += b
-            it = iter(spread)
-            ok = True
-            for idx in range(diagram.arity):
-                if idx != j - 1:
-                    coords[idx] -= next(it)
-                    ok = ok and coords[idx] >= 0
-            if ok:
-                out.add(Vertex(w.level, tuple(coords)))
+            sigma = spread[: j - 1] + (-b,) + spread[j - 1 :]
+            coords = tuple(c + sign * s for c, s in zip(w.coords, sigma))
+            if min(coords) >= 0:
+                out.add(Vertex(w.level, coords))
     return out
 
 
@@ -215,11 +196,9 @@ def check_cov2(diagram: Diagram, level: int) -> Cov2Report:
             continue
         checked += 1
         truth = set(covering_vertices(diagram, w))
-        for predict, rows in (
-            (_predicted_cover_forward, fwd_rows),
-            (_predicted_cover_reverse, rev_rows),
-        ):
-            predicted = predict(diagram, w, j)
+        readings = ((fwd_rows, 1, slack(diagram, w, j)), (rev_rows, -1, diagram.degree))
+        for rows, sign, most in readings:  # sigma = w' - w up to the slack, w - w' up to d
+            predicted = _predicted_cover(diagram, w, j, sign, most)
             if predicted != truth:
                 missing = tuple(sorted(truth - predicted, key=lambda v: v.coords, reverse=True))
                 spurious = tuple(sorted(predicted - truth, key=lambda v: v.coords, reverse=True))

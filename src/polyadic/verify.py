@@ -21,6 +21,15 @@ from .measure import (
 )
 
 
+def _sharing_pairs(diagram: Diagram, vertices):
+    """Pairs (w, w') of distinct vertices, w first in canonical order, with a common source."""
+    for i, w in enumerate(vertices):
+        sources = set(diagram.source_set(w))
+        for wp in vertices[i + 1 :]:
+            if not sources.isdisjoint(diagram.source_set(wp)):
+                yield w, wp
+
+
 def check_vertex_enumeration(diagram: Diagram, max_level: int) -> list[str]:
     """Counts match the closed form; order is strictly descending lex; sums match."""
     out = []
@@ -48,7 +57,6 @@ def check_edge_duality(diagram: Diagram, max_level: int) -> list[str]:
     for level in range(1, max_level + 1):
         below = diagram.vertices(level - 1)
         vertices = diagram.vertices(level)
-        targets_of = {u: set(diagram.targets(u)) for u in below}
         for w in vertices:
             srcs = diagram.source_set(w)
             for u in below:
@@ -56,7 +64,7 @@ def check_edge_duality(diagram: Diagram, max_level: int) -> list[str]:
                 positive = diagram.multiplicity(u, w) >= 1
                 if in_sources != positive:
                     out.append(f"{u} vs {w}: source-set and multiplicity disagree")
-                if in_sources != (w in targets_of[u]):
+                if in_sources != (w in diagram.targets(u)):
                     out.append(f"{u} vs {w}: source-set and targets disagree")
             for u in srcs:
                 if not all(uc <= wc <= uc + d for uc, wc in zip(u.coords, w.coords)):
@@ -66,11 +74,9 @@ def check_edge_duality(diagram: Diagram, max_level: int) -> list[str]:
                     out.append(f"sources {u}, {up} of {w} differ by more than {d}")
             if max(w.coords) * q < level * d:
                 out.append(f"{w}: all coordinates below level*d/q")
-        source_sets = {w: frozenset(diagram.source_set(w)) for w in vertices}
-        for w, wp in combinations(vertices, 2):
-            if source_sets[w] & source_sets[wp]:
-                if max(abs(a - b) for a, b in zip(w.coords, wp.coords)) > d:
-                    out.append(f"{w} and {wp} share a source but sit more than {d} apart")
+        for w, wp in _sharing_pairs(diagram, vertices):
+            if max(abs(a - b) for a, b in zip(w.coords, wp.coords)) > d:
+                out.append(f"{w} and {wp} share a source but sit more than {d} apart")
     return out
 
 
@@ -92,16 +98,16 @@ def check_dsv_rules(diagram: Diagram, max_level: int) -> list[str]:
     d = diagram.degree
     for level in range(1, max_level + 1):
         vertices = diagram.vertices(level)
-        source_sets = {w: frozenset(diagram.source_set(w)) for w in vertices}
         for w in vertices:
+            sources = diagram.source_set(w)
             for j in range(1, diagram.arity + 1):
                 u = diagram.dsv(w, j)
                 if (u is not None) != (w.coord(j) >= d):
                     out.append(f"dsv({w},{j}) existence disagrees with the threshold")
                 if u is not None:
-                    if u not in source_sets[w] or u.coord(j) != w.coord(j) - d:
+                    if u not in sources or u.coord(j) != w.coord(j) - d:
                         out.append(f"dsv({w},{j}) = {u} is not the j-drop source")
-                    others = [v for v in source_sets[w] if v.coord(j) == u.coord(j) and v != u]
+                    others = [v for v in sources if v.coord(j) == u.coord(j) and v != u]
                     if others:
                         out.append(f"dsv({w},{j}) is not unique: {others}")
         for w0 in vertices:
@@ -109,10 +115,9 @@ def check_dsv_rules(diagram: Diagram, max_level: int) -> list[str]:
             for w1 in vertices:
                 if w1 == w0:
                     continue
+                sources = diagram.source_set(w1)
                 present = [
-                    j
-                    for j, u in enumerate(drops, start=1)
-                    if u is not None and u in source_sets[w1]
+                    j for j, u in enumerate(drops, start=1) if u is not None and u in sources
                 ]
                 for j in present:
                     gap = w0.coord(j) - w1.coord(j)
@@ -179,7 +184,7 @@ def check_ladder(diagram: Diagram, max_level: int) -> list[str]:
     d = diagram.degree
     for level in range(1, max_level + 1):
         for z in diagram.vertices(level):
-            sources = frozenset(diagram.source_set(z))
+            sources = diagram.source_set(z)
             for j in range(1, diagram.arity + 1):
                 if not d <= z.coord(j) <= (level - 1) * d:
                     continue
@@ -199,11 +204,7 @@ def check_link_consequences_suite(diagram: Diagram, max_level: int) -> list[str]
     """No link with satisfied hypotheses fails any of its static consequences."""
     out = []
     for level in range(diagram.arity + 2, max_level + 1):
-        vertices = diagram.vertices(level)
-        source_sets = {w: frozenset(diagram.source_set(w)) for w in vertices}
-        for w0, w1 in combinations(vertices, 2):
-            if not source_sets[w0] & source_sets[w1]:
-                continue
+        for w0, w1 in _sharing_pairs(diagram, diagram.vertices(level)):
             for a, b in ((w0, w1), (w1, w0)):
                 for j in range(1, diagram.arity + 1):
                     report = check_link_consequences(diagram, a, b, j)

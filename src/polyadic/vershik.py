@@ -82,23 +82,6 @@ def k_coding_symbol(x: FinitePath, k: int) -> tuple:
     return tuple((e.target.coords, e.copy) for e in x.edges[:k])
 
 
-@dataclass(frozen=True)
-class Tower:
-    """All dim(v) root-to-v paths in successor order (rank 0 is minimal)."""
-
-    vertex: Vertex
-    paths: tuple[FinitePath, ...]
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-    def __iter__(self) -> Iterator[FinitePath]:
-        return iter(self.paths)
-
-    def __getitem__(self, rank: int) -> FinitePath:
-        return self.paths[rank]
-
-
 def _mix(seed: int, v: Vertex) -> int:
     """Stable per-vertex RNG seed, independent of traversal order."""
     key = (seed or 0) & 0xFFFFFFFFFFFFFFFF
@@ -270,11 +253,12 @@ class Ordering:
             x = self.successor(x)
             yield x
 
-    def tower(self, v: Vertex, budget: int = DEFAULT_TOWER_BUDGET) -> Tower:
+    def tower(self, v: Vertex, budget: int = DEFAULT_TOWER_BUDGET) -> tuple[FinitePath, ...]:
+        """All dim(v) root-to-v paths in successor order (rank 0 is minimal)."""
         dim = self.diagram.dimension(v)
         if dim > budget:
             raise TowerTooLarge(f"dimension {dim} of {v} exceeds budget {budget}")
-        return Tower(v, tuple(self.iter_tower(v)))
+        return tuple(self.iter_tower(v))
 
     def vertex_coding(self, w: Vertex, j: int) -> tuple[Vertex, ...]:
         """The level-j sources of all level-j-to-w segments, in segment order.

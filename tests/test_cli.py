@@ -246,3 +246,21 @@ class TestFailures:
             "--multiplicity", "/no/such/table.json",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, option, content",
+        [
+            ("describe", "--multiplicity", [{"exp": [1, 0]}]),
+            ("describe", "--multiplicity", {"exp": [1, 0], "count": 1}),
+            ("vershik", "--ordering", ["source-lex"]),
+        ],
+    )
+    def test_malformed_input_file_is_an_input_error(self, capsys, tmp_path, command, option, content):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content), encoding="utf-8")
+        argv = [command, "--poly", PASCAL_TEXT, option, str(path)]
+        argv += ["--mode", "shape"] if command == "describe" else ["--level", "2"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and str(path) in err

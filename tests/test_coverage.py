@@ -1,7 +1,11 @@
 """Covered vertices: oracle, closed form, and the surrounding structure facts."""
 
+import gc
+import weakref
+
 import pytest
 
+from polyadic import Diagram, parse_polynomial
 from polyadic.coverage import (
     check_cov2,
     coverage_report,
@@ -21,6 +25,16 @@ def scan_sources(diagram, w):
     return {
         u for u in diagram.vertices(w.level - 1) if diagram.multiplicity(u, w) > 0
     }
+
+
+def test_cover_map_does_not_keep_its_diagram_alive():
+    # the cover map lives on the diagram, so nothing outside it holds a reference
+    diagram = Diagram(parse_polynomial("x1 + x2"))
+    assert covering_vertices(diagram, diagram.vertex((4, 0))) == (diagram.vertex((3, 1)),)
+    ref = weakref.ref(diagram)
+    del diagram
+    gc.collect()
+    assert ref() is None
 
 
 def test_oracle_against_level_scan(all_diagrams):

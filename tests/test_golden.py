@@ -1,0 +1,104 @@
+"""Golden CLI documents: the SHA-256 of stdout for fixed commands.
+
+The deterministic JSON/DOT documents are the package's contract, so a
+refactor must leave every byte of them unchanged.  The digests pin the nine
+README examples plus three larger documents; the documents themselves are
+not stored (the two probe examples run to hundreds of kilobytes).  After an
+intended output change, run this file as a script with `src` and `tests` on
+PYTHONPATH and copy each printed exit code and digest into GOLDEN.
+"""
+
+import hashlib
+
+import pytest
+
+from polyadic.cli import main
+
+from conftest import PASCAL_TEXT, Q3_TEXT, QUARTIC_TEXT
+
+GOLDEN = {
+    "readme-describe": (
+        ("describe", "--poly", PASCAL_TEXT, "--levels", "5"),
+        0,
+        "dfee40017f8cfda6f5878102746a76e49993c95588827f5e49059345bb7f6f50",
+    ),
+    "readme-covered": (
+        ("covered", "--poly", QUARTIC_TEXT, "--level", "3"),
+        0,
+        "33dfaac7ca48aa786e551ed58114c953afa705c627b6ab68942059fb104940a8",
+    ),
+    "readme-chain": (
+        ("chain", "--poly", PASCAL_TEXT, "--level", "21"),
+        0,
+        "0c50eece60dbe3b424bc5eada57cdbf40517faf91d630c86fa73e526f01c41d3",
+    ),
+    "readme-probe-floor": (
+        ("probe", "--poly", PASCAL_TEXT, "--i", "1", "--horizon", "10", "--floor", "0"),
+        0,
+        "1a45c9d3272992c1f7d30ca83f99386b5437d565eb12dc300f5e41eebe304b7c",
+    ),
+    "readme-probe-random": (
+        ("probe", "--poly", PASCAL_TEXT, "--i", "3", "--horizon", "10",
+         "--ordering", "random", "--seed", "7"),
+        0,
+        "a313b48cab6aed0fa27d1f5bfaaa708c8c1df810c02b17e26123bf551184c1aa",
+    ),
+    "readme-measure": (
+        ("measure", "--poly", Q3_TEXT, "--levels", "6"),
+        0,
+        "1bb36f2fb4b8f8f9b407936123f9d5ffbd68c1378ae59d16db1aa070bba2f623",
+    ),
+    "readme-vershik": (
+        ("vershik", "--poly", PASCAL_TEXT, "--level", "4"),
+        0,
+        "5ff02758bf522af8ae39991f73a9b5fdfcbb266b6d148decb10dd53c2eb4db4e",
+    ),
+    "readme-export-dot": (
+        ("export", "--poly", PASCAL_TEXT, "--levels", "3", "--format", "dot"),
+        0,
+        "cbf2cbb884ed607f0940c6306f27b51885cdedd405a709a10684c79d27cb8789",
+    ),
+    "readme-verify-all": (
+        ("verify-all", "--poly", PASCAL_TEXT, "--levels", "8"),
+        0,
+        "900685cb8b66fd3a2e7f096604d7a4e48d042aac7931b688aab85106a0924557",
+    ),
+    "covered-q3-8": (
+        ("covered", "--poly", Q3_TEXT, "--level", "8"),
+        0,
+        "d65727f727f8f40aa6d63c9df20d50020820046d1146bd4563ca8c946629934a",
+    ),
+    "verify-all-q3-5": (
+        ("verify-all", "--poly", Q3_TEXT, "--levels", "5"),
+        0,
+        "9b78bc254cce87a95e2c021e1926c8d4b08dd818e9aaf63cdec8786dc5597418",
+    ),
+    "export-quartic-json-3": (
+        ("export", "--poly", QUARTIC_TEXT, "--levels", "3", "--format", "json"),
+        0,
+        "088ae3fb01012c2272e83ba221af650c4f73fdb699a5502d25613688ce6f7968",
+    ),
+}
+
+
+def run_digest(capsys, argv):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_document_is_byte_identical(capsys, name):
+    argv, code, digest = GOLDEN[name]
+    assert run_digest(capsys, argv) == (code, digest)
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    for name, (argv, _, _) in GOLDEN.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(list(argv))
+        print(f"{name}: {code} {hashlib.sha256(buf.getvalue().encode('utf-8')).hexdigest()}")

@@ -186,7 +186,7 @@ class TestSuccessor:
 
     def test_iter_tower_matches(self, pascal, pascal_lex):
         v = pascal.vertex((3, 1))
-        assert tuple(pascal_lex.iter_tower(v)) == pascal_lex.tower(v).paths
+        assert tuple(pascal_lex.iter_tower(v)) == pascal_lex.tower(v)
 
 
 class TestRanks:
@@ -355,6 +355,26 @@ class TestTableProperties:
             assert ordering.path_rank(ordering.path_unrank(v, rank)) == rank
             if rank + 1 < dim:
                 assert ordering.predecessor(ordering.successor(x)) == x
+
+    @given(case=diagram_orderings())
+    @settings(max_examples=40, deadline=None)
+    def test_neighbour_caches(self, case):
+        diagram, _, v = case
+        level = max(v.level, 1)
+        below = diagram.vertices(level - 1)
+        vertices = diagram.vertices(level)
+        for w in vertices:
+            sources = diagram.source_set(w)
+            # a scan of the level below by multiplicity, in canonical order
+            assert sources == tuple(u for u in below if diagram.multiplicity(u, w) > 0)
+            assert all(u is diagram.vertex(u.coords) for u in sources)
+            assert diagram.source_set(Vertex(w.level, w.coords)) is sources
+        for u in below:
+            targets = diagram.targets(u)
+            assert targets == tuple(w for w in vertices if diagram.multiplicity(u, w) > 0)
+            assert diagram.targets(Vertex(u.level, u.coords)) is targets
+            for w in vertices:
+                assert (u in diagram.source_set(w)) == (w in targets)
 
     def test_equal_but_not_identical_paths(self, quartic):
         ordering = Ordering(quartic, preset="random", seed=3)
