@@ -166,6 +166,7 @@ class PolynomialSpec:
         if len(self.terms) != expected:
             missing = [s for s in compositions_desc(self.degree, self.arity) if s not in seen]
             raise MissingMonomial(f"absent degree-{self.degree} exponent vectors: {missing}")
+        object.__setattr__(self, "terms", tuple(sorted(self.terms, reverse=True)))
 
     @classmethod
     def from_coefficients(cls, arity: int, coeffs: Mapping[Coords, int]) -> "PolynomialSpec":
@@ -179,8 +180,7 @@ class PolynomialSpec:
         degree = degrees.pop()
         if degree < 1:
             raise PolynomialSyntaxError("degree must be at least 1")
-        terms = tuple(sorted(coeffs.items(), reverse=True))
-        return cls(arity=arity, degree=degree, terms=terms)
+        return cls(arity=arity, degree=degree, terms=tuple(coeffs.items()))
 
     @classmethod
     def from_text(cls, text: str) -> "PolynomialSpec":

@@ -1,13 +1,28 @@
 """Serialization of diagrams to DOT and JSON documents.
 
 Outputs are deterministic byte for byte: vertices appear in canonical order,
-JSON objects are dumped with sorted keys, and every document carries the same
+JSON objects are written with sorted keys, and every document carries the same
 header block (schema version, polynomial, multiplicity mode, ordering, seed).
+
+`to_stable_json` writes the same bytes as
+`json.dumps(obj, sort_keys=True, indent=2)`, plus a final newline: two-space
+indent, `","` between items and `": "` after keys, ASCII-only strings, ints
+and floats as their `repr` (`NaN`/`Infinity`/`-Infinity` when not finite),
+and the stdlib's conversion of int, float, bool and None keys.  A type that
+json.dumps rejects (a numpy integer, a set) or keys it cannot sort raise
+TypeError here too.  The stdlib is not called because it uses its C encoder
+only when `indent` is None: with an indent every value passes through nested
+Python generators, which for a probe's survivor list costs more than the
+probe itself.  This emitter joins each container's members at once, quotes
+strings with the stdlib's C `encode_basestring_ascii` and writes an all-int
+list in one join.  orjson is not used either: it rejects ints beyond 64 bits
+(tower dimensions pass 2**64 near level 70), and its float text differs from
+`repr`.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .core import Diagram
 from .vershik import Ordering
@@ -33,7 +48,95 @@ def document_header(
 
 
 def to_stable_json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _value(obj, "\n") + "\n"
+
+
+_int_repr = int.__repr__
+_INF = float("inf")
+
+
+def _float(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == _INF:
+        return "Infinity"
+    if o == -_INF:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+def _key(k) -> str:
+    """An object key as text, converted in the stdlib's order of tests."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float(k)
+    if k is True:
+        return "true"
+    if k is False:
+        return "false"
+    if k is None:
+        return "null"
+    if isinstance(k, int):
+        return _int_repr(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _dict(o: dict, nl: str) -> str:
+    """`o` as an object whose closing brace follows `nl` (newline plus indent)."""
+    if not o:
+        return "{}"
+    inner = nl + "  "
+    items = [
+        _quote(k if type(k) is str else _key(k))
+        + ": "
+        + (_int_repr(v) if type(v) is int else _value(v, inner))
+        for k, v in sorted(o.items())
+    ]
+    return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+
+
+def _list(o: list | tuple, nl: str) -> str:
+    if not o:
+        return "[]"
+    inner = nl + "  "
+    for v in o:
+        if type(v) is not int:
+            items = [_value(v, inner) for v in o]
+            break
+    else:
+        items = map(_int_repr, o)
+    return f"[{inner}{(',' + inner).join(items)}{nl}]"
+
+
+def _value(o, nl: str) -> str:
+    t = type(o)
+    if t is int:
+        return _int_repr(o)
+    if t is dict:
+        return _dict(o, nl)
+    if t is list or t is tuple:
+        return _list(o, nl)
+    if t is str:
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    # floats and subclasses, tested in the stdlib's order
+    if isinstance(o, str):
+        return _quote(o)
+    if isinstance(o, int):
+        return _int_repr(o)
+    if isinstance(o, float):
+        return _float(o)
+    if isinstance(o, (list, tuple)):
+        return _list(o, nl)
+    if isinstance(o, dict):
+        return _dict(o, nl)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def _node_id(v) -> str:

@@ -112,6 +112,7 @@ class ProbeReport:
         return tuple(c for c in self.survivors if c.same_terminal)
 
     def to_json(self) -> dict:
+        genuine = self.genuine_conflicts
         return {
             "i": self.i,
             "L": self.horizon,
@@ -122,18 +123,15 @@ class ProbeReport:
             "censored": self.censored,
             "skipped_towers": self.skipped_towers,
             "max_killed_window": self.max_killed_window,
-            "genuine_conflicts": [c.to_json() for c in self.genuine_conflicts],
-            "uncensored_genuine_conflicts": [
-                c.to_json() for c in self.uncensored_genuine_conflicts
-            ],
-            "survivors_without_conflict": sum(
-                1 for c in self.survivors if not c.conflict_times
-            ),
+            "genuine_conflicts": [c.to_json() for c in genuine],
+            "uncensored_genuine_conflicts": [c.to_json() for c in genuine if not c.censored],
+            "survivors_without_conflict": len(self.survivors) - len(genuine),
             "same_terminal_survivors": len(self.same_terminal_survivors),
         }
 
 
 _PAIR_CHUNK = 4096  # pairs stepped together; bounds the kernel's working arrays
+_WINDOW_CHUNK = 1 << 16  # window positions compared together for conflict times
 
 
 def _prefix_blocks(
@@ -183,6 +181,32 @@ def _lived(
         live = live[~miss & (room[live] > t)]
         t += 1
     return lived
+
+
+def _conflict_times(
+    sym: np.ndarray, a: np.ndarray, b: np.ndarray, fwd: np.ndarray, back: np.ndarray
+) -> list[tuple[int, ...]]:
+    """Per pair, the times t in -back..fwd at which sym[a + t] != sym[b + t].
+
+    The windows are laid end to end on one flat axis and compared at once,
+    in batches of about `_WINDOW_CHUNK` positions (a longer window is a batch
+    of its own); each pair's hits are then a slice of the batch's hit list.
+    """
+    n = fwd + back + 1
+    ends = np.cumsum(n)
+    out: list[tuple[int, ...]] = []
+    lo = 0
+    while lo < len(n):
+        base = int(ends[lo] - n[lo])
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _WINDOW_CHUNK, side="right")))
+        seg = n[lo:hi]
+        t = np.arange(base, int(ends[hi - 1])) - np.repeat(ends[lo:hi] - seg + back[lo:hi], seg)
+        hit = np.flatnonzero(sym[np.repeat(a[lo:hi], seg) + t] != sym[np.repeat(b[lo:hi], seg) + t])
+        times = t[hit].tolist()
+        cuts = np.searchsorted(hit, ends[lo:hi] - base).tolist()
+        out += (tuple(times[s:e]) for s, e in zip([0, *cuts], cuts))
+        lo = hi
+    return out
 
 
 def probe_depth_pairs(
@@ -254,11 +278,10 @@ def probe_depth_pairs(
             for x in (a, b)
         ]
         fields = zip(
-            a.tolist(), b.tolist(), fwd.tolist(), back.tolist(), divergence.tolist(),
-            *refs, mins[:, a].T.tolist(), mins[:, b].T.tolist(),
+            fwd.tolist(), back.tolist(), divergence.tolist(), *refs,
+            _conflict_times(sym1, a, b, fwd, back), mins[:, a].T.tolist(), mins[:, b].T.tolist(),
         )
-        for pa, pb, f, bk, div, ref_a, ref_b, trace_a, trace_b in fields:
-            diff = np.flatnonzero(sym1[pa - bk : pa + f + 1] != sym1[pb - bk : pb + f + 1])
+        for f, bk, div, ref_a, ref_b, conflicts, trace_a, trace_b in fields:
             survivors.append(
                 ProbeCandidate(
                     x=ref_a,
@@ -268,7 +291,7 @@ def probe_depth_pairs(
                     backward_steps=bk,
                     censored_forward=True,
                     censored_backward=True,
-                    conflict_times=tuple((diff - bk).tolist()),
+                    conflict_times=conflicts,
                     min_coord_trace=(tuple(trace_a), tuple(trace_b)),
                 )
             )

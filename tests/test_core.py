@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from polyadic import Diagram, PolynomialSpec, Vertex, parse_polynomial
 from polyadic.core import compositions_desc
+from polyadic.export import document_header, to_stable_json
 from polyadic.errors import (
     AritySmallerThanTwo,
     MissingMonomial,
@@ -57,6 +58,15 @@ class TestParser:
         import json
 
         assert PolynomialSpec.parse(json.dumps(spec.to_json())) == spec
+
+    def test_terms_stored_in_canonical_order(self):
+        reversed_spec = PolynomialSpec(arity=2, degree=1, terms=(((0, 1), 1), ((1, 0), 1)))
+        parsed = parse_polynomial("x1 + x2")
+        assert reversed_spec == parsed
+        assert reversed_spec.source_vectors == parsed.source_vectors == ((1, 0), (0, 1))
+        assert to_stable_json(document_header(Diagram(reversed_spec))) == to_stable_json(
+            document_header(Diagram(parsed))
+        )
 
     def test_single_variable_rejected(self):
         with pytest.raises(AritySmallerThanTwo):

@@ -2,10 +2,12 @@
 
 The deterministic JSON/DOT documents are the package's contract, so a
 refactor must leave every byte of them unchanged.  The digests pin the nine
-README examples plus three larger documents; the documents themselves are
-not stored (the two probe examples run to hundreds of kilobytes).  After an
-intended output change, run this file as a script with `src` and `tests` on
-PYTHONPATH and copy each printed exit code and digest into GOLDEN.
+README examples plus five larger documents, among them an i=0 probe whose
+every pair survives and a binomial tower whose dimensions pass 2**64; the
+documents themselves are not stored (the probe examples run to hundreds of
+kilobytes).  After an intended output change, run this file as a script with
+`src` and `tests` on PYTHONPATH and copy each printed exit code and digest
+into GOLDEN.
 """
 
 import hashlib
@@ -77,6 +79,17 @@ GOLDEN = {
         ("export", "--poly", QUARTIC_TEXT, "--levels", "3", "--format", "json"),
         0,
         "088ae3fb01012c2272e83ba221af650c4f73fdb699a5502d25613688ce6f7968",
+    ),
+    "probe-q3-survive": (
+        ("probe", "--poly", Q3_TEXT, "--i", "0", "--horizon", "2", "--floor", "0",
+         "--ordering", "random", "--seed", "5"),
+        0,
+        "16079b631c6b1c540b0e73f19dd5514a8a680f6c8adb8fff908813a95729edcb",
+    ),
+    "vershik-binomial-70": (
+        ("vershik", "--poly", "x1 + x2", "--level", "70"),
+        0,
+        "4555cbb4f3f84fba6086b34eb13b2119bf3ddd258947101dae5dcc77ea28150b",
     ),
 }
 

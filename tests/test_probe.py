@@ -141,6 +141,9 @@ def test_pair_chunking_leaves_report_unchanged(
     ordering = Ordering(all_diagrams[system], preset=preset, seed=seed)
     expected = probe_depth_pairs(ordering, i, horizon)
     monkeypatch.setattr(probe, "_PAIR_CHUNK", 5)
+    # Pascal L=8 survivor windows span 1 to 35 positions, so a cap of 7
+    # batches several short windows together and gives a long one its own
+    monkeypatch.setattr(probe, "_WINDOW_CHUNK", 7)
     chunked = probe_depth_pairs(ordering, i, horizon)
     assert to_stable_json(chunked.to_json()) == to_stable_json(expected.to_json())
     assert chunked.survivors == expected.survivors  # includes conflict-free survivors
