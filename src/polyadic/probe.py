@@ -19,10 +19,13 @@ soundness bug; reports keep the bucket so the claim is checkable.
 
 The simulation never builds paths.  One bottom-up pass gives each admitted
 tower per-level arrays: row k, column m holds an id of the rank-m path's
-first k edges and the min-coordinate of its level-k vertex.  Pairs, grouped
-by i-symbol id, step together in fixed-size chunks, one array comparison per
-time step, until each mismatches or reaches its tower boundary.  The test
-suite replays pairs with the raw successor machine to pin the equivalence.
+first k edges and the min-coordinate of its level-k vertex.  A pair's window
+is the run of equal i-symbols around it on its diagonal (rank p of one tower
+against rank p + s of another), so only a run's first pair steps, forward,
+one array comparison per step; a run spanning its whole diagonal survives,
+with its (i+1)-symbol mismatches shifted to each pair as conflict times.
+The test suite replays pairs with the raw successor machine to pin the
+equivalence.
 """
 
 from __future__ import annotations
@@ -126,12 +129,11 @@ class ProbeReport:
             "genuine_conflicts": [c.to_json() for c in genuine],
             "uncensored_genuine_conflicts": [c.to_json() for c in genuine if not c.censored],
             "survivors_without_conflict": len(self.survivors) - len(genuine),
-            "same_terminal_survivors": len(self.same_terminal_survivors),
+            "same_terminal_survivors": sum(c.same_terminal for c in self.survivors),
         }
 
 
-_PAIR_CHUNK = 4096  # pairs stepped together; bounds the kernel's working arrays
-_WINDOW_CHUNK = 1 << 16  # window positions compared together for conflict times
+_PAIR_CHUNK = 4096  # pairs enumerated together; bounds the kernel's working arrays
 
 
 def _prefix_blocks(
@@ -163,10 +165,8 @@ def _prefix_blocks(
     return [blocks[v] for v in admitted]
 
 
-def _lived(
-    sym: np.ndarray, a: np.ndarray, b: np.ndarray, room: np.ndarray, step: int
-) -> np.ndarray:
-    """Per pair, the steps t = 1..room survived before sym[a + step*t] != sym[b + step*t].
+def _lived(sym: np.ndarray, a: np.ndarray, b: np.ndarray, room: np.ndarray) -> np.ndarray:
+    """Per pair, the steps t = 1..room survived before sym[a + t] != sym[b + t].
 
     A pair that never mismatches lives its whole room.  All undecided pairs
     advance together, one comparison per t, and a pair drops out once it
@@ -176,37 +176,11 @@ def _lived(
     live = np.flatnonzero(room > 0)
     t = 1
     while live.size:
-        miss = sym[a[live] + step * t] != sym[b[live] + step * t]
+        miss = sym[a[live] + t] != sym[b[live] + t]
         lived[live[miss]] = t - 1
         live = live[~miss & (room[live] > t)]
         t += 1
     return lived
-
-
-def _conflict_times(
-    sym: np.ndarray, a: np.ndarray, b: np.ndarray, fwd: np.ndarray, back: np.ndarray
-) -> list[tuple[int, ...]]:
-    """Per pair, the times t in -back..fwd at which sym[a + t] != sym[b + t].
-
-    The windows are laid end to end on one flat axis and compared at once,
-    in batches of about `_WINDOW_CHUNK` positions (a longer window is a batch
-    of its own); each pair's hits are then a slice of the batch's hit list.
-    """
-    n = fwd + back + 1
-    ends = np.cumsum(n)
-    out: list[tuple[int, ...]] = []
-    lo = 0
-    while lo < len(n):
-        base = int(ends[lo] - n[lo])
-        hi = max(lo + 1, int(np.searchsorted(ends, base + _WINDOW_CHUNK, side="right")))
-        seg = n[lo:hi]
-        t = np.arange(base, int(ends[hi - 1])) - np.repeat(ends[lo:hi] - seg + back[lo:hi], seg)
-        hit = np.flatnonzero(sym[np.repeat(a[lo:hi], seg) + t] != sym[np.repeat(b[lo:hi], seg) + t])
-        times = t[hit].tolist()
-        cuts = np.searchsorted(hit, ends[lo:hi] - base).tolist()
-        out += (tuple(times[s:e]) for s, e in zip([0, *cuts], cuts))
-        lo = hi
-    return out
 
 
 def probe_depth_pairs(
@@ -254,47 +228,68 @@ def probe_depth_pairs(
     row_start = np.cumsum(row_len) - row_len
     candidates = int(row_len.sum())
 
-    killed = 0
+    # only the first pair of each run of equal i-symbols on a diagonal steps
     max_killed_window = 0
-    survivors: list[ProbeCandidate] = []
+    runs = []
     for lo in range(0, candidates, _PAIR_CHUNK):
         idx = np.arange(lo, min(lo + _PAIR_CHUNK, candidates))
         p = np.searchsorted(row_start, idx, side="right") - 1
         a, b = order[p], order[p + 1 + idx - row_start[p]]
-        fwd = np.minimum(last[a] - a, last[b] - b)
         back = np.minimum(a - first[a], b - first[b])
-        lived_fwd = _lived(sym, a, b, fwd, 1)
-        lived_back = _lived(sym, a, b, back, -1)
-        dead = (lived_fwd < fwd) | (lived_back < back)
-        killed += int(dead.sum())
-        window = lived_fwd[dead] + lived_back[dead] + 1
-        max_killed_window = max(max_killed_window, int(window.max(initial=0)))
+        start = (back == 0) | (sym[a - 1] != sym[b - 1])
+        a, b, back = a[start], b[start], back[start]
+        fwd = np.minimum(last[a] - a, last[b] - b)
+        lived = _lived(sym, a, b, fwd)
+        whole = (back == 0) & (lived == fwd)
+        max_killed_window = max(max_killed_window, int((lived[~whole] + 1).max(initial=0)))
+        if whole.any():
+            runs.append(np.stack((a[whole], b[whole], lived[whole] + 1)))
+
+    survivors: list[ProbeCandidate] = []
+    if runs:
+        # every pair of a surviving run survives; expand runs to pairs, offset t
+        a0, b0, length = np.concatenate(runs, axis=1)
+        run = np.repeat(np.arange(len(length)), length)
+        t = np.arange(len(run)) - (np.cumsum(length) - length)[run]
+        a, b = a0[run] + t, b0[run] + t
+        # a run's (i+1)-symbol mismatches, read once, are each of its pairs'
+        # conflict times shifted by the pair's offset
+        hit = np.flatnonzero(sym1[a] != sym1[b])
+        hit_t = t[hit]
+        run_hits = np.bincount(run[hit], minlength=len(length))
+        # survivors go back to enumeration order: i-symbol, then x, then x'
+        keep = np.lexsort((b, a, sym[a]))
+        a, b, run, t = a[keep], b[keep], run[keep], t[keep]
+        n = run_hits[run]
+        ends = np.cumsum(n)
+        flat = np.repeat(np.cumsum(run_hits)[run] - ends, n) + np.arange(n.sum())
+        times = (hit_t[flat] - np.repeat(t, n)).tolist()
+        cuts = ends.tolist()
 
         # survivors read every field off the per-level arrays; no path is built
-        a, b, fwd, back = a[~dead], b[~dead], fwd[~dead], back[~dead]
         divergence = np.argmax(ids[:, a] != ids[:, b], axis=0)
         refs = [
-            [PathRef(admitted[t], r) for t, r in zip(tower[x].tolist(), (x - first[x]).tolist())]
+            [PathRef(admitted[k], r) for k, r in zip(tower[x].tolist(), (x - first[x]).tolist())]
             for x in (a, b)
         ]
         fields = zip(
-            fwd.tolist(), back.tolist(), divergence.tolist(), *refs,
-            _conflict_times(sym1, a, b, fwd, back), mins[:, a].T.tolist(), mins[:, b].T.tolist(),
+            (length[run] - 1 - t).tolist(), t.tolist(), divergence.tolist(), *refs,
+            [0, *cuts], cuts, mins[:, a].T.tolist(), mins[:, b].T.tolist(),
         )
-        for f, bk, div, ref_a, ref_b, conflicts, trace_a, trace_b in fields:
-            survivors.append(
-                ProbeCandidate(
-                    x=ref_a,
-                    x_prime=ref_b,
-                    divergence_level=div,
-                    forward_steps=f,
-                    backward_steps=bk,
-                    censored_forward=True,
-                    censored_backward=True,
-                    conflict_times=conflicts,
-                    min_coord_trace=(tuple(trace_a), tuple(trace_b)),
-                )
+        survivors = [
+            ProbeCandidate(
+                x=ref_a,
+                x_prime=ref_b,
+                divergence_level=div,
+                forward_steps=f,
+                backward_steps=bk,
+                censored_forward=True,
+                censored_backward=True,
+                conflict_times=tuple(times[s:e]),
+                min_coord_trace=(tuple(trace_a), tuple(trace_b)),
             )
+            for f, bk, div, ref_a, ref_b, s, e, trace_a, trace_b in fields
+        ]
 
     return ProbeReport(
         i=i,
@@ -302,7 +297,7 @@ def probe_depth_pairs(
         floor=min_coord_floor,
         budget=budget,
         candidates=candidates,
-        coding_killed=killed,
+        coding_killed=candidates - len(survivors),
         censored=len(survivors),
         skipped_towers=skipped,
         survivors=tuple(survivors),

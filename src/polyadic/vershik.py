@@ -266,19 +266,22 @@ class Ordering:
         Segments are ordered by their deepest differing edge, which makes the
         word the label-order concatenation of the codings of w's sources.  At
         j = level - 1 this is just the incoming sources in label order, each
-        repeated by multiplicity.
+        repeated by multiplicity.  Fills in the uncached part of w's down-set
+        to level j + 1 bottom-up, with no recursion.
         """
         if not 0 <= j < w.level:
             raise ValueError(f"need 0 <= j < level {w.level}, got {j}")
-        key = (w.coords, j)
-        if key not in self._coding:
-            edges = self._table(w)[0]
-            if w.level == j + 1:
-                word = tuple(e.source for e in edges)
-            else:
-                word = tuple(chain.from_iterable(self.vertex_coding(e.source, j) for e in edges))
-            self._coding[key] = word
-        return self._coding[key]
+        coding = self._coding
+        if (w.coords, j) not in coding:
+            layers = [{w}]
+            for _ in range(w.level - j - 1):
+                below = {e.source for v in layers[-1] for e in self.edges_in(v)}
+                layers.append({u for u in below if (u.coords, j) not in coding})
+            for v in chain.from_iterable(reversed(layers)):
+                low = v.level == j + 1  # a level-j source is its own one-letter word
+                words = ((e.source,) if low else coding[e.source.coords, j] for e in self.edges_in(v))
+                coding[v.coords, j] = tuple(chain.from_iterable(words))
+        return coding[w.coords, j]
 
     def basic_block(self, v: Vertex, k: int, budget: int = DEFAULT_TOWER_BUDGET) -> tuple[tuple, ...]:
         """k-symbols of the tower of v, rank by rank."""

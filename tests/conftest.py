@@ -2,18 +2,33 @@
 
 Three standing systems exercise every code path: the Pascal diagram (two
 variables, degree one), a degree-four polynomial with mixed coefficients,
-and a three-variable all-ones quadratic.
+and a three-variable all-ones quadratic.  `polynomial_specs` draws random
+polynomials for the hypothesis properties of several modules.
 """
 
 import sys
 
 import pytest
+from hypothesis import strategies as st
 
-from polyadic import Diagram, Ordering, parse_polynomial
+from polyadic import Diagram, Ordering, PolynomialSpec, parse_polynomial
+from polyadic.core import compositions_desc
 
 PASCAL_TEXT = "x1 + x2"
 QUARTIC_TEXT = "x1^4 + 2 x1^3 x2 + x1^2 x2^2 + 3 x1 x2^3 + x2^4"
 Q3_TEXT = "x1^2 + x1 x2 + x1 x3 + x2^2 + x2 x3 + x3^2"
+
+
+COEFFICIENTS = st.integers(min_value=1, max_value=3)
+
+
+@st.composite
+def polynomial_specs(draw, max_degree):
+    """A random valid polynomial: 2-3 variables, every monomial of one degree."""
+    arity = draw(st.integers(min_value=2, max_value=3))
+    degree = draw(st.integers(min_value=1, max_value=max_degree))
+    vectors = list(compositions_desc(degree, arity))
+    return PolynomialSpec.from_coefficients(arity, {s: draw(COEFFICIENTS) for s in vectors})
 
 
 @pytest.fixture(scope="session")

@@ -2,10 +2,14 @@
 
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyadic import Ordering, probe
+from conftest import polynomial_specs
+from polyadic import Diagram, Ordering, probe
 from polyadic.errors import MaximalAtHorizon, MinimalAtHorizon
 from polyadic.export import to_stable_json
 from polyadic.measure import dense_orbit_trace
@@ -50,7 +54,11 @@ def replay_pair(ordering, i, xa, xb):
 
 
 def replay_report(ordering, i, horizon, floor=0):
-    """Full from-scratch rerun of the probe semantics by path enumeration."""
+    """Full from-scratch rerun of the probe semantics by path enumeration.
+
+    Returns (candidates, killed, survivors, max_killed_window), the last the
+    largest back_lived + fwd_lived + 1 over killed pairs.
+    """
     diagram = ordering.diagram
     entries = []
     for v in diagram.vertices(horizon):
@@ -60,6 +68,7 @@ def replay_report(ordering, i, horizon, floor=0):
             entries.append((v, rank, x))
     candidates = 0
     killed = 0
+    max_killed_window = 0
     survivors = {}
     for a in range(len(entries)):
         va, ra, xa = entries[a]
@@ -71,10 +80,11 @@ def replay_report(ordering, i, horizon, floor=0):
             was_killed, window, conflicts = replay_pair(ordering, i, xa, xb)
             if was_killed:
                 killed += 1
+                max_killed_window = max(max_killed_window, window[0] + window[1] + 1)
             else:
                 key = frozenset({(va.coords, ra), (vb.coords, rb)})
                 survivors[key] = (window, tuple(conflicts))
-    return candidates, killed, survivors
+    return candidates, killed, survivors, max_killed_window
 
 
 def report_survivors(report):
@@ -111,11 +121,12 @@ REPLAY_CASES = [
 def test_array_simulation_matches_replay(all_diagrams, system, i, horizon, preset, seed):
     ordering = Ordering(all_diagrams[system], preset=preset, seed=seed)
     report = probe_depth_pairs(ordering, i, horizon)
-    candidates, killed, survivors = replay_report(ordering, i, horizon)
+    candidates, killed, survivors, max_killed_window = replay_report(ordering, i, horizon)
     assert report.candidates == candidates
     assert report.coding_killed == killed
     assert report.censored == len(survivors)
     assert report_survivors(report) == survivors
+    assert report.max_killed_window == max_killed_window
 
 
 @pytest.mark.parametrize(
@@ -141,9 +152,6 @@ def test_pair_chunking_leaves_report_unchanged(
     ordering = Ordering(all_diagrams[system], preset=preset, seed=seed)
     expected = probe_depth_pairs(ordering, i, horizon)
     monkeypatch.setattr(probe, "_PAIR_CHUNK", 5)
-    # Pascal L=8 survivor windows span 1 to 35 positions, so a cap of 7
-    # batches several short windows together and gives a long one its own
-    monkeypatch.setattr(probe, "_WINDOW_CHUNK", 7)
     chunked = probe_depth_pairs(ordering, i, horizon)
     assert to_stable_json(chunked.to_json()) == to_stable_json(expected.to_json())
     assert chunked.survivors == expected.survivors  # includes conflict-free survivors
@@ -151,9 +159,52 @@ def test_pair_chunking_leaves_report_unchanged(
 
 def test_floor_filter_matches_replay(pascal_lex):
     report = probe_depth_pairs(pascal_lex, 1, 5, min_coord_floor=1)
-    candidates, killed, survivors = replay_report(pascal_lex, 1, 5, floor=1)
+    candidates, killed, survivors, max_killed_window = replay_report(pascal_lex, 1, 5, floor=1)
     assert (report.candidates, report.coding_killed) == (candidates, killed)
     assert report_survivors(report) == survivors
+    assert report.max_killed_window == max_killed_window
+
+
+@pytest.mark.parametrize(
+    "horizon,floor,counts",
+    [
+        (2, 1, (0, 0, 0, 0)),  # towers admitted, no pair shares a 1-symbol
+        (4, 2, (6, 6, 0, 2)),  # pairs, every one killed
+    ],
+)
+def test_scans_without_survivors(pascal_lex, horizon, floor, counts):
+    report = probe_depth_pairs(pascal_lex, 1, horizon, min_coord_floor=floor)
+    assert report.survivors == ()
+    got = (report.candidates, report.coding_killed, report.censored, report.max_killed_window)
+    assert got == counts
+    candidates, killed, survivors, max_killed_window = replay_report(pascal_lex, 1, horizon, floor)
+    assert got == (candidates, killed, len(survivors), max_killed_window)
+
+
+@st.composite
+def probe_cases(draw):
+    """A random small diagram, ordering, horizon (at most 60 paths), depth and floor."""
+    spec = draw(polynomial_specs(max_degree=2))
+    preset = draw(st.sampled_from(["source-lex", "source-revlex", "random"]))
+    seed = draw(st.integers(0, 2**32)) if preset == "random" else None
+    ordering = Ordering(Diagram(spec), preset=preset, seed=seed)
+    level_one = sum(count for _, count in spec.terms)  # level-L paths: level_one**L
+    horizon = draw(st.integers(1, max(h for h in (1, 2, 3) if level_one**h <= 60)))
+    return ordering, draw(st.integers(0, horizon - 1)), horizon, draw(st.integers(0, 1))
+
+
+@given(case=probe_cases())
+@settings(max_examples=40, deadline=None)
+def test_report_matches_replay_on_random_diagrams(case):
+    ordering, i, horizon, floor = case
+    report = probe_depth_pairs(ordering, i, horizon, min_coord_floor=floor)
+    candidates, killed, survivors, max_killed_window = replay_report(ordering, i, horizon, floor)
+    assert (report.candidates, report.coding_killed) == (candidates, killed)
+    assert report_survivors(report) == survivors
+    assert report.max_killed_window == max_killed_window
+    with mock.patch.object(probe, "_PAIR_CHUNK", 5):
+        chunked = probe_depth_pairs(ordering, i, horizon, min_coord_floor=floor)
+    assert to_stable_json(chunked.to_json()) == to_stable_json(report.to_json())
 
 
 class TestDepthZero:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyadic import Diagram, EdgeRef, Ordering, PolynomialSpec, Vertex, parse_polynomial
-from polyadic.core import compositions_desc
+from conftest import COEFFICIENTS, polynomial_specs
+from polyadic import Diagram, EdgeRef, Ordering, Vertex, parse_polynomial
 from polyadic.errors import (
     MaximalAtHorizon,
     MinimalAtHorizon,
@@ -259,6 +259,13 @@ class TestCoding:
         assert word == (quartic.root,) * quartic.indegree(w)
         assert len(word) == 2
 
+    def test_deep_word_on_a_cold_diagram(self):
+        # one level per recursion frame would pass the interpreter's limit
+        pascal = Diagram(parse_polynomial("x1 + x2"))
+        ordering = Ordering(pascal)
+        assert ordering.vertex_coding(pascal.vertex((1500, 0)), 0) == (pascal.root,)
+        assert ordering.vertex_coding(pascal.vertex((1500, 1)), 0) == (pascal.root,) * 1501
+
     def test_coding_matches_tower_visits(self, pascal, quartic):
         # paths sharing a level-j-to-w segment sit in one contiguous tower
         # block of dim(u) paths, so expanding the word by dim recovers the
@@ -315,16 +322,12 @@ class TestFinitePaths:
 @st.composite
 def diagram_orderings(draw):
     """A random valid polynomial under a seeded random ordering or a custom edge table."""
-    arity = draw(st.integers(min_value=2, max_value=3))
-    degree = draw(st.integers(min_value=1, max_value=3))
-    counts = st.integers(min_value=1, max_value=3)
-    vectors = list(compositions_desc(degree, arity))
-    spec = PolynomialSpec.from_coefficients(arity, {s: draw(counts) for s in vectors})
+    spec = draw(polynomial_specs(max_degree=3))
     if draw(st.booleans()):
         diagram = Diagram(spec)
         ordering = Ordering(diagram, preset="random", seed=draw(st.integers(0, 2**32)))
     else:
-        diagram = Diagram(spec, multiplicity={s: draw(counts) for s in vectors})
+        diagram = Diagram(spec, multiplicity={s: draw(COEFFICIENTS) for s in spec.source_vectors})
         ordering = Ordering(diagram)
     level = draw(st.integers(min_value=1, max_value=4))
     v = draw(st.sampled_from(diagram.vertices(level)))
