@@ -2,10 +2,11 @@
 
 The deterministic JSON/DOT documents are the package's contract, so a
 refactor must leave every byte of them unchanged.  The digests pin the nine
-README examples plus five larger documents, among them an i=0 probe whose
-every pair survives and a binomial tower whose dimensions pass 2**64; the
+README examples plus nine larger documents, among them two i=0 probes whose
+every pair survives, probes with every pair killed, with skipped towers and
+with a floor, and a binomial tower whose dimensions pass 2**64; the
 documents themselves are not stored (the probe examples run to hundreds of
-kilobytes).  After an intended output change, run this file as a script with
+kilobytes, the quartic i=0 probe to 1.4 MB).  After an intended output change, run this file as a script with
 `src` and `tests` on PYTHONPATH and copy each printed exit code and digest
 into GOLDEN.
 """
@@ -85,6 +86,28 @@ GOLDEN = {
          "--ordering", "random", "--seed", "5"),
         0,
         "16079b631c6b1c540b0e73f19dd5514a8a680f6c8adb8fff908813a95729edcb",
+    ),
+    "probe-quartic-survive": (
+        ("probe", "--poly", QUARTIC_TEXT, "--i", "0", "--horizon", "2", "--floor", "0",
+         "--ordering", "random", "--seed", "5"),
+        0,
+        "324575f49e3d15e35ac103c4bac97fc8ad7bada191dcd2356fdebdfaa9d88fe7",
+    ),
+    "probe-pascal-all-killed": (
+        ("probe", "--poly", PASCAL_TEXT, "--i", "1", "--horizon", "4", "--floor", "2"),
+        0,
+        "942dc582c8eecd224253230f556049840dbd584ed5cd67d9d13b43db6ee7fcf3",
+    ),
+    "probe-pascal-skipped-towers": (
+        ("probe", "--poly", PASCAL_TEXT, "--i", "1", "--horizon", "10", "--budget", "40"),
+        0,
+        "bb708fc336e11d51ea591ba1006c67872346f8ecb0df1390d0075a1757edfdf3",
+    ),
+    "probe-pascal-random-floor": (
+        ("probe", "--poly", PASCAL_TEXT, "--i", "2", "--horizon", "9", "--floor", "1",
+         "--ordering", "random", "--seed", "3"),
+        0,
+        "323f7c13b087b4c0c05c4d95446d8fe291e05927a2ceac1c6aff0ea6649085fe",
     ),
     "vershik-binomial-70": (
         ("vershik", "--poly", "x1 + x2", "--level", "70"),
