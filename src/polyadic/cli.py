@@ -150,13 +150,15 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    if args.i >= args.horizon:
+        raise ValueError(f"--i {args.i} must be below --horizon {args.horizon}")
     diagram = _build(args)
     ordering = make_ordering(diagram, _ordering_spec(args))
     report = probe_depth_pairs(
         ordering, args.i, args.horizon, min_coord_floor=args.floor, budget=args.budget
     )
     doc = document_header(diagram, ordering=ordering, seed=args.seed)
-    doc["report"] = report.to_json()
+    doc["report"] = report.to_document()
     _emit_json(args, "probe.json", doc)
     return 1 if report.uncensored_genuine_conflicts else 0
 

@@ -26,16 +26,27 @@ one array comparison per step; a run spanning its whole diagonal survives,
 with its (i+1)-symbol mismatches shifted to each pair as conflict times.
 The test suite replays pairs with the raw successor machine to pin the
 equivalence.
+
+Survivors are kept as columns, as the run expansion leaves them: the
+positions of x and x', divergence level, window, and conflict times as one
+flat array with cuts, beside per-position tower, rank and min-coordinate
+rows.  A survivor's censor flags are read off its window, which is censored
+in a direction when it reaches a tower end there.  `ProbeReport.survivors`
+builds the `ProbeCandidate`s on first access; the CLI document is written
+straight from the columns and builds none.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .core import Vertex
+from .export import Encoded, _list, to_stable_json
 from .vershik import Ordering
 
 
@@ -87,9 +98,36 @@ class ProbeCandidate:
         }
 
 
-@dataclass(frozen=True)
+class _Columns(NamedTuple):
+    """Surviving pairs as columns, one entry per pair in enumeration order.
+
+    Pairs name their paths by position on the scan's axis of admitted tower
+    paths (tower after tower); `tower`, `rank` and `mins` are indexed by
+    position, `sizes` by tower.
+    """
+
+    terminals: tuple[Vertex, ...] = ()  # admitted towers
+    sizes: np.ndarray = np.zeros(0, dtype=np.int64)  # per tower: its dimension
+    tower: np.ndarray = np.zeros(0, dtype=np.int64)  # per position: its tower
+    rank: np.ndarray = np.zeros(0, dtype=np.int64)  # per position: its tower rank
+    mins: np.ndarray = np.zeros((1, 0), dtype=np.int64)  # level x position: min coordinate
+    x: np.ndarray = np.zeros(0, dtype=np.int64)  # per pair: position of x
+    x_prime: np.ndarray = np.zeros(0, dtype=np.int64)  # per pair: position of x'
+    divergence: np.ndarray = np.zeros(0, dtype=np.int64)
+    backward: np.ndarray = np.zeros(0, dtype=np.int64)
+    forward: np.ndarray = np.zeros(0, dtype=np.int64)
+    times: np.ndarray = np.zeros(0, dtype=np.int64)  # conflict times, pair after pair
+    cuts: np.ndarray = np.zeros(0, dtype=np.int64)  # per pair: end of its times
+
+
+@dataclass(frozen=True, eq=False)
 class ProbeReport:
-    """Outcome counts plus every surviving pair, for one (i, L, floor) run."""
+    """Outcome counts plus every surviving pair, for one (i, L, floor) run.
+
+    Survivors stay in the scan's columns; `survivors` builds their
+    `ProbeCandidate`s on first access, and `to_document` writes the conflict
+    lists straight from the columns.
+    """
 
     i: int
     horizon: int
@@ -99,23 +137,76 @@ class ProbeReport:
     coding_killed: int
     censored: int
     skipped_towers: int
-    survivors: tuple[ProbeCandidate, ...]
     max_killed_window: int
+    _columns: _Columns = _Columns()
+
+    def _censored(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per survivor, whether its window reaches a tower end forward, and backward."""
+        c = self._columns
+        room = c.sizes[c.tower] - 1 - c.rank
+        forward = np.minimum(room[c.x], room[c.x_prime]) == c.forward
+        backward = np.minimum(c.rank[c.x], c.rank[c.x_prime]) == c.backward
+        return forward, backward
+
+    def _genuine(self) -> np.ndarray:
+        return np.diff(self._columns.cuts, prepend=0) > 0
+
+    def _uncensored_genuine(self) -> np.ndarray:
+        forward, backward = self._censored()
+        return self._genuine() & ~forward & ~backward
+
+    def _same_terminal(self) -> np.ndarray:
+        c = self._columns
+        return c.tower[c.x] == c.tower[c.x_prime]
+
+    @cached_property
+    def survivors(self) -> tuple[ProbeCandidate, ...]:
+        """Every surviving pair, in enumeration order, built on first access."""
+        c = self._columns
+        refs = [
+            PathRef(c.terminals[k], r) for k, r in zip(c.tower.tolist(), c.rank.tolist())
+        ]
+        traces = [tuple(row) for row in c.mins.T.tolist()]
+        times = c.times.tolist()
+        cuts = c.cuts.tolist()
+        fields = zip(
+            c.x.tolist(), c.x_prime.tolist(), c.divergence.tolist(), c.forward.tolist(),
+            c.backward.tolist(), *(flags.tolist() for flags in self._censored()), [0, *cuts], cuts,
+        )
+        return tuple(
+            ProbeCandidate(
+                x=refs[a],
+                x_prime=refs[b],
+                divergence_level=div,
+                forward_steps=f,
+                backward_steps=bk,
+                censored_forward=cf,
+                censored_backward=cb,
+                conflict_times=tuple(times[lo:hi]),
+                min_coord_trace=(traces[a], traces[b]),
+            )
+            for a, b, div, f, bk, cf, cb, lo, hi in fields
+        )
+
+    def _pick(self, selected: np.ndarray) -> tuple[ProbeCandidate, ...]:
+        # survivors are built only when a pair is selected
+        return tuple(self.survivors[k] for k in np.flatnonzero(selected).tolist())
 
     @property
     def genuine_conflicts(self) -> tuple[ProbeCandidate, ...]:
-        return tuple(c for c in self.survivors if c.conflict_times)
+        return self._pick(self._genuine())
 
     @property
     def uncensored_genuine_conflicts(self) -> tuple[ProbeCandidate, ...]:
-        return tuple(c for c in self.genuine_conflicts if not c.censored)
+        return self._pick(self._uncensored_genuine())
 
     @property
     def same_terminal_survivors(self) -> tuple[ProbeCandidate, ...]:
-        return tuple(c for c in self.survivors if c.same_terminal)
+        return self._pick(self._same_terminal())
 
-    def to_json(self) -> dict:
-        genuine = self.genuine_conflicts
+    def to_document(self) -> dict:
+        """The report as the CLI writes it, its conflict lists pre-written from the columns."""
+        genuine = self._genuine()
         return {
             "i": self.i,
             "L": self.horizon,
@@ -126,11 +217,68 @@ class ProbeReport:
             "censored": self.censored,
             "skipped_towers": self.skipped_towers,
             "max_killed_window": self.max_killed_window,
-            "genuine_conflicts": [c.to_json() for c in genuine],
-            "uncensored_genuine_conflicts": [c.to_json() for c in genuine if not c.censored],
-            "survivors_without_conflict": len(self.survivors) - len(genuine),
-            "same_terminal_survivors": sum(c.same_terminal for c in self.survivors),
+            "genuine_conflicts": Encoded(_conflict_rows(self, genuine)),
+            "uncensored_genuine_conflicts": Encoded(
+                _conflict_rows(self, self._uncensored_genuine())
+            ),
+            "survivors_without_conflict": len(genuine) - int(genuine.sum()),
+            "same_terminal_survivors": int(self._same_terminal().sum()),
         }
+
+    def to_json(self) -> dict:
+        """The report as a plain JSON tree: the CLI document's report, read back."""
+        return json.loads(to_stable_json(self.to_document()))
+
+
+def _conflict_rows(report: ProbeReport, selected: np.ndarray) -> str:
+    """The `selected` survivors as the stable JSON list of their `to_json`s.
+
+    Written as `to_stable_json` writes the list at top level, without the
+    final newline: one template per row in sorted key order.  A path's
+    reference and min-coordinate trace are written once per position, and a
+    terminal once per tower, since survivors share them.
+    """
+    rows = np.flatnonzero(selected)
+    if not rows.size:
+        return "[]"
+    c = report._columns
+    x, x_prime = c.x[rows], c.x_prime[rows]
+    used = np.zeros(len(c.tower), dtype=bool)
+    used[x] = used[x_prime] = True
+    used = np.flatnonzero(used)
+    field_nl, item_nl = "\n    ", "\n      "  # a row's fields, a field's items
+    terminals: dict[int, str] = {}
+    refs, traces = {}, {}
+    for p, k, r, trace in zip(
+        used.tolist(), c.tower[used].tolist(), c.rank[used].tolist(), c.mins[:, used].T.tolist()
+    ):
+        if k not in terminals:
+            terminals[k] = _list(c.terminals[k].coords, item_nl)
+        refs[p] = f'{{\n      "rank": {r},\n      "terminal": {terminals[k]}\n    }}'
+        traces[p] = _list(trace, item_nl)
+    censored = [
+        f'{{{item_nl}"backward": {backward},{item_nl}"forward": {forward}{field_nl}}}'
+        for backward in ("false", "true")
+        for forward in ("false", "true")
+    ]
+    forward, backward = report._censored()
+    times = c.times.tolist()
+    ends = c.cuts.tolist()
+    starts = [0, *ends]
+    out = [
+        f'{{\n    "censored": {censored[cen]},'
+        f'\n    "conflict_times": {_list(times[starts[k]:ends[k]], field_nl)},'
+        f'\n    "divergence_level": {div},'
+        f'\n    "min_coord_trace": [\n      {traces[a]},\n      {traces[b]}\n    ],'
+        f'\n    "window": [\n      {-bk},\n      {f}\n    ],'
+        f'\n    "x": {refs[a]},\n    "x_prime": {refs[b]}\n  }}'
+        for k, a, b, div, f, bk, cen in zip(
+            rows.tolist(), x.tolist(), x_prime.tolist(), c.divergence[rows].tolist(),
+            c.forward[rows].tolist(), c.backward[rows].tolist(),
+            (2 * backward[rows] + forward[rows]).tolist(),
+        )
+    ]
+    return "[\n  " + ",\n  ".join(out) + "\n]"
 
 
 _PAIR_CHUNK = 4096  # pairs enumerated together; bounds the kernel's working arrays
@@ -209,7 +357,7 @@ def probe_depth_pairs(
         if v.min_coord >= min_coord_floor and diagram.dimension(v) <= budget
     ]
     if i >= horizon or not admitted:
-        return ProbeReport(i, horizon, min_coord_floor, budget, 0, 0, 0, skipped, (), 0)
+        return ProbeReport(i, horizon, min_coord_floor, budget, 0, 0, 0, skipped, 0)
 
     # one global position axis: every admitted tower's paths, tower after tower
     blocks = _prefix_blocks(ordering, horizon, admitted, budget)
@@ -230,7 +378,7 @@ def probe_depth_pairs(
 
     # only the first pair of each run of equal i-symbols on a diagonal steps
     max_killed_window = 0
-    runs = []
+    runs = [np.zeros((3, 0), dtype=np.int64)]
     for lo in range(0, candidates, _PAIR_CHUNK):
         idx = np.arange(lo, min(lo + _PAIR_CHUNK, candidates))
         p = np.searchsorted(row_start, idx, side="right") - 1
@@ -242,54 +390,39 @@ def probe_depth_pairs(
         lived = _lived(sym, a, b, fwd)
         whole = (back == 0) & (lived == fwd)
         max_killed_window = max(max_killed_window, int((lived[~whole] + 1).max(initial=0)))
-        if whole.any():
-            runs.append(np.stack((a[whole], b[whole], lived[whole] + 1)))
+        runs.append(np.stack((a[whole], b[whole], lived[whole] + 1)))
 
-    survivors: list[ProbeCandidate] = []
-    if runs:
-        # every pair of a surviving run survives; expand runs to pairs, offset t
-        a0, b0, length = np.concatenate(runs, axis=1)
-        run = np.repeat(np.arange(len(length)), length)
-        t = np.arange(len(run)) - (np.cumsum(length) - length)[run]
-        a, b = a0[run] + t, b0[run] + t
-        # a run's (i+1)-symbol mismatches, read once, are each of its pairs'
-        # conflict times shifted by the pair's offset
-        hit = np.flatnonzero(sym1[a] != sym1[b])
-        hit_t = t[hit]
-        run_hits = np.bincount(run[hit], minlength=len(length))
-        # survivors go back to enumeration order: i-symbol, then x, then x'
-        keep = np.lexsort((b, a, sym[a]))
-        a, b, run, t = a[keep], b[keep], run[keep], t[keep]
-        n = run_hits[run]
-        ends = np.cumsum(n)
-        flat = np.repeat(np.cumsum(run_hits)[run] - ends, n) + np.arange(n.sum())
-        times = (hit_t[flat] - np.repeat(t, n)).tolist()
-        cuts = ends.tolist()
-
+    # every pair of a surviving run survives; expand runs to pairs, offset t
+    a0, b0, length = np.concatenate(runs, axis=1)
+    run = np.repeat(np.arange(len(length)), length)
+    t = np.arange(len(run)) - (np.cumsum(length) - length)[run]
+    a, b = a0[run] + t, b0[run] + t
+    # a run's (i+1)-symbol mismatches, read once, are each of its pairs'
+    # conflict times shifted by the pair's offset
+    hit = np.flatnonzero(sym1[a] != sym1[b])
+    hit_t = t[hit]
+    run_hits = np.bincount(run[hit], minlength=len(length))
+    # survivors go back to enumeration order: i-symbol, then x, then x'
+    keep = np.lexsort((b, a, sym[a]))
+    a, b, run, t = a[keep], b[keep], run[keep], t[keep]
+    n = run_hits[run]
+    ends = np.cumsum(n)
+    flat = np.repeat(np.cumsum(run_hits)[run] - ends, n) + np.arange(n.sum())
+    survivors = _Columns(
+        terminals=tuple(admitted),
+        sizes=sizes,
+        tower=tower,
+        rank=np.arange(len(tower)) - first,
+        mins=mins.copy(),  # not a view, which would keep the symbol ids alive
+        x=a,
+        x_prime=b,
         # survivors read every field off the per-level arrays; no path is built
-        divergence = np.argmax(ids[:, a] != ids[:, b], axis=0)
-        refs = [
-            [PathRef(admitted[k], r) for k, r in zip(tower[x].tolist(), (x - first[x]).tolist())]
-            for x in (a, b)
-        ]
-        fields = zip(
-            (length[run] - 1 - t).tolist(), t.tolist(), divergence.tolist(), *refs,
-            [0, *cuts], cuts, mins[:, a].T.tolist(), mins[:, b].T.tolist(),
-        )
-        survivors = [
-            ProbeCandidate(
-                x=ref_a,
-                x_prime=ref_b,
-                divergence_level=div,
-                forward_steps=f,
-                backward_steps=bk,
-                censored_forward=True,
-                censored_backward=True,
-                conflict_times=tuple(times[s:e]),
-                min_coord_trace=(tuple(trace_a), tuple(trace_b)),
-            )
-            for f, bk, div, ref_a, ref_b, s, e, trace_a, trace_b in fields
-        ]
+        divergence=np.argmax(ids[:, a] != ids[:, b], axis=0),
+        backward=t,
+        forward=length[run] - 1 - t,
+        times=hit_t[flat] - np.repeat(t, n),
+        cuts=ends,
+    )
 
     return ProbeReport(
         i=i,
@@ -297,11 +430,11 @@ def probe_depth_pairs(
         floor=min_coord_floor,
         budget=budget,
         candidates=candidates,
-        coding_killed=candidates - len(survivors),
-        censored=len(survivors),
+        coding_killed=candidates - len(a),
+        censored=len(a),
         skipped_towers=skipped,
-        survivors=tuple(survivors),
         max_killed_window=max_killed_window,
+        _columns=survivors,
     )
 
 
@@ -316,21 +449,18 @@ def survival_profile(
     rows = []
     for horizon in horizons:
         report = probe_depth_pairs(ordering, i, horizon, min_coord_floor, budget)
-        max_censored = max(
-            (c.forward_steps + c.backward_steps + 1 for c in report.survivors),
-            default=0,
-        )
+        c = report._columns
         rows.append(
             {
                 "L": horizon,
                 "candidates": report.candidates,
                 "coding_killed": report.coding_killed,
                 "censored": report.censored,
-                "genuine_conflicts": len(report.genuine_conflicts),
-                "uncensored_genuine_conflicts": len(report.uncensored_genuine_conflicts),
-                "same_terminal_survivors": len(report.same_terminal_survivors),
+                "genuine_conflicts": int(report._genuine().sum()),
+                "uncensored_genuine_conflicts": int(report._uncensored_genuine().sum()),
+                "same_terminal_survivors": int(report._same_terminal().sum()),
                 "max_killed_window": report.max_killed_window,
-                "max_censored_window": max_censored,
+                "max_censored_window": int((c.forward + c.backward + 1).max(initial=0)),
             }
         )
     return rows

@@ -240,6 +240,13 @@ class TestFailures:
         assert "usage:" in captured.err
         assert f"argument {argv[-2]}:" in captured.err
 
+    @pytest.mark.parametrize("i, horizon", [("5", "3"), ("3", "3")])
+    def test_depth_not_below_horizon_is_an_input_error(self, capsys, i, horizon):
+        code, out, err = run(capsys, "probe", "--poly", PASCAL_TEXT, "--i", i, "--horizon", horizon)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--horizon" in err
+
     def test_multiplicity_file_missing(self, capsys):
         code, _, err = run(
             capsys, "describe", "--poly", PASCAL_TEXT, "--mode", "shape",

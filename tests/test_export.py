@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyadic.export import to_stable_json
+from polyadic.export import Encoded, to_stable_json
 
 
 def oracle(obj) -> str:
@@ -88,3 +88,31 @@ def test_rejects_what_the_stdlib_rejects(obj):
     with pytest.raises(TypeError) as got:
         to_stable_json(obj)
     assert str(got.value) == str(expected.value)
+
+
+# a path from the document root down to the embedded value: a key steps
+# into an object, an index into a list, each with siblings around it
+paths = st.lists(st.text(max_size=3) | st.integers(0, 2), max_size=4)
+
+
+def nest(leaf, path):
+    for step in reversed(path):
+        if isinstance(step, str):
+            leaf = {step: leaf, step + "~": [0, {}]}
+        else:
+            leaf = [None] * step + [leaf, "x"]
+    return leaf
+
+
+@given(trees, paths)
+@settings(max_examples=300, deadline=None)
+def test_encoded_value_embeds_at_any_depth(obj, path):
+    encoded = Encoded(to_stable_json(obj)[:-1])
+    assert to_stable_json(nest(encoded, path)) == to_stable_json(nest(obj, path))
+
+
+def test_encoded_is_not_a_string_to_the_stdlib():
+    with pytest.raises(TypeError):
+        json.dumps(Encoded('"text"'))
+    with pytest.raises(TypeError):
+        json.dumps({"k": [Encoded("1")]})

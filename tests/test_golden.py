@@ -15,6 +15,7 @@ import hashlib
 
 import pytest
 
+from polyadic import probe
 from polyadic.cli import main
 
 from conftest import PASCAL_TEXT, Q3_TEXT, QUARTIC_TEXT
@@ -125,6 +126,18 @@ def run_digest(capsys, argv):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_document_is_byte_identical(capsys, name):
+    argv, code, digest = GOLDEN[name]
+    assert run_digest(capsys, argv) == (code, digest)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the CLI probe path built a survivor object")
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (argv, _, _) in GOLDEN.items() if argv[0] == "probe"))
+def test_probe_document_is_written_from_columns(capsys, monkeypatch, name):
+    monkeypatch.setattr(probe, "ProbeCandidate", refuse)
+    monkeypatch.setattr(probe, "PathRef", refuse)
     argv, code, digest = GOLDEN[name]
     assert run_digest(capsys, argv) == (code, digest)
 

@@ -1,5 +1,6 @@
 """Depth-i conflict search: array simulation vs direct odometer replay."""
 
+import dataclasses
 import math
 import random
 from unittest import mock
@@ -205,6 +206,42 @@ def test_report_matches_replay_on_random_diagrams(case):
     with mock.patch.object(probe, "_PAIR_CHUNK", 5):
         chunked = probe_depth_pairs(ordering, i, horizon, min_coord_floor=floor)
     assert to_stable_json(chunked.to_json()) == to_stable_json(report.to_json())
+
+
+@given(case=probe_cases())
+@settings(max_examples=40, deadline=None)
+def test_rows_match_candidate_views_on_random_diagrams(case):
+    ordering, i, horizon, floor = case
+    report = probe_depth_pairs(ordering, i, horizon, min_coord_floor=floor)
+    doc = report.to_json()  # the rows the CLI writes, read back
+    assert doc["genuine_conflicts"] == [c.to_json() for c in report.genuine_conflicts]
+    assert doc["uncensored_genuine_conflicts"] == [
+        c.to_json() for c in report.uncensored_genuine_conflicts
+    ]
+    assert doc["survivors_without_conflict"] == sum(not c.conflict_times for c in report.survivors)
+    assert doc["same_terminal_survivors"] == sum(c.same_terminal for c in report.survivors)
+    # the candidates built from the columns are the replay's survivors
+    _, _, survivors, _ = replay_report(ordering, i, horizon, floor)
+    assert report_survivors(report) == survivors
+    for c in report.survivors:
+        assert c.censored_forward and c.censored_backward
+        assert (c.divergence_level, c.min_coord_trace) == path_fields(ordering, c)
+
+
+def test_censor_flags_are_read_off_the_window(pascal_lex):
+    # shrink every window by one step each way: no window then reaches a
+    # tower end, so every genuine conflict lands in the uncensored bucket
+    report = probe_depth_pairs(pascal_lex, 1, 6)
+    columns = report._columns
+    shrunk = dataclasses.replace(
+        report,
+        _columns=columns._replace(forward=columns.forward - 1, backward=columns.backward - 1),
+    )
+    assert report.genuine_conflicts and report.uncensored_genuine_conflicts == ()
+    assert not any(c.censored for c in shrunk.survivors)
+    assert len(shrunk.uncensored_genuine_conflicts) == len(report.genuine_conflicts)
+    doc = shrunk.to_json()
+    assert doc["uncensored_genuine_conflicts"] == doc["genuine_conflicts"]
 
 
 class TestDepthZero:
