@@ -6,9 +6,12 @@ README examples plus nine larger documents, among them two i=0 probes whose
 every pair survives, probes with every pair killed, with skipped towers and
 with a floor, and a binomial tower whose dimensions pass 2**64; the
 documents themselves are not stored (the probe examples run to hundreds of
-kilobytes, the quartic i=0 probe to 1.4 MB).  After an intended output change, run this file as a script with
-`src` and `tests` on PYTHONPATH and copy each printed exit code and digest
-into GOLDEN.
+kilobytes, the quartic i=0 probe to 1.4 MB).  Each probe document is
+written a second time with `ProbeCandidate` and `PathRef` replaced by stubs
+that raise, so the CLI must write survivors straight from the columns.
+After an intended output change, run this file as a script with `src` and
+`tests` on PYTHONPATH and copy each printed exit code and digest into
+GOLDEN.
 """
 
 import hashlib
