@@ -278,8 +278,9 @@ class Diagram:
 
     Neighbours are cached per vertex: `source_set` and `targets` return one
     tuple per coords.  `coverage` keeps each level's cover map in `_covers`.
-    `dimension` and the `Ordering` tables deliberately read the uncached
-    `_lower`, so a cold deep-level down-set is not kept alive vertex by vertex.
+    `dimension` works on bare coordinate tuples and the `Ordering` tables read
+    the uncached `_lower`, so a cold deep-level down-set is not kept alive
+    vertex by vertex.
     """
 
     def __init__(
@@ -391,12 +392,17 @@ class Diagram:
         """
         dims = self._dim
         if v.coords not in dims:
+            # `_lower` inlined in both passes; w - s off the lattice is never in dims
             layers = [{v.coords}]
             while layers[-1]:
-                layers.append({u for w in layers[-1] for u, _ in self._lower(w) if u not in dims})
+                layers.append({
+                    u for w in layers[-1] for s in self._mult
+                    if min(u := tuple(map(sub, w, s))) >= 0 and u not in dims
+                })
+            mult = self._mult.items()
             for layer in reversed(layers):
                 for w in layer:
-                    dims[w] = sum(n * dims[u] for u, n in self._lower(w))
+                    dims[w] = sum([n * dims.get(tuple(map(sub, w, s)), 0) for s, n in mult])
         return dims[v.coords]
 
     def expansion_coefficients(self, level: int) -> dict[Coords, int]:

@@ -8,10 +8,11 @@ to the same terminal vertex form a tower, ordered by deepest-differing-edge
 comparison; rank and unrank convert between a path and its tower position.
 
 An ordering keeps one table per vertex, keyed by its coordinates: incoming
-edges in label order, labels by (source coords, copy), and prefix sums of
-source dimensions.  Table edges share the diagram's interned vertices, so
-paths built here pass validation on identity; equal vertices from elsewhere
-compare by value.
+edges in label order and prefix sums of source dimensions.  One label index,
+keyed by `id` of each table edge (the tables keep them alive), gives an
+edge's label, its target's edges and its rank offset; an equal edge built
+elsewhere is looked up by value.  Successor and predecessor splice a cached
+extreme path, one table edge and a suffix of x, checking only the seams.
 
 All of this is finite-horizon: a path maximal up to its terminal vertex has
 no successor here, because the infinite-diagram successor would depend on
@@ -72,6 +73,19 @@ class FinitePath:
         return [e.to_json() for e in self.edges]
 
 
+def _splice(head: FinitePath, edge: EdgeRef, x: FinitePath, k: int) -> FinitePath:
+    """head, `edge`, then x after its edge k; head and x are validated paths,
+    so only the seams at either end of `edge` need checking."""
+    if head.terminal is not edge.source and head.terminal != edge.source:
+        raise ValueError(f"{head.terminal} does not meet {edge}")
+    end = x.edges[k].target
+    if edge.target is not end and edge.target != end:
+        raise ValueError(f"{edge} does not meet {end}")
+    path = object.__new__(FinitePath)  # contiguous by the seam checks
+    vars(path).update(terminal=x.terminal, edges=head.edges + (edge,) + x.edges[k + 1 :])
+    return path
+
+
 def k_coding_symbol(x: FinitePath, k: int) -> tuple:
     """The first k edges of x as a hashable, comparable symbol.
 
@@ -118,7 +132,9 @@ class Ordering:
         self.preset = preset
         self.seed = seed
         self.table = dict(table) if table else {}
-        self._tables: dict[Coords, tuple[tuple[EdgeRef, ...], dict, list[int]]] = {}
+        self._tables: dict[Coords, tuple[tuple[EdgeRef, ...], tuple[int, ...]]] = {}
+        # id of a table edge -> (0-based label, its target's edges, sums[label])
+        self._slots: dict[int, tuple[int, tuple[EdgeRef, ...], int]] = {}
         self._minimal: dict[Coords, FinitePath] = {}
         self._maximal: dict[Coords, FinitePath] = {}
         self._coding: dict[tuple[Coords, int], tuple[Vertex, ...]] = {}
@@ -131,9 +147,9 @@ class Ordering:
             out["seed"] = self.seed
         return out
 
-    def _table(self, w: Vertex) -> tuple[tuple[EdgeRef, ...], dict, list[int]]:
-        """(edges in label order, {(source coords, copy): 0-based label},
-        prefix sums of source dimensions in label order, length indegree + 1)."""
+    def _table(self, w: Vertex) -> tuple[tuple[EdgeRef, ...], tuple[int, ...]]:
+        """(edges in label order, prefix sums of source dimensions in label
+        order, length indegree + 1); building it fills its edges' slots."""
         table = self._tables.get(w.coords)
         if table is None:
             d = self.diagram
@@ -155,17 +171,34 @@ class Ordering:
                 base.reverse()
             elif self.preset == "random":
                 random.Random(_mix(self.seed, w)).shuffle(base)
-            sums = [0, *accumulate(d.dimension(e.source) for e in base)]
-            labels = {(e.source.coords, e.copy): i for i, e in enumerate(base)}
-            table = self._tables[w.coords] = (tuple(base), labels, sums)
+            edges = tuple(base)
+            sums = (0, *accumulate(d.dimension(e.source) for e in edges))
+            self._slots.update((id(e), (i, edges, sums[i])) for i, e in enumerate(edges))
+            table = self._tables[w.coords] = (edges, sums)
         return table
+
+    def _slot(self, edge: EdgeRef) -> tuple[int, tuple[EdgeRef, ...], int]:
+        """(0-based label, the target's edges in label order, rank offset).
+
+        A table edge is found by identity, any other by value in its target's
+        table; an edge of no table raises ValueError.
+        """
+        slot = self._slots.get(id(edge))
+        if slot is None:
+            try:
+                target = self.diagram.vertex(edge.target.coords, edge.target.level)
+                edges = self._table(target)[0]
+                slot = self._slots[id(edges[edges.index(edge)])]
+            except ValueError:
+                raise ValueError(f"{edge} is not an edge of this ordering") from None
+        return slot
 
     def edges_in(self, w: Vertex) -> tuple[EdgeRef, ...]:
         """Incoming edges of w in label order (position k holds label k + 1)."""
         return self._table(w)[0]
 
     def label_of(self, edge: EdgeRef) -> int:
-        return self._table(edge.target)[1][edge.source.coords, edge.copy] + 1
+        return self._slot(edge)[0] + 1
 
     def indegree(self, w: Vertex) -> int:
         return len(self._table(w)[0])
@@ -197,36 +230,30 @@ class Ordering:
         Finds the lowest edge with a higher-labeled sibling, advances it, and
         prepends the minimal path into the advanced edge's source.
         """
-        tables = self._tables
+        slots = self._slots
         for k, edge in enumerate(x.edges):
-            edges, labels, _ = tables.get(edge.target.coords) or self._table(edge.target)
-            lab = labels[edge.source.coords, edge.copy] + 1
-            if lab < len(edges):
-                nxt = edges[lab]
-                prefix = self._extreme_path(nxt.source, self._minimal, 0).edges
-                return FinitePath(x.terminal, prefix + (nxt,) + x.edges[k + 1 :])
+            label, edges, _ = slots.get(id(edge)) or self._slot(edge)
+            if label + 1 < len(edges):
+                nxt = edges[label + 1]
+                head = self._minimal.get(nxt.source.coords) or self.minimal_path(nxt.source)
+                return _splice(head, nxt, x, k)
         raise MaximalAtHorizon(f"no successor within the tower of {x.terminal}")
 
     def predecessor(self, x: FinitePath) -> FinitePath:
         """Inverse of successor; the advanced edge's source gets a maximal prefix."""
-        tables = self._tables
+        slots = self._slots
         for k, edge in enumerate(x.edges):
-            edges, labels, _ = tables.get(edge.target.coords) or self._table(edge.target)
-            lab = labels[edge.source.coords, edge.copy]
-            if lab > 0:
-                prv = edges[lab - 1]
-                prefix = self._extreme_path(prv.source, self._maximal, -1).edges
-                return FinitePath(x.terminal, prefix + (prv,) + x.edges[k + 1 :])
+            label, edges, _ = slots.get(id(edge)) or self._slot(edge)
+            if label > 0:
+                prv = edges[label - 1]
+                head = self._maximal.get(prv.source.coords) or self.maximal_path(prv.source)
+                return _splice(head, prv, x, k)
         raise MinimalAtHorizon(f"no predecessor within the tower of {x.terminal}")
 
     def path_rank(self, x: FinitePath) -> int:
         """Tower position of x: 0 for the minimal path, dim - 1 for the maximal."""
-        rank = 0
-        tables = self._tables
-        for edge in x.edges:
-            _, labels, sums = tables.get(edge.target.coords) or self._table(edge.target)
-            rank += sums[labels[edge.source.coords, edge.copy]]
-        return rank
+        slots = self._slots
+        return sum([(slots.get(id(e)) or self._slot(e))[2] for e in x.edges])
 
     def path_unrank(self, v: Vertex, rank: int) -> FinitePath:
         """The rank-th path of v's tower; inverse of path_rank."""
@@ -236,8 +263,9 @@ class Ordering:
             )
         edges = []
         current = v
+        tables = self._tables
         while current.level > 0:
-            table, _, sums = self._table(current)
+            table, sums = tables.get(current.coords) or self._table(current)
             idx = bisect_right(sums, rank) - 1
             edge = table[idx]
             rank -= sums[idx]

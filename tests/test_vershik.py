@@ -1,5 +1,7 @@
 """Edge labelings, successor dynamics, towers, ranks, and coding words."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,22 @@ def visited(path):
 
 def labels_of(ordering, path):
     return [ordering.label_of(e) for e in path.edges]
+
+
+def rank_oracle(ordering, path):
+    """Tower position from the labels alone: each edge adds the dimensions of
+    the sources below it in its target's label order."""
+    dimension = ordering.diagram.dimension
+    return sum(
+        dimension(f.source)
+        for e in path.edges
+        for f in ordering.edges_in(e.target)[: ordering.label_of(e) - 1]
+    )
+
+
+def advanced_edge(x, y):
+    """Position of the edge that successor(x) == y advanced: the last that differs."""
+    return max(k for k, (a, b) in enumerate(zip(x.edges, y.edges)) if a != b)
 
 
 class TestOrderings:
@@ -180,6 +198,51 @@ class TestSuccessor:
             words = [labels_of(ordering, x)[::-1] for x in tower]
             assert words == sorted(words)
 
+    @pytest.mark.parametrize(
+        "step, cache, extreme",
+        [("successor", "_minimal", "minimal_path"), ("predecessor", "_maximal", "maximal_path")],
+    )
+    def test_seam_check_trips_on_a_wrong_cached_head(self, pascal, step, cache, extreme):
+        # the cached extreme path into the moved edge's source is spliced in on
+        # trust; one into another vertex must raise, not join a broken path
+        ordering = Ordering(pascal)
+        x = getattr(ordering, extreme)(pascal.vertex((2, 2)))
+        y = getattr(ordering, step)(x)
+        head = y.edges[advanced_edge(x, y)].source
+        other = next(u for u in pascal.vertices(head.level) if u != head)
+        getattr(ordering, cache)[head.coords] = getattr(ordering, extreme)(other)
+        with pytest.raises(ValueError, match="does not meet"):
+            getattr(ordering, step)(x)
+
+    def test_seam_check_trips_on_a_wrong_slot(self, pascal):
+        # a slot pointing at another vertex's edges would move x's first edge
+        # to an edge that does not end where it did
+        ordering = Ordering(pascal)
+        x = ordering.minimal_path(pascal.vertex((2, 2)))
+        label, _, offset = ordering._slots[id(x.edges[0])]
+        ordering._slots[id(x.edges[0])] = (label, ordering.edges_in(pascal.vertex((1, 1))), offset)
+        with pytest.raises(ValueError, match="does not meet"):
+            ordering.successor(x)
+
+    def test_edges_of_no_table_raise_value_error(self, pascal):
+        ordering = Ordering(pascal)
+        root = pascal.root
+        for edge in (
+            EdgeRef(root, pascal.vertex((1, 0)), 2),  # copy above the multiplicity
+            EdgeRef(root, pascal.vertex((2, 0))),  # target two levels up
+            EdgeRef(root, Vertex(1, (1, 0, 0))),  # not a vertex of the diagram
+        ):
+            x = FinitePath(edge.target, (edge,))
+            named = re.escape(repr(edge))
+            with pytest.raises(ValueError, match=named):
+                ordering.label_of(edge)
+            with pytest.raises(ValueError, match=named):
+                ordering.path_rank(x)
+            with pytest.raises(ValueError, match=named):
+                ordering.successor(x)
+            with pytest.raises(ValueError, match=named):
+                ordering.predecessor(x)
+
     def test_budget_guard(self, pascal, pascal_lex):
         with pytest.raises(TowerTooLarge):
             pascal_lex.tower(pascal.vertex((2, 2)), budget=5)
@@ -321,11 +384,14 @@ class TestFinitePaths:
 
 @st.composite
 def diagram_orderings(draw):
-    """A random valid polynomial under a seeded random ordering or a custom edge table."""
+    """A random valid polynomial under a preset ordering (source-lex,
+    source-revlex or seeded random) or a custom edge table."""
     spec = draw(polynomial_specs(max_degree=3))
     if draw(st.booleans()):
         diagram = Diagram(spec)
-        ordering = Ordering(diagram, preset="random", seed=draw(st.integers(0, 2**32)))
+        preset = draw(st.sampled_from(["source-lex", "source-revlex", "random"]))
+        seed = draw(st.integers(0, 2**32)) if preset == "random" else None
+        ordering = Ordering(diagram, preset=preset, seed=seed)
     else:
         diagram = Diagram(spec, multiplicity={s: draw(COEFFICIENTS) for s in spec.source_vectors})
         ordering = Ordering(diagram)
@@ -337,6 +403,20 @@ def diagram_orderings(draw):
 
 
 class TestTableProperties:
+    @given(case=diagram_orderings())
+    @settings(max_examples=60, deadline=None)
+    def test_machine_paths_pass_full_validation(self, case):
+        # successor and predecessor check only their seams, so every path they
+        # return must still pass the validating constructor
+        _, ordering, v = case
+        tower = list(ordering.iter_tower(v))
+        made = tower + [ordering.predecessor(x) for x in tower[1:]]
+        made += [ordering.path_unrank(v, rank) for rank in range(len(tower))]
+        for x in made:
+            assert FinitePath(x.terminal, x.edges) == x
+            assert ordering.path_rank(x) == rank_oracle(ordering, x)
+        assert [ordering.path_rank(x) for x in tower] == list(range(len(tower)))
+
     @given(case=diagram_orderings())
     @settings(max_examples=60, deadline=None)
     def test_tower_machine(self, case):
