@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Every command reads the polynomial (inline text, expression file, or JSON),
-builds the requested diagram and ordering, and emits one deterministic JSON
-document (DOT for the exporter).  Exit codes: 0 success, 1 completed but a
-discrepancy was found, 2 usage or input errors.
+builds the diagram and, for `probe` and `vershik`, the ordering, and emits
+one deterministic JSON document (DOT for the exporter).  Exit codes: 0
+success, 1 completed but a discrepancy was found, 2 usage or input errors.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .measure import (
 )
 from .probe import probe_depth_pairs
 from .verify import verify_all
-from .vershik import make_ordering
+from .vershik import DEFAULT_TOWER_BUDGET, make_ordering
 
 
 def _load_polynomial(arg: str):
@@ -75,7 +75,9 @@ def _ordering_spec(args) -> dict:
 def _build(args) -> Diagram:
     spec = _load_polynomial(args.poly)
     if args.mode == "shape":
-        multiplicity = _load_multiplicity(args.multiplicity)
+        multiplicity = _load_multiplicity(args.multiplicity or "all-ones")
+    elif args.multiplicity is not None:
+        raise ValueError("--multiplicity needs --mode shape, not --mode polynomial")
     else:
         multiplicity = "coefficients"
     return Diagram(spec, multiplicity=multiplicity)
@@ -256,42 +258,44 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mode", choices=("polynomial", "shape"), default="polynomial")
     common.add_argument(
         "--multiplicity",
-        default="all-ones",
-        help="shape mode only: 'all-ones' or a JSON table file",
+        default=None,
+        help="shape mode only: 'all-ones' (the default) or a JSON table file",
     )
-    common.add_argument("--ordering", default="source-lex", help="preset name or JSON file")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--budget", type=_POSITIVE, default=10**6, help="tower size budget")
     common.add_argument("--out", default=None, help="directory for output files")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("describe", parents=[common], help="polynomial and vertex counts")
+    p = sub.add_parser("describe", parents=[seeded], help="polynomial and vertex counts")
     p.add_argument("--levels", type=_NON_NEGATIVE, default=5)
     p.set_defaults(fn=_cmd_describe)
 
-    p = sub.add_parser("covered", parents=[common], help="coverage report for one level")
+    p = sub.add_parser("covered", parents=[seeded], help="coverage report for one level")
     p.add_argument("--level", type=_NON_NEGATIVE, required=True)
     p.set_defaults(fn=_cmd_covered)
 
-    p = sub.add_parser("chain", parents=[common], help="chain starts and one extension")
+    p = sub.add_parser("chain", parents=[seeded], help="chain starts and one extension")
     p.add_argument("--level", type=_NON_NEGATIVE, required=True)
     p.add_argument(
         "--target-len", type=_NON_NEGATIVE, default=None, help="splitting vertices to reach"
     )
     p.set_defaults(fn=_cmd_chain)
 
-    p = sub.add_parser("probe", parents=[common], help="depth-i conflict search")
+    p = sub.add_parser("probe", parents=[seeded], help="depth-i conflict search")
+    p.add_argument("--ordering", default="source-lex", help="preset name or JSON file")
     p.add_argument("--i", type=_NON_NEGATIVE, required=True)
     p.add_argument("--horizon", type=_POSITIVE, required=True)
     p.add_argument("--floor", type=_NON_NEGATIVE, default=0, help="minimum terminal min-coordinate")
+    p.add_argument("--budget", type=_POSITIVE, default=DEFAULT_TOWER_BUDGET, help="max tower size")
     p.set_defaults(fn=_cmd_probe)
 
-    p = sub.add_parser("measure", parents=[common], help="weights and mass bounds")
+    p = sub.add_parser("measure", parents=[seeded], help="weights and mass bounds")
     p.add_argument("--levels", type=_NON_NEGATIVE, default=6)
     p.set_defaults(fn=_cmd_measure)
 
-    p = sub.add_parser("vershik", parents=[common], help="towers at one level")
+    p = sub.add_parser("vershik", parents=[seeded], help="towers at one level")
+    p.add_argument("--ordering", default="source-lex", help="preset name or JSON file")
     p.add_argument("--level", type=_NON_NEGATIVE, required=True)
     p.set_defaults(fn=_cmd_vershik)
 
@@ -301,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel-edges", action="store_true")
     p.set_defaults(fn=_cmd_export)
 
-    p = sub.add_parser("verify-all", parents=[common], help="run every invariant suite")
+    p = sub.add_parser("verify-all", parents=[seeded], help="run every invariant suite")
     p.add_argument("--levels", type=_NON_NEGATIVE, default=6)
     p.set_defaults(fn=_cmd_verify_all)
 

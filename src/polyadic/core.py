@@ -274,13 +274,15 @@ class Diagram:
     `multiplicity` is "coefficients" (the polynomial diagram), "all-ones",
     or a mapping from each degree-d source vector to a positive edge count.
     Vertices the diagram hands out are interned: one `Vertex` object per
-    coordinate tuple, so equal vertices from it are also identical.
+    lattice point, so equal vertices from it are also identical.  Any other
+    vertex is validated by `vertex` first, so one off the lattice raises.
 
     Neighbours are cached per vertex: `source_set` and `targets` return one
-    tuple per coords.  `coverage` keeps each level's cover map in `_covers`.
-    `dimension` works on bare coordinate tuples and the `Ordering` tables read
-    the uncached `_lower`, so a cold deep-level down-set is not kept alive
-    vertex by vertex.
+    tuple per interned vertex, keyed by its `id` (the diagram keeps interned
+    vertices alive), so a hit needs no validation.  `coverage` keeps each
+    level's cover map in `_covers`.  `dimension` works on bare coordinate
+    tuples and the `Ordering` tables read the uncached `_lower`, so a cold
+    deep-level down-set is not kept alive vertex by vertex.
     """
 
     def __init__(
@@ -308,8 +310,8 @@ class Diagram:
         self._dim: dict[Coords, int] = {(0,) * spec.arity: 1}
         self._expansion: dict[int, dict[Coords, int]] = {}
         self._covers: dict[int, dict[Vertex, tuple[Vertex, ...]]] = {}
-        self._sources: dict[Coords, tuple[Vertex, ...]] = {}
-        self._targets: dict[Coords, tuple[Vertex, ...]] = {}
+        self._sources: dict[int, tuple[Vertex, ...]] = {}
+        self._targets: dict[int, tuple[Vertex, ...]] = {}
 
     @property
     def arity(self) -> int:
@@ -327,6 +329,10 @@ class Diagram:
         """The interned vertex at `coords` (a valid lattice point)."""
         v = self._interned.get(coords)
         return v or self._interned.setdefault(coords, Vertex(sum(coords) // self.degree, coords))
+
+    def _checked(self, v: Vertex) -> Vertex:
+        """v if this diagram issued it, else `vertex(v.coords, v.level)`, which validates."""
+        return v if self._interned.get(v.coords) is v else self.vertex(v.coords, v.level)
 
     def _lower(self, coords: Coords) -> list[tuple[Coords, int]]:
         """(u, edge count) for each source vector s with u = coords - s >= 0."""
@@ -365,18 +371,20 @@ class Diagram:
 
     def source_set(self, w: Vertex) -> tuple[Vertex, ...]:
         """Vertices one level down joined to w, in canonical order."""
-        found = self._sources.get(w.coords)
+        found = self._sources.get(id(w))
         if found is None:
+            w = self._checked(w)
             lower = sorted((u for u, _ in self._lower(w.coords)), reverse=True)
-            found = self._sources[w.coords] = tuple(map(self._vertex, lower))
+            found = self._sources.setdefault(id(w), tuple(map(self._vertex, lower)))
         return found
 
     def targets(self, u: Vertex) -> tuple[Vertex, ...]:
         """Vertices one level up joined to u, in canonical order."""
-        found = self._targets.get(u.coords)
+        found = self._targets.get(id(u))
         if found is None:
+            u = self._checked(u)
             upper = sorted((tuple(map(add, u.coords, s)) for s in self._mult), reverse=True)
-            found = self._targets[u.coords] = tuple(map(self._vertex, upper))
+            found = self._targets.setdefault(id(u), tuple(map(self._vertex, upper)))
         return found
 
     def edges_between(self, u: Vertex, w: Vertex) -> tuple[EdgeRef, ...]:
@@ -390,6 +398,7 @@ class Diagram:
 
         Fills in the uncached part of v's down-set bottom-up, with no recursion.
         """
+        v = self._checked(v)
         dims = self._dim
         if v.coords not in dims:
             # `_lower` inlined in both passes; w - s off the lattice is never in dims
@@ -434,6 +443,7 @@ class Diagram:
         """
         if not 1 <= j <= self.arity:
             raise ValueError(f"direction {j} out of range 1..{self.arity}")
+        w = self._checked(w)
         if w.coord(j) < self.degree:
             return None
         coords = list(w.coords)

@@ -47,7 +47,7 @@ import numpy as np
 
 from .core import Vertex
 from .export import Encoded, _list, to_stable_json
-from .vershik import Ordering
+from .vershik import DEFAULT_TOWER_BUDGET, Ordering
 
 
 @dataclass(frozen=True)
@@ -336,7 +336,7 @@ def probe_depth_pairs(
     i: int,
     horizon: int,
     min_coord_floor: int = 0,
-    budget: int = 10**6,
+    budget: int = DEFAULT_TOWER_BUDGET,
 ) -> ProbeReport:
     """Simulate every admissible pair of level-`horizon` paths sharing i edges.
 
@@ -443,7 +443,7 @@ def survival_profile(
     i: int,
     horizons: Iterable[int],
     min_coord_floor: int = 0,
-    budget: int = 10**6,
+    budget: int = DEFAULT_TOWER_BUDGET,
 ) -> list[dict]:
     """Probe a range of horizons and tabulate how fast pairs get killed."""
     rows = []

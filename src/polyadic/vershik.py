@@ -12,7 +12,8 @@ edges in label order and prefix sums of source dimensions.  One label index,
 keyed by `id` of each table edge (the tables keep them alive), gives an
 edge's label, its target's edges and its rank offset; an equal edge built
 elsewhere is looked up by value.  Successor and predecessor splice a cached
-extreme path, one table edge and a suffix of x, checking only the seams.
+extreme path, one table edge and a suffix of x, checking only the seams.  A
+vertex coding word is built per call, one level at a time, and not kept.
 
 All of this is finite-horizon: a path maximal up to its terminal vertex has
 no successor here, because the infinite-diagram successor would depend on
@@ -137,7 +138,6 @@ class Ordering:
         self._slots: dict[int, tuple[int, tuple[EdgeRef, ...], int]] = {}
         self._minimal: dict[Coords, FinitePath] = {}
         self._maximal: dict[Coords, FinitePath] = {}
-        self._coding: dict[tuple[Coords, int], tuple[Vertex, ...]] = {}
 
     def describe(self) -> dict:
         if self.preset == "explicit":
@@ -150,10 +150,10 @@ class Ordering:
     def _table(self, w: Vertex) -> tuple[tuple[EdgeRef, ...], tuple[int, ...]]:
         """(edges in label order, prefix sums of source dimensions in label
         order, length indegree + 1); building it fills its edges' slots."""
+        d = self.diagram
+        w = d._checked(w)
         table = self._tables.get(w.coords)
         if table is None:
-            d = self.diagram
-            w = d._vertex(w.coords)
             base = [
                 EdgeRef(d._vertex(u), w, c)
                 for u, count in sorted(d._lower(w.coords))
@@ -203,26 +203,19 @@ class Ordering:
     def indegree(self, w: Vertex) -> int:
         return len(self._table(w)[0])
 
-    def _extreme_path(self, v: Vertex, cache: dict, pos: int) -> FinitePath:
-        # follow the incoming edge at label position `pos` down to the root
-        path = cache.get(v.coords)
-        if path is None:
-            edges = []
-            current = v
-            while current.level > 0:
-                e = self._table(current)[0][pos]
-                edges.append(e)
-                current = e.source
-            path = cache[v.coords] = FinitePath(v, tuple(reversed(edges)))
-        return path
-
     def minimal_path(self, v: Vertex) -> FinitePath:
-        """The all-label-1 path into v."""
-        return self._extreme_path(v, self._minimal, 0)
+        """The all-label-1 path into v: rank 0 of its tower."""
+        v = self.diagram._checked(v)
+        found = self._minimal.get(v.coords)
+        return found or self._minimal.setdefault(v.coords, self.path_unrank(v, 0))
 
     def maximal_path(self, v: Vertex) -> FinitePath:
-        """The all-maximal-label path into v."""
-        return self._extreme_path(v, self._maximal, -1)
+        """The all-maximal-label path into v: rank dim - 1 of its tower."""
+        v = self.diagram._checked(v)
+        found = self._maximal.get(v.coords)
+        return found or self._maximal.setdefault(
+            v.coords, self.path_unrank(v, self.diagram.dimension(v) - 1)
+        )
 
     def successor(self, x: FinitePath) -> FinitePath:
         """Next path in the tower of x's terminal vertex.
@@ -294,22 +287,23 @@ class Ordering:
         Segments are ordered by their deepest differing edge, which makes the
         word the label-order concatenation of the codings of w's sources.  At
         j = level - 1 this is just the incoming sources in label order, each
-        repeated by multiplicity.  Fills in the uncached part of w's down-set
-        to level j + 1 bottom-up, with no recursion.
+        repeated by multiplicity.  Each call builds the words of w's down-set
+        bottom-up from level j + 1, one level at a time, and keeps none.
         """
         if not 0 <= j < w.level:
             raise ValueError(f"need 0 <= j < level {w.level}, got {j}")
-        coding = self._coding
-        if (w.coords, j) not in coding:
-            layers = [{w}]
-            for _ in range(w.level - j - 1):
-                below = {e.source for v in layers[-1] for e in self.edges_in(v)}
-                layers.append({u for u in below if (u.coords, j) not in coding})
-            for v in chain.from_iterable(reversed(layers)):
-                low = v.level == j + 1  # a level-j source is its own one-letter word
-                words = ((e.source,) if low else coding[e.source.coords, j] for e in self.edges_in(v))
-                coding[v.coords, j] = tuple(chain.from_iterable(words))
-        return coding[w.coords, j]
+        layers = [{w}]
+        for _ in range(w.level - j - 1):
+            layers.append({e.source for v in layers[-1] for e in self.edges_in(v)})
+        words: dict[Coords, tuple[Vertex, ...]] = {}  # a level-j source is its own word
+        for layer in reversed(layers):
+            words = {
+                v.coords: tuple(chain.from_iterable(
+                    words.get(e.source.coords, (e.source,)) for e in self.edges_in(v)
+                ))
+                for v in layer
+            }
+        return words[w.coords]
 
     def basic_block(self, v: Vertex, k: int, budget: int = DEFAULT_TOWER_BUDGET) -> tuple[tuple, ...]:
         """k-symbols of the tower of v, rank by rank."""

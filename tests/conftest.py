@@ -7,12 +7,14 @@ polynomials for the hypothesis properties of several modules.
 """
 
 import sys
+import threading
 
 import pytest
 from hypothesis import strategies as st
 
 from polyadic import Diagram, Ordering, PolynomialSpec, parse_polynomial
 from polyadic.core import compositions_desc
+from polyadic.core import Vertex
 
 PASCAL_TEXT = "x1 + x2"
 QUARTIC_TEXT = "x1^4 + 2 x1^3 x2 + x1^2 x2^2 + 3 x1 x2^3 + x2^4"
@@ -29,6 +31,42 @@ def polynomial_specs(draw, max_degree):
     degree = draw(st.integers(min_value=1, max_value=max_degree))
     vectors = list(compositions_desc(degree, arity))
     return PolynomialSpec.from_coefficients(arity, {s: draw(COEFFICIENTS) for s in vectors})
+
+
+# a Pascal vertex of the wrong arity, whose down-set search once never ended,
+# one off the lattice, and the coordinates of (1, 1) at the wrong level
+OFF_LATTICE = {"arity": Vertex(5, (5,)), "negative": Vertex(0, (-1, 1)), "level": Vertex(7, (1, 1))}
+
+
+def raised_within(call, seconds=5.0):
+    """The exception call() raises, or None if it returns.
+
+    The call runs in a daemon thread; one still running after `seconds`
+    fails the test, and a trace hook makes it raise at its next line so it
+    does not run on beside the rest of the suite.
+    """
+    outcome = {}
+    timed_out = threading.Event()
+
+    def stop_when_timed_out(frame, event, arg):
+        if timed_out.is_set():
+            raise TimeoutError("stopped by the test")
+        return stop_when_timed_out
+
+    def run():
+        sys.settrace(stop_when_timed_out)
+        try:
+            call()
+        except BaseException as exc:  # handed to the test, whatever it is
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    if thread.is_alive():
+        timed_out.set()
+        pytest.fail(f"still running after {seconds} s")
+    return outcome.get("error")
 
 
 @pytest.fixture(scope="session")

@@ -271,3 +271,52 @@ class TestFailures:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and str(path) in err
+
+
+# the options each subcommand needs, so that argparse reaches the one under test
+REQUIRED = {
+    "describe": (),
+    "covered": ("--level", "2"),
+    "chain": ("--level", "2"),
+    "probe": ("--i", "1", "--horizon", "3"),
+    "measure": (),
+    "vershik": ("--level", "2"),
+    "export": (),
+    "verify-all": (),
+}
+SHAPE_ONLY = ("describe", "covered", "chain", "measure", "export", "verify-all")
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [(c, "--ordering", "random") for c in SHAPE_ONLY]
+        + [(c, "--budget", "40") for c in REQUIRED if c != "probe"]
+        + [("export", "--seed", "1")],
+    )
+    def test_option_the_handler_does_not_read_is_a_usage_error(self, capsys, command, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--poly", PASCAL_TEXT, *REQUIRED[command], option, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {option} {value}" in captured.err
+
+    @pytest.mark.parametrize("mode", [(), ("--mode", "polynomial")])
+    def test_multiplicity_without_shape_mode_is_an_input_error(self, capsys, tmp_path, mode):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps([{"exp": [1, 0], "count": 2}, {"exp": [0, 1], "count": 1}]))
+        code, out, err = run(capsys, "describe", "--poly", PASCAL_TEXT, *mode, "--multiplicity", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--multiplicity" in err and "--mode" in err
+
+    def test_shape_mode_defaults_to_all_ones(self, capsys, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps([{"exp": [1, 0], "count": 2}, {"exp": [0, 1], "count": 1}]))
+        code, doc, _ = run_json(capsys, "describe", "--poly", PASCAL_TEXT, "--mode", "shape")
+        assert code == 0 and doc["mode"] == "all-ones"
+        code, doc, _ = run_json(
+            capsys, "describe", "--poly", PASCAL_TEXT, "--mode", "shape", "--multiplicity", str(path)
+        )
+        assert code == 0 and doc["mode"] == "custom"

@@ -17,6 +17,8 @@ from polyadic.errors import (
     PolynomialSyntaxError,
 )
 
+from conftest import OFF_LATTICE, raised_within
+
 QUARTIC = "x1^4 + 2 x1^3 x2 + x1^2 x2^2 + 3 x1 x2^3 + x2^4"
 
 
@@ -353,3 +355,31 @@ class TestConnect:
                             assert diagram.multiplicity(e.source, e.target) >= 1
                             current = e.target
                         assert current == w
+
+
+class TestCallerVertices:
+    """A vertex the diagram did not issue is validated before it is used."""
+
+    @pytest.mark.parametrize("kind", sorted(OFF_LATTICE))
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda d, v: d.dimension(v),
+            lambda d, v: d.source_set(v),
+            lambda d, v: d.targets(v),
+            lambda d, v: d.dsv(v, 1),
+        ],
+        ids=["dimension", "source_set", "targets", "dsv"],
+    )
+    def test_off_the_lattice_raises(self, call, kind):
+        diagram = Diagram(parse_polynomial("x1 + x2"))
+        diagram.dimension(diagram.vertex((1, 1)))  # (1, 1) is cached under its coordinates
+        error = raised_within(lambda: call(diagram, OFF_LATTICE[kind]))
+        assert isinstance(error, ValueError), error
+        assert all(sum(c) == v.level and len(c) == 2 for c, v in diagram._interned.items())
+
+    def test_equal_vertex_is_the_interned_one(self, pascal):
+        v = Vertex(2, (1, 1))
+        assert pascal.dimension(v) == 2
+        assert pascal.source_set(v) == pascal.source_set(pascal.vertex((1, 1)))
+        assert pascal.dsv(v, 1) is pascal.vertex((0, 1))

@@ -12,9 +12,14 @@ that raise, so the CLI must write survivors straight from the columns.
 After an intended output change, run this file as a script with `src` and
 `tests` on PYTHONPATH and copy each printed exit code and digest into
 GOLDEN.
+
+Every `polyadic ...` line of the README's CLI section must be the argv of
+exactly one `readme-*` entry, so the README cannot drift from the pins.
 """
 
 import hashlib
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +136,24 @@ def run_digest(capsys, argv):
 def test_document_is_byte_identical(capsys, name):
     argv, code, digest = GOLDEN[name]
     assert run_digest(capsys, argv) == (code, digest)
+
+
+def readme_cli_lines():
+    """The `polyadic ...` lines of the README's CLI section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return [line for line in section.splitlines() if line.startswith("polyadic ")]
+
+
+def test_readme_examples_are_pinned():
+    # each README command is exactly one readme-* digest, and each of those is in the README
+    readme = {name: argv for name, (argv, _, _) in GOLDEN.items() if name.startswith("readme-")}
+    matched = []
+    for line in readme_cli_lines():
+        names = [name for name, argv in readme.items() if tuple(shlex.split(line)[1:]) == argv]
+        assert len(names) == 1, line
+        matched += names
+    assert sorted(matched) == sorted(readme)
 
 
 def refuse(*args, **kwargs):

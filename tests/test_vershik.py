@@ -1,12 +1,14 @@
 """Edge labelings, successor dynamics, towers, ranks, and coding words."""
 
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import COEFFICIENTS, polynomial_specs
+from conftest import OFF_LATTICE, raised_within
 from polyadic import Diagram, EdgeRef, Ordering, Vertex, parse_polynomial
 from polyadic.errors import (
     MaximalAtHorizon,
@@ -284,6 +286,34 @@ class TestRanks:
             pascal_lex.path_unrank(v, -1)
 
 
+class TestCallerVertices:
+    @pytest.mark.parametrize("kind", sorted(OFF_LATTICE))
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda o, v: o.edges_in(v),
+            lambda o, v: o.indegree(v),
+            lambda o, v: o.minimal_path(v),
+            lambda o, v: o.maximal_path(v),
+            lambda o, v: o.path_unrank(v, 0),
+        ],
+        ids=["edges_in", "indegree", "minimal_path", "maximal_path", "path_unrank"],
+    )
+    def test_off_the_lattice_raises(self, call, kind):
+        ordering = Ordering(Diagram(parse_polynomial("x1 + x2")))
+        v = ordering.diagram.vertex((1, 1))
+        ordering.minimal_path(v), ordering.maximal_path(v)  # (1, 1) is cached under its coordinates
+        error = raised_within(lambda: call(ordering, OFF_LATTICE[kind]))
+        assert isinstance(error, ValueError), error
+
+    def test_equal_vertex_is_the_interned_one(self, pascal, pascal_lex):
+        v, same = pascal.vertex((2, 1)), Vertex(3, (2, 1))
+        assert pascal_lex.edges_in(same) is pascal_lex.edges_in(v)
+        assert pascal_lex.minimal_path(same) is pascal_lex.minimal_path(v)
+        assert pascal_lex.maximal_path(same) is pascal_lex.maximal_path(v)
+        assert pascal_lex.vertex_coding(same, 1) == pascal_lex.vertex_coding(v, 1)
+
+
 class TestCoding:
     def test_symbol_prefix_equivalence(self, pascal, pascal_lex):
         v = pascal.vertex((2, 2))
@@ -328,6 +358,20 @@ class TestCoding:
         ordering = Ordering(pascal)
         assert ordering.vertex_coding(pascal.vertex((1500, 0)), 0) == (pascal.root,)
         assert ordering.vertex_coding(pascal.vertex((1500, 1)), 0) == (pascal.root,) * 1501
+
+    def test_words_are_not_kept(self):
+        # a memo of every down-set vertex's word would hold O(level^2) letters
+        pascal = Diagram(parse_polynomial("x1 + x2"))
+        w = pascal.vertex((3000, 1))
+        Ordering(pascal).vertex_coding(w, 0)  # the diagram's own caches are warm
+        tracemalloc.start()
+        try:
+            ordering = Ordering(pascal)
+            assert ordering.vertex_coding(w, 0) == (pascal.root,) * 3001
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 5_000_000
 
     def test_coding_matches_tower_visits(self, pascal, quartic):
         # paths sharing a level-j-to-w segment sit in one contiguous tower
