@@ -55,15 +55,9 @@ from .measure import (
     vertex_measure,
     weight_from_theta,
 )
-from .probe import PathRef, ProbeCandidate, ProbeReport, probe_depth_pairs, survival_profile
+from .probe import ProbeReport, probe_depth_pairs, survival_profile
 from .verify import VerifyResult, verify_all
-from .vershik import (
-    DEFAULT_TOWER_BUDGET,
-    FinitePath,
-    Ordering,
-    k_coding_symbol,
-    make_ordering,
-)
+from .vershik import DEFAULT_TOWER_BUDGET, FinitePath, Ordering, make_ordering
 from .version import __version__
 
 __all__ = [
@@ -80,10 +74,8 @@ __all__ = [
     "LinkReport",
     "MassBound",
     "Ordering",
-    "PathRef",
     "PolyadicError",
     "PolynomialSpec",
-    "ProbeCandidate",
     "ProbeReport",
     "SourceUncoveredReport",
     "VerifyResult",
@@ -106,7 +98,6 @@ __all__ = [
     "find_chain_start",
     "is_covered_formula",
     "is_covered_oracle",
-    "k_coding_symbol",
     "level_mass",
     "make_ordering",
     "minimal_mass_bound",

@@ -309,11 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=_NON_NEGATIVE, default=6)
     p.set_defaults(fn=_cmd_verify_all)
 
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)  # so an unknown option is reported with the subcommand's usage
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.fn(args)
     except (PolyadicError, OSError, ValueError) as exc:

@@ -365,6 +365,7 @@ class Diagram:
 
     def multiplicity(self, u: Vertex, w: Vertex) -> int:
         """Edge count from u to w; zero unless w sits one level up at offset in S."""
+        u, w = self._checked(u), self._checked(w)
         if w.level != u.level + 1:
             return 0
         return self._mult.get(tuple(map(sub, w.coords, u.coords)), 0)
@@ -388,10 +389,11 @@ class Diagram:
         return found
 
     def edges_between(self, u: Vertex, w: Vertex) -> tuple[EdgeRef, ...]:
+        u, w = self._checked(u), self._checked(w)
         return tuple(EdgeRef(u, w, k) for k in range(1, self.multiplicity(u, w) + 1))
 
     def indegree(self, w: Vertex) -> int:
-        return sum(count for _, count in self._lower(w.coords))
+        return sum(count for _, count in self._lower(self._checked(w).coords))
 
     def dimension(self, v: Vertex) -> int:
         """Number of root-to-v paths, via the level recursion (exact integer).
@@ -477,6 +479,7 @@ class Diagram:
         difference greedily into degree-d steps.  Identical inputs come back
         unchanged with empty paths.
         """
+        v1, v2 = self._checked(v1), self._checked(v2)
         if v1.level != v2.level:
             raise ValueError("connect expects two vertices at the same level")
         if v1 == v2:

@@ -31,16 +31,15 @@ Survivors are kept as columns, as the run expansion leaves them: the
 positions of x and x', divergence level, window, and conflict times as one
 flat array with cuts, beside per-position tower, rank and min-coordinate
 rows.  A survivor's censor flags are read off its window, which is censored
-in a direction when it reaches a tower end there.  `ProbeReport.survivors`
-builds the `ProbeCandidate`s on first access; the CLI document is written
-straight from the columns and builds none.
+in a direction when it reaches a tower end there.  `_conflict_rows` writes
+selected survivors as the JSON rows of the CLI document, and the report's
+survivor views are those rows read back, so a survivor has one writer.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -48,54 +47,6 @@ import numpy as np
 from .core import Vertex
 from .export import Encoded, _list, to_stable_json
 from .vershik import DEFAULT_TOWER_BUDGET, Ordering
-
-
-@dataclass(frozen=True)
-class PathRef:
-    """A level-L path named by its terminal vertex and tower rank."""
-
-    terminal: Vertex
-    rank: int
-
-    def to_json(self) -> dict:
-        return {"terminal": list(self.terminal.coords), "rank": self.rank}
-
-
-@dataclass(frozen=True)
-class ProbeCandidate:
-    """One surviving pair with everything observed about it."""
-
-    x: PathRef
-    x_prime: PathRef
-    divergence_level: int
-    forward_steps: int
-    backward_steps: int
-    censored_forward: bool
-    censored_backward: bool
-    conflict_times: tuple[int, ...]
-    min_coord_trace: tuple[tuple[int, ...], tuple[int, ...]]
-
-    @property
-    def same_terminal(self) -> bool:
-        return self.x.terminal == self.x_prime.terminal
-
-    @property
-    def censored(self) -> bool:
-        return self.censored_forward or self.censored_backward
-
-    def to_json(self) -> dict:
-        return {
-            "x": self.x.to_json(),
-            "x_prime": self.x_prime.to_json(),
-            "divergence_level": self.divergence_level,
-            "window": [-self.backward_steps, self.forward_steps],
-            "censored": {
-                "forward": self.censored_forward,
-                "backward": self.censored_backward,
-            },
-            "conflict_times": list(self.conflict_times),
-            "min_coord_trace": [list(t) for t in self.min_coord_trace],
-        }
 
 
 class _Columns(NamedTuple):
@@ -124,9 +75,9 @@ class _Columns(NamedTuple):
 class ProbeReport:
     """Outcome counts plus every surviving pair, for one (i, L, floor) run.
 
-    Survivors stay in the scan's columns; `survivors` builds their
-    `ProbeCandidate`s on first access, and `to_document` writes the conflict
-    lists straight from the columns.
+    Survivors stay in the scan's columns.  `to_document` writes the conflict
+    lists straight from them, and `survivors` and the other views return
+    lists of the same row dicts, written and read back on each access.
     """
 
     i: int
@@ -159,50 +110,25 @@ class ProbeReport:
         c = self._columns
         return c.tower[c.x] == c.tower[c.x_prime]
 
-    @cached_property
-    def survivors(self) -> tuple[ProbeCandidate, ...]:
-        """Every surviving pair, in enumeration order, built on first access."""
-        c = self._columns
-        refs = [
-            PathRef(c.terminals[k], r) for k, r in zip(c.tower.tolist(), c.rank.tolist())
-        ]
-        traces = [tuple(row) for row in c.mins.T.tolist()]
-        times = c.times.tolist()
-        cuts = c.cuts.tolist()
-        fields = zip(
-            c.x.tolist(), c.x_prime.tolist(), c.divergence.tolist(), c.forward.tolist(),
-            c.backward.tolist(), *(flags.tolist() for flags in self._censored()), [0, *cuts], cuts,
-        )
-        return tuple(
-            ProbeCandidate(
-                x=refs[a],
-                x_prime=refs[b],
-                divergence_level=div,
-                forward_steps=f,
-                backward_steps=bk,
-                censored_forward=cf,
-                censored_backward=cb,
-                conflict_times=tuple(times[lo:hi]),
-                min_coord_trace=(traces[a], traces[b]),
-            )
-            for a, b, div, f, bk, cf, cb, lo, hi in fields
-        )
-
-    def _pick(self, selected: np.ndarray) -> tuple[ProbeCandidate, ...]:
-        # survivors are built only when a pair is selected
-        return tuple(self.survivors[k] for k in np.flatnonzero(selected).tolist())
+    def _rows(self, selected: np.ndarray) -> list[dict]:
+        return json.loads(_conflict_rows(self, selected))
 
     @property
-    def genuine_conflicts(self) -> tuple[ProbeCandidate, ...]:
-        return self._pick(self._genuine())
+    def survivors(self) -> list[dict]:
+        """Every surviving pair's row, in enumeration order."""
+        return self._rows(np.ones(len(self._columns.x), dtype=bool))
 
     @property
-    def uncensored_genuine_conflicts(self) -> tuple[ProbeCandidate, ...]:
-        return self._pick(self._uncensored_genuine())
+    def genuine_conflicts(self) -> list[dict]:
+        return self._rows(self._genuine())
 
     @property
-    def same_terminal_survivors(self) -> tuple[ProbeCandidate, ...]:
-        return self._pick(self._same_terminal())
+    def uncensored_genuine_conflicts(self) -> list[dict]:
+        return self._rows(self._uncensored_genuine())
+
+    @property
+    def same_terminal_survivors(self) -> list[dict]:
+        return self._rows(self._same_terminal())
 
     def to_document(self) -> dict:
         """The report as the CLI writes it, its conflict lists pre-written from the columns."""
@@ -231,7 +157,7 @@ class ProbeReport:
 
 
 def _conflict_rows(report: ProbeReport, selected: np.ndarray) -> str:
-    """The `selected` survivors as the stable JSON list of their `to_json`s.
+    """The `selected` survivors as the stable JSON list of their rows.
 
     Written as `to_stable_json` writes the list at top level, without the
     final newline: one template per row in sorted key order.  A path's

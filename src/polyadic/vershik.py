@@ -87,16 +87,6 @@ def _splice(head: FinitePath, edge: EdgeRef, x: FinitePath, k: int) -> FinitePat
     return path
 
 
-def k_coding_symbol(x: FinitePath, k: int) -> tuple:
-    """The first k edges of x as a hashable, comparable symbol.
-
-    Two paths get equal symbols exactly when their first k edges coincide.
-    """
-    if not 0 <= k <= x.level:
-        raise ValueError(f"k must lie in 0..{x.level}, got {k}")
-    return tuple((e.target.coords, e.copy) for e in x.edges[:k])
-
-
 def _mix(seed: int, v: Vertex) -> int:
     """Stable per-vertex RNG seed, independent of traversal order."""
     key = (seed or 0) & 0xFFFFFFFFFFFFFFFF
@@ -305,9 +295,18 @@ class Ordering:
             }
         return words[w.coords]
 
-    def basic_block(self, v: Vertex, k: int, budget: int = DEFAULT_TOWER_BUDGET) -> tuple[tuple, ...]:
-        """k-symbols of the tower of v, rank by rank."""
-        return tuple(k_coding_symbol(x, k) for x in self.tower(v, budget))
+    def basic_block(self, v: Vertex, k: int) -> tuple[tuple[Coords, int], ...]:
+        """k-symbols of the tower of v, rank by rank.
+
+        A path's first k edges end at a level-k vertex u and are its rank-r
+        path; the symbol is (u.coords, r).  The tower runs through the
+        level-k word of v, one block of dim(u) ranks per letter u.
+        """
+        dim = self.diagram.dimension(v)
+        if dim > DEFAULT_TOWER_BUDGET:
+            raise TowerTooLarge(f"dimension {dim} of {v} exceeds budget {DEFAULT_TOWER_BUDGET}")
+        word = (v,) if k == v.level else self.vertex_coding(v, k)
+        return tuple((u.coords, r) for u in word for r in range(self.diagram.dimension(u)))
 
 
 def make_ordering(diagram: Diagram, spec: str | Mapping | None = None) -> Ordering:

@@ -3,7 +3,8 @@
 Three standing systems exercise every code path: the Pascal diagram (two
 variables, degree one), a degree-four polynomial with mixed coefficients,
 and a three-variable all-ones quadratic.  `polynomial_specs` draws random
-polynomials for the hypothesis properties of several modules.
+polynomials for the hypothesis properties of several modules, and
+`k_coding_symbol` is the oracle for the library's integer k-symbols.
 """
 
 import sys
@@ -22,6 +23,16 @@ Q3_TEXT = "x1^2 + x1 x2 + x1 x3 + x2^2 + x2 x3 + x3^2"
 
 
 COEFFICIENTS = st.integers(min_value=1, max_value=3)
+
+
+def k_coding_symbol(x, k):
+    """The first k edges of the path x as a hashable, comparable symbol.
+
+    Two paths get equal symbols exactly when their first k edges coincide.
+    """
+    if not 0 <= k <= x.level:
+        raise ValueError(f"k must lie in 0..{x.level}, got {k}")
+    return tuple((e.target.coords, e.copy) for e in x.edges[:k])
 
 
 @st.composite

@@ -301,6 +301,7 @@ class TestOptions:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"unrecognized arguments: {option} {value}" in captured.err
+        assert captured.err.startswith(f"usage: polyadic {command} ")
 
     @pytest.mark.parametrize("mode", [(), ("--mode", "polynomial")])
     def test_multiplicity_without_shape_mode_is_an_input_error(self, capsys, tmp_path, mode):

@@ -368,8 +368,14 @@ class TestCallerVertices:
             lambda d, v: d.source_set(v),
             lambda d, v: d.targets(v),
             lambda d, v: d.dsv(v, 1),
+            lambda d, v: d.indegree(v),
+            lambda d, v: d.multiplicity(v, d.vertex((1, 1))),
+            lambda d, v: d.multiplicity(d.vertex((0, 1)), v),
+            lambda d, v: d.edges_between(v, d.vertex((1, 1))),
+            lambda d, v: d.connect(v, v),
         ],
-        ids=["dimension", "source_set", "targets", "dsv"],
+        ids=["dimension", "source_set", "targets", "dsv", "indegree", "multiplicity_source",
+             "multiplicity_target", "edges_between", "connect"],
     )
     def test_off_the_lattice_raises(self, call, kind):
         diagram = Diagram(parse_polynomial("x1 + x2"))

@@ -6,15 +6,13 @@ README examples plus nine larger documents, among them two i=0 probes whose
 every pair survives, probes with every pair killed, with skipped towers and
 with a floor, and a binomial tower whose dimensions pass 2**64; the
 documents themselves are not stored (the probe examples run to hundreds of
-kilobytes, the quartic i=0 probe to 1.4 MB).  Each probe document is
-written a second time with `ProbeCandidate` and `PathRef` replaced by stubs
-that raise, so the CLI must write survivors straight from the columns.
-After an intended output change, run this file as a script with `src` and
+kilobytes, the quartic i=0 probe to 1.4 MB).  After an intended output change, run this file as a script with `src` and
 `tests` on PYTHONPATH and copy each printed exit code and digest into
 GOLDEN.
 
 Every `polyadic ...` line of the README's CLI section must be the argv of
-exactly one `readme-*` entry, so the README cannot drift from the pins.
+exactly one `readme-*` entry, so the README cannot drift from the pins, and
+the `python` block of its Library section must run.
 """
 
 import hashlib
@@ -23,7 +21,6 @@ from pathlib import Path
 
 import pytest
 
-from polyadic import probe
 from polyadic.cli import main
 
 from conftest import PASCAL_TEXT, Q3_TEXT, QUARTIC_TEXT
@@ -138,11 +135,15 @@ def test_document_is_byte_identical(capsys, name):
     assert run_digest(capsys, argv) == (code, digest)
 
 
+def readme_section(title):
+    """The text of the README section headed `## title`, up to the next one."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def readme_cli_lines():
     """The `polyadic ...` lines of the README's CLI section."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    return [line for line in section.splitlines() if line.startswith("polyadic ")]
+    return [line for line in readme_section("CLI").splitlines() if line.startswith("polyadic ")]
 
 
 def test_readme_examples_are_pinned():
@@ -156,16 +157,10 @@ def test_readme_examples_are_pinned():
     assert sorted(matched) == sorted(readme)
 
 
-def refuse(*args, **kwargs):
-    raise AssertionError("the CLI probe path built a survivor object")
-
-
-@pytest.mark.parametrize("name", sorted(n for n, (argv, _, _) in GOLDEN.items() if argv[0] == "probe"))
-def test_probe_document_is_written_from_columns(capsys, monkeypatch, name):
-    monkeypatch.setattr(probe, "ProbeCandidate", refuse)
-    monkeypatch.setattr(probe, "PathRef", refuse)
-    argv, code, digest = GOLDEN[name]
-    assert run_digest(capsys, argv) == (code, digest)
+def test_readme_library_example_runs(capsys):
+    block = readme_section("Library").split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.split() == ["210", "261632", "512"]
 
 
 if __name__ == "__main__":

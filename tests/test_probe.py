@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import polynomial_specs
+from conftest import k_coding_symbol, polynomial_specs
 from polyadic import Diagram, Ordering, probe
 from polyadic.errors import MaximalAtHorizon, MinimalAtHorizon
 from polyadic.export import to_stable_json
 from polyadic.measure import dense_orbit_trace
 from polyadic.probe import probe_depth_pairs, survival_profile
-from polyadic.vershik import k_coding_symbol
 
 
 def replay_pair(ordering, i, xa, xb):
@@ -92,22 +91,28 @@ def report_survivors(report):
     return {
         frozenset(
             {
-                (c.x.terminal.coords, c.x.rank),
-                (c.x_prime.terminal.coords, c.x_prime.rank),
+                (tuple(row["x"]["terminal"]), row["x"]["rank"]),
+                (tuple(row["x_prime"]["terminal"]), row["x_prime"]["rank"]),
             }
-        ): ((c.backward_steps, c.forward_steps), c.conflict_times)
-        for c in report.survivors
+        ): ((-row["window"][0], row["window"][1]), tuple(row["conflict_times"]))
+        for row in report.survivors
     }
 
 
-def path_fields(ordering, candidate):
-    """Divergence level and min-coordinate trace from the two unranked paths."""
-    xa = ordering.path_unrank(candidate.x.terminal, candidate.x.rank)
-    xb = ordering.path_unrank(candidate.x_prime.terminal, candidate.x_prime.rank)
+def path_fields(ordering, row):
+    """Divergence level and min-coordinate trace from the row's two unranked paths."""
+    xa, xb = (
+        ordering.path_unrank(ordering.diagram.vertex(ref["terminal"]), ref["rank"])
+        for ref in (row["x"], row["x_prime"])
+    )
     first_differing_edge = next(
         k for k, (ea, eb) in enumerate(zip(xa.edges, xb.edges)) if ea != eb
     )
-    return first_differing_edge + 1, (dense_orbit_trace(xa), dense_orbit_trace(xb))
+    return first_differing_edge + 1, [list(dense_orbit_trace(xa)), list(dense_orbit_trace(xb))]
+
+
+def censored_both_ways(row):
+    return row["censored"] == {"forward": True, "backward": True}
 
 
 REPLAY_CASES = [
@@ -140,8 +145,8 @@ def test_survivor_fields_match_paths(all_diagrams, system, i, horizon, preset, s
     assert survivors
     if sample is not None:
         survivors = random.Random(0).sample(survivors, sample)
-    for c in survivors:
-        assert (c.divergence_level, c.min_coord_trace) == path_fields(ordering, c)
+    for row in survivors:
+        assert (row["divergence_level"], row["min_coord_trace"]) == path_fields(ordering, row)
 
 
 @pytest.mark.parametrize(
@@ -175,7 +180,7 @@ def test_floor_filter_matches_replay(pascal_lex):
 )
 def test_scans_without_survivors(pascal_lex, horizon, floor, counts):
     report = probe_depth_pairs(pascal_lex, 1, horizon, min_coord_floor=floor)
-    assert report.survivors == ()
+    assert report.survivors == []
     got = (report.candidates, report.coding_killed, report.censored, report.max_killed_window)
     assert got == counts
     candidates, killed, survivors, max_killed_window = replay_report(pascal_lex, 1, horizon, floor)
@@ -214,18 +219,19 @@ def test_rows_match_candidate_views_on_random_diagrams(case):
     ordering, i, horizon, floor = case
     report = probe_depth_pairs(ordering, i, horizon, min_coord_floor=floor)
     doc = report.to_json()  # the rows the CLI writes, read back
-    assert doc["genuine_conflicts"] == [c.to_json() for c in report.genuine_conflicts]
-    assert doc["uncensored_genuine_conflicts"] == [
-        c.to_json() for c in report.uncensored_genuine_conflicts
-    ]
-    assert doc["survivors_without_conflict"] == sum(not c.conflict_times for c in report.survivors)
-    assert doc["same_terminal_survivors"] == sum(c.same_terminal for c in report.survivors)
-    # the candidates built from the columns are the replay's survivors
+    assert doc["genuine_conflicts"] == report.genuine_conflicts
+    assert doc["uncensored_genuine_conflicts"] == report.uncensored_genuine_conflicts
+    rows = report.survivors
+    assert doc["survivors_without_conflict"] == sum(not row["conflict_times"] for row in rows)
+    assert doc["same_terminal_survivors"] == len(report.same_terminal_survivors) == sum(
+        row["x"]["terminal"] == row["x_prime"]["terminal"] for row in rows
+    )
+    # the survivor rows are the replay's survivors
     _, _, survivors, _ = replay_report(ordering, i, horizon, floor)
     assert report_survivors(report) == survivors
-    for c in report.survivors:
-        assert c.censored_forward and c.censored_backward
-        assert (c.divergence_level, c.min_coord_trace) == path_fields(ordering, c)
+    for row in rows:
+        assert censored_both_ways(row)
+        assert (row["divergence_level"], row["min_coord_trace"]) == path_fields(ordering, row)
 
 
 def test_censor_flags_are_read_off_the_window(pascal_lex):
@@ -237,8 +243,8 @@ def test_censor_flags_are_read_off_the_window(pascal_lex):
         report,
         _columns=columns._replace(forward=columns.forward - 1, backward=columns.backward - 1),
     )
-    assert report.genuine_conflicts and report.uncensored_genuine_conflicts == ()
-    assert not any(c.censored for c in shrunk.survivors)
+    assert report.genuine_conflicts and report.uncensored_genuine_conflicts == []
+    assert not any(row["censored"]["forward"] or row["censored"]["backward"] for row in shrunk.survivors)
     assert len(shrunk.uncensored_genuine_conflicts) == len(report.genuine_conflicts)
     doc = shrunk.to_json()
     assert doc["uncensored_genuine_conflicts"] == doc["genuine_conflicts"]
@@ -254,7 +260,7 @@ class TestDepthZero:
             assert report.coding_killed == 0  # 0-symbols are all empty
             pairs = report.same_terminal_survivors
             assert len(pairs) == same_terminal
-            assert all(c.conflict_times for c in pairs)
+            assert all(row["conflict_times"] for row in pairs)
             # one tower of size m contributes m-choose-2 pairs
             assert same_terminal == sum(
                 math.comb(diagram.dimension(v), 2)
@@ -269,8 +275,8 @@ class TestPascalDepthOne:
         assert report.coding_killed == 259606
         assert report.censored == 2026
         assert len(report.genuine_conflicts) == 512
-        assert report.uncensored_genuine_conflicts == ()
-        assert report.same_terminal_survivors == ()
+        assert report.uncensored_genuine_conflicts == []
+        assert report.same_terminal_survivors == []
         assert report.max_killed_window == 76
 
     def test_conflicts_cling_to_corners(self, pascal_lex):
@@ -278,15 +284,15 @@ class TestPascalDepthOne:
         report = probe_depth_pairs(pascal_lex, 1, 10, min_coord_floor=1)
         assert report.candidates == 260610
         assert report.censored == 1004
-        assert report.genuine_conflicts == ()
+        assert report.genuine_conflicts == []
 
     def test_all_survivors_censored_both_ways(self, pascal_lex):
         report = probe_depth_pairs(pascal_lex, 1, 6)
         assert report.survivors
-        for c in report.survivors:
-            assert c.censored_forward and c.censored_backward
-            assert c.divergence_level > 1
-            assert len(c.min_coord_trace[0]) == 7
+        for row in report.survivors:
+            assert censored_both_ways(row)
+            assert row["divergence_level"] > 1
+            assert len(row["min_coord_trace"][0]) == 7
 
     def test_floor_monotone(self, pascal_lex):
         counts = [
@@ -307,14 +313,14 @@ class TestRandomDepthThree:
             assert report.coding_killed == killed
             assert report.censored == censored
             assert len(report.genuine_conflicts) == genuine
-            assert report.uncensored_genuine_conflicts == ()
+            assert report.uncensored_genuine_conflicts == []
 
 
 class TestEdges:
     def test_depth_at_horizon_is_empty(self, pascal_lex):
         report = probe_depth_pairs(pascal_lex, 6, 6)
         assert report.candidates == 0
-        assert report.survivors == ()
+        assert report.survivors == []
 
     def test_budget_skips_towers(self, pascal, pascal_lex):
         report = probe_depth_pairs(pascal_lex, 1, 4, budget=5)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COEFFICIENTS, polynomial_specs
+from conftest import COEFFICIENTS, k_coding_symbol, polynomial_specs
 from conftest import OFF_LATTICE, raised_within
 from polyadic import Diagram, EdgeRef, Ordering, Vertex, parse_polynomial
 from polyadic.errors import (
@@ -17,7 +17,7 @@ from polyadic.errors import (
     RankOutOfRange,
     TowerTooLarge,
 )
-from polyadic.vershik import FinitePath, k_coding_symbol, make_ordering
+from polyadic.vershik import FinitePath, make_ordering
 
 
 def visited(path):
@@ -248,6 +248,8 @@ class TestSuccessor:
     def test_budget_guard(self, pascal, pascal_lex):
         with pytest.raises(TowerTooLarge):
             pascal_lex.tower(pascal.vertex((2, 2)), budget=5)
+        with pytest.raises(TowerTooLarge):
+            pascal_lex.basic_block(pascal.vertex((12, 12)), 1)  # 2,704,156 paths
 
     def test_iter_tower_matches(self, pascal, pascal_lex):
         v = pascal.vertex((3, 1))
@@ -391,8 +393,8 @@ class TestCoding:
                         assert visits == expanded
 
     def test_basic_block_examples(self, pascal, pascal_lex):
-        a = (((0, 1), 1),)
-        b = (((1, 0), 1),)
+        a = ((0, 1), 0)
+        b = ((1, 0), 0)
         assert pascal_lex.basic_block(pascal.vertex((1, 1)), 1) == (a, b)
         assert pascal_lex.basic_block(pascal.vertex((2, 2)), 1) == (a, a, b, a, b, b)
 
@@ -404,6 +406,19 @@ class TestCoding:
                     assert len(block) == pascal.dimension(v)
                     if k == level:
                         assert len(set(block)) == len(block)
+
+    @pytest.mark.parametrize("preset, seed", [("source-lex", None), ("source-revlex", None), ("random", 5)])
+    def test_basic_block_matches_the_symbol_oracle(self, all_diagrams, preset, seed):
+        # rank by rank, the block's symbols and the oracle's are in bijection
+        for name, max_level in (("pascal", 4), ("quartic", 2), ("q3", 3)):
+            diagram = all_diagrams[name]
+            ordering = Ordering(diagram, preset=preset, seed=seed)
+            for level in range(max_level + 1):
+                for v in diagram.vertices(level):
+                    tower = ordering.tower(v)
+                    for k in range(level + 1):
+                        pairs = set(zip(ordering.basic_block(v, k), (k_coding_symbol(x, k) for x in tower)))
+                        assert len({a for a, _ in pairs}) == len({b for _, b in pairs}) == len(pairs)
 
 
 class TestFinitePaths:
