@@ -55,7 +55,7 @@ from .measure import (
     vertex_measure,
     weight_from_theta,
 )
-from .probe import ProbeReport, probe_depth_pairs, survival_profile
+from .probe import ProbeReport, probe_depth_pairs
 from .verify import VerifyResult, verify_all
 from .vershik import DEFAULT_TOWER_BUDGET, FinitePath, Ordering, make_ordering
 from .version import __version__
@@ -106,7 +106,6 @@ __all__ = [
     "solve_symmetric_weight",
     "source_all_uncovered",
     "source_ladder",
-    "survival_profile",
     "target_uncovered_check",
     "to_stable_json",
     "validate_chain",

@@ -24,6 +24,9 @@ from .vershik import FinitePath
 
 Number = float | Fraction
 
+RESIDUAL_TOLERANCE = 1e-12  # largest |p(theta) - 1| a float weight may leave
+MASS_TOLERANCE = 1e-9  # largest |level mass - 1| a float weight may leave
+
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -65,7 +68,7 @@ def solve_symmetric_weight(diagram: Diagram) -> WeightVector:
     """The equal-coordinate weight: t with (sum of coefficients) * t^d = 1.
 
     Found by bisection on [0, 1]; the residual of the full polynomial at the
-    returned point is at most 1e-12.
+    returned point is at most RESIDUAL_TOLERANCE, else InvalidWeight.
     """
     _require_coefficient_mode(diagram)
     total = diagram.spec.coefficient_sum
@@ -82,12 +85,12 @@ def solve_symmetric_weight(diagram: Diagram) -> WeightVector:
     t = (lo + hi) / 2
     theta = (t,) * diagram.arity
     residual = evaluate_polynomial(diagram, theta) - 1
-    if abs(residual) > 1e-12:
-        raise InvalidWeight(f"bisection residual {residual} exceeds 1e-12")
+    if abs(residual) > RESIDUAL_TOLERANCE:
+        raise InvalidWeight(f"bisection residual {residual} exceeds {RESIDUAL_TOLERANCE}")
     return WeightVector(theta, residual)
 
 
-def weight_from_theta(diagram: Diagram, theta, tolerance: float = 1e-12) -> WeightVector:
+def weight_from_theta(diagram: Diagram, theta) -> WeightVector:
     """Validate a user-supplied weight vector; exact when all entries are rational."""
     _require_coefficient_mode(diagram)
     theta = tuple(theta)
@@ -103,8 +106,8 @@ def weight_from_theta(diagram: Diagram, theta, tolerance: float = 1e-12) -> Weig
         return WeightVector(theta, Fraction(0))
     theta = tuple(float(t) for t in theta)
     residual = evaluate_polynomial(diagram, theta) - 1
-    if abs(residual) > tolerance:
-        raise InvalidWeight(f"p(theta) - 1 = {residual} exceeds {tolerance}")
+    if abs(residual) > RESIDUAL_TOLERANCE:
+        raise InvalidWeight(f"p(theta) - 1 = {residual} exceeds {RESIDUAL_TOLERANCE}")
     return WeightVector(theta, residual)
 
 

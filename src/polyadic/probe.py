@@ -13,9 +13,11 @@ the search accumulates.  A pair that reaches a tower boundary in both
 directions without a mismatch is censored: the horizon ran out before the
 pair was resolved.  Censored survivors whose (i+1)-symbols differ somewhere
 in the observed window are reported as genuine conflicts - they look exactly
-like depth-i pairs as far as this horizon can see.  An uncensored genuine
-conflict would need an infinite window, so any entry in that bucket is a
-soundness bug; reports keep the bucket so the claim is checkable.
+like depth-i pairs as far as this horizon can see.  The uncensored bucket
+is empty by construction: a pair survives only when its whole diagonal has
+equal i-symbols, so its window reaches a tower end in both directions.  The
+bucket, and the CLI's exit 1 when it is not empty, therefore cannot fire on
+a real scan; the test suite fills it only by shrinking windows by hand.
 
 The simulation never builds paths.  One bottom-up pass gives each admitted
 tower per-level arrays: row k, column m holds an id of the rank-m path's
@@ -32,20 +34,22 @@ positions of x and x', divergence level, window, and conflict times as one
 flat array with cuts, beside per-position tower, rank and min-coordinate
 rows.  A survivor's censor flags are read off its window, which is censored
 in a direction when it reaches a tower end there.  `_conflict_rows` writes
-selected survivors as the JSON rows of the CLI document, and the report's
-survivor views are those rows read back, so a survivor has one writer.
+selected survivors as the JSON rows of the CLI document.  The report's
+survivor views are those rows read back, parsed once per report and
+selected by mask, so a survivor has one writer and one reader.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import Vertex
-from .export import Encoded, _list, to_stable_json
+from .export import Encoded, _list
 from .vershik import DEFAULT_TOWER_BUDGET, Ordering
 
 
@@ -76,8 +80,8 @@ class ProbeReport:
     """Outcome counts plus every surviving pair, for one (i, L, floor) run.
 
     Survivors stay in the scan's columns.  `to_document` writes the conflict
-    lists straight from them, and `survivors` and the other views return
-    lists of the same row dicts, written and read back on each access.
+    lists straight from them; the survivor views select from one parse of
+    every survivor's row, made when a view first selects a row.
     """
 
     i: int
@@ -85,11 +89,17 @@ class ProbeReport:
     floor: int
     budget: int
     candidates: int
-    coding_killed: int
-    censored: int
     skipped_towers: int
     max_killed_window: int
     _columns: _Columns = _Columns()
+
+    @property
+    def censored(self) -> int:  # every survivor is censored; see the module docstring
+        return len(self._columns.x)
+
+    @property
+    def coding_killed(self) -> int:
+        return self.candidates - self.censored
 
     def _censored(self) -> tuple[np.ndarray, np.ndarray]:
         """Per survivor, whether its window reaches a tower end forward, and backward."""
@@ -110,13 +120,20 @@ class ProbeReport:
         c = self._columns
         return c.tower[c.x] == c.tower[c.x_prime]
 
+    @cached_property
+    def _all_rows(self) -> list[dict]:
+        return json.loads(_conflict_rows(self, np.ones(self.censored, dtype=bool)))
+
     def _rows(self, selected: np.ndarray) -> list[dict]:
-        return json.loads(_conflict_rows(self, selected))
+        if not selected.any():
+            return []
+        rows = self._all_rows
+        return [rows[k] for k in np.flatnonzero(selected).tolist()]
 
     @property
     def survivors(self) -> list[dict]:
         """Every surviving pair's row, in enumeration order."""
-        return self._rows(np.ones(len(self._columns.x), dtype=bool))
+        return self._rows(np.ones(self.censored, dtype=bool))
 
     @property
     def genuine_conflicts(self) -> list[dict]:
@@ -150,10 +167,6 @@ class ProbeReport:
             "survivors_without_conflict": len(genuine) - int(genuine.sum()),
             "same_terminal_survivors": int(self._same_terminal().sum()),
         }
-
-    def to_json(self) -> dict:
-        """The report as a plain JSON tree: the CLI document's report, read back."""
-        return json.loads(to_stable_json(self.to_document()))
 
 
 def _conflict_rows(report: ProbeReport, selected: np.ndarray) -> str:
@@ -283,7 +296,7 @@ def probe_depth_pairs(
         if v.min_coord >= min_coord_floor and diagram.dimension(v) <= budget
     ]
     if i >= horizon or not admitted:
-        return ProbeReport(i, horizon, min_coord_floor, budget, 0, 0, 0, skipped, 0)
+        return ProbeReport(i, horizon, min_coord_floor, budget, 0, skipped, 0)
 
     # one global position axis: every admitted tower's paths, tower after tower
     blocks = _prefix_blocks(ordering, horizon, admitted, budget)
@@ -356,37 +369,7 @@ def probe_depth_pairs(
         floor=min_coord_floor,
         budget=budget,
         candidates=candidates,
-        coding_killed=candidates - len(a),
-        censored=len(a),
         skipped_towers=skipped,
         max_killed_window=max_killed_window,
         _columns=survivors,
     )
-
-
-def survival_profile(
-    ordering: Ordering,
-    i: int,
-    horizons: Iterable[int],
-    min_coord_floor: int = 0,
-    budget: int = DEFAULT_TOWER_BUDGET,
-) -> list[dict]:
-    """Probe a range of horizons and tabulate how fast pairs get killed."""
-    rows = []
-    for horizon in horizons:
-        report = probe_depth_pairs(ordering, i, horizon, min_coord_floor, budget)
-        c = report._columns
-        rows.append(
-            {
-                "L": horizon,
-                "candidates": report.candidates,
-                "coding_killed": report.coding_killed,
-                "censored": report.censored,
-                "genuine_conflicts": int(report._genuine().sum()),
-                "uncensored_genuine_conflicts": int(report._uncensored_genuine().sum()),
-                "same_terminal_survivors": int(report._same_terminal().sum()),
-                "max_killed_window": report.max_killed_window,
-                "max_censored_window": int((c.forward + c.backward + 1).max(initial=0)),
-            }
-        )
-    return rows

@@ -13,7 +13,9 @@ from itertools import combinations
 from . import coverage
 from .chains import check_link_consequences
 from .core import Diagram
+from .errors import InvalidWeight
 from .measure import (
+    MASS_TOLERANCE,
     dim_lower_bound_check,
     level_mass,
     minimal_mass_bound,
@@ -223,13 +225,14 @@ def check_measure_bounds(diagram: Diagram, max_level: int) -> list[str]:
     """Weight solve, per-level normalization, minimal mass, dimension bound."""
     if diagram.mode != "coefficients":
         return []
+    try:
+        weight = solve_symmetric_weight(diagram)
+    except InvalidWeight as exc:  # no weight to measure the levels with
+        return [f"weight solve: {exc}"]
     out = []
-    weight = solve_symmetric_weight(diagram)
-    if abs(weight.residual) > 1e-12:
-        out.append(f"weight residual {weight.residual} exceeds 1e-12")
     for level in range(1, max_level + 1):
         mass = level_mass(diagram, level, weight)
-        if abs(mass - 1) > 1e-9:
+        if abs(mass - 1) > MASS_TOLERANCE:
             out.append(f"level {level}: total mass {mass} is not 1")
         bound = minimal_mass_bound(diagram, level, weight)
         if not bound.ok:

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from polyadic import measure
 from polyadic.cli import main
 
 from conftest import PASCAL_TEXT, Q3_TEXT, QUARTIC_TEXT
@@ -192,6 +193,16 @@ class TestVerifyAll:
         assert code == 0
         assert doc["result"]["passed"] is True
 
+    def test_weight_residual_is_a_finding(self, capsys, monkeypatch):
+        # a weight that misses p(theta) = 1 is a failed check, not bad input
+        monkeypatch.setattr(measure, "evaluate_polynomial", lambda diagram, theta: 1 + 1e-9)
+        code, doc, _ = run_json(capsys, "verify-all", "--poly", PASCAL_TEXT, "--levels", "3")
+        assert code == 1
+        findings = doc["result"]["findings"]
+        assert len(findings["measure_bounds"]) == 1
+        assert "residual" in findings["measure_bounds"][0]
+        assert not any(rows for name, rows in findings.items() if name != "measure_bounds")
+
 
 class TestFailures:
     def test_unparseable_polynomial(self, capsys):
@@ -287,12 +298,36 @@ REQUIRED = {
 SHAPE_ONLY = ("describe", "covered", "chain", "measure", "export", "verify-all")
 
 
+@pytest.mark.parametrize(
+    "command, extra, name",
+    [
+        ("describe", (), "describe.json"),
+        ("covered", (), "covered.json"),
+        ("chain", (), "chain.json"),
+        ("probe", (), "probe.json"),
+        ("measure", ("--levels", "3"), "measure.json"),
+        ("vershik", (), "vershik.json"),
+        ("verify-all", ("--levels", "3"), "verify.json"),
+        ("export", (), "diagram.json"),
+        ("export", ("--format", "dot"), "diagram.dot"),
+    ],
+)
+def test_out_directory_holds_the_stdout_bytes(capsys, tmp_path, command, extra, name):
+    argv = [command, "--poly", PASCAL_TEXT, *REQUIRED[command], *extra]
+    code, stdout_text, _ = run(capsys, *argv)
+    out_code, printed, _ = run(capsys, *argv, "--out", str(tmp_path / "docs"))
+    target = tmp_path / "docs" / name
+    assert code == out_code == 0
+    assert printed == f"{target}\n"
+    assert target.read_bytes() == stdout_text.encode()
+
+
 class TestOptions:
     @pytest.mark.parametrize(
         "command, option, value",
         [(c, "--ordering", "random") for c in SHAPE_ONLY]
         + [(c, "--budget", "40") for c in REQUIRED if c != "probe"]
-        + [("export", "--seed", "1")],
+        + [(c, "--seed", "1") for c in SHAPE_ONLY],
     )
     def test_option_the_handler_does_not_read_is_a_usage_error(self, capsys, command, option, value):
         with pytest.raises(SystemExit) as exc:

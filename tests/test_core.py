@@ -389,3 +389,9 @@ class TestCallerVertices:
         assert pascal.dimension(v) == 2
         assert pascal.source_set(v) == pascal.source_set(pascal.vertex((1, 1)))
         assert pascal.dsv(v, 1) is pascal.vertex((0, 1))
+
+
+def test_every_exported_name_resolves():
+    import polyadic
+
+    assert [name for name in polyadic.__all__ if not hasattr(polyadic, name)] == []

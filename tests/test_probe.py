@@ -1,6 +1,7 @@
 """Depth-i conflict search: array simulation vs direct odometer replay."""
 
 import dataclasses
+import json
 import math
 import random
 from unittest import mock
@@ -9,12 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import k_coding_symbol, polynomial_specs
+from conftest import PASCAL_TEXT, k_coding_symbol, polynomial_specs
 from polyadic import Diagram, Ordering, probe
+from polyadic.cli import main
 from polyadic.errors import MaximalAtHorizon, MinimalAtHorizon
 from polyadic.export import to_stable_json
 from polyadic.measure import dense_orbit_trace
-from polyadic.probe import probe_depth_pairs, survival_profile
+from polyadic.probe import probe_depth_pairs
+
+
+def document(report):
+    """The report as the CLI document holds it, read back."""
+    return json.loads(to_stable_json(report.to_document()))
 
 
 def replay_pair(ordering, i, xa, xb):
@@ -159,7 +166,7 @@ def test_pair_chunking_leaves_report_unchanged(
     expected = probe_depth_pairs(ordering, i, horizon)
     monkeypatch.setattr(probe, "_PAIR_CHUNK", 5)
     chunked = probe_depth_pairs(ordering, i, horizon)
-    assert to_stable_json(chunked.to_json()) == to_stable_json(expected.to_json())
+    assert to_stable_json(chunked.to_document()) == to_stable_json(expected.to_document())
     assert chunked.survivors == expected.survivors  # includes conflict-free survivors
 
 
@@ -210,7 +217,7 @@ def test_report_matches_replay_on_random_diagrams(case):
     assert report.max_killed_window == max_killed_window
     with mock.patch.object(probe, "_PAIR_CHUNK", 5):
         chunked = probe_depth_pairs(ordering, i, horizon, min_coord_floor=floor)
-    assert to_stable_json(chunked.to_json()) == to_stable_json(report.to_json())
+    assert to_stable_json(chunked.to_document()) == to_stable_json(report.to_document())
 
 
 @given(case=probe_cases())
@@ -218,7 +225,7 @@ def test_report_matches_replay_on_random_diagrams(case):
 def test_rows_match_candidate_views_on_random_diagrams(case):
     ordering, i, horizon, floor = case
     report = probe_depth_pairs(ordering, i, horizon, min_coord_floor=floor)
-    doc = report.to_json()  # the rows the CLI writes, read back
+    doc = document(report)  # the rows the CLI writes, read back
     assert doc["genuine_conflicts"] == report.genuine_conflicts
     assert doc["uncensored_genuine_conflicts"] == report.uncensored_genuine_conflicts
     rows = report.survivors
@@ -246,8 +253,39 @@ def test_censor_flags_are_read_off_the_window(pascal_lex):
     assert report.genuine_conflicts and report.uncensored_genuine_conflicts == []
     assert not any(row["censored"]["forward"] or row["censored"]["backward"] for row in shrunk.survivors)
     assert len(shrunk.uncensored_genuine_conflicts) == len(report.genuine_conflicts)
-    doc = shrunk.to_json()
+    doc = document(shrunk)
     assert doc["uncensored_genuine_conflicts"] == doc["genuine_conflicts"]
+
+
+def test_survivor_rows_are_parsed_once(pascal_lex, monkeypatch, capsys):
+    calls = {"_conflict_rows": 0, "loads": 0}
+    write, loads = probe._conflict_rows, json.loads
+
+    def counted_write(*args):
+        calls["_conflict_rows"] += 1
+        return write(*args)
+
+    def counted_loads(*args, **kwargs):
+        calls["loads"] += 1
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(probe, "_conflict_rows", counted_write)
+    monkeypatch.setattr(json, "loads", counted_loads)
+    report = probe_depth_pairs(pascal_lex, 1, 6)
+    assert report.uncensored_genuine_conflicts == []  # an empty selection parses nothing
+    assert calls == {"_conflict_rows": 0, "loads": 0}
+    rows = report.survivors
+    assert calls == {"_conflict_rows": 1, "loads": 1}
+    assert report.genuine_conflicts == [row for row in rows if row["conflict_times"]]
+    assert report.uncensored_genuine_conflicts == []
+    assert report.same_terminal_survivors == []
+    assert report.survivors == rows and report.survivors is not rows
+    assert calls == {"_conflict_rows": 1, "loads": 1}
+    # the CLI writes the document's two lists and reads no row back
+    calls.update({"_conflict_rows": 0, "loads": 0})
+    assert main(["probe", "--poly", PASCAL_TEXT, "--i", "1", "--horizon", "6"]) == 0
+    assert calls == {"_conflict_rows": 2, "loads": 0}
+    capsys.readouterr()
 
 
 class TestDepthZero:
@@ -343,7 +381,7 @@ class TestEdges:
             probe_depth_pairs(pascal_lex, 1, 0)
 
     def test_report_schema(self, pascal_lex):
-        doc = probe_depth_pairs(pascal_lex, 1, 4).to_json()
+        doc = document(probe_depth_pairs(pascal_lex, 1, 4))
         assert set(doc) == {
             "i",
             "L",
@@ -361,13 +399,3 @@ class TestEdges:
         }
         assert doc["candidates"] == doc["coding_killed"] + doc["censored"]
 
-
-def test_survival_profile(pascal_lex):
-    rows = survival_profile(pascal_lex, 1, (6, 8, 10))
-    assert [row["L"] for row in rows] == [6, 8, 10]
-    assert all(row["uncensored_genuine_conflicts"] == 0 for row in rows)
-    assert rows[-1]["candidates"] == 261632
-    single = probe_depth_pairs(pascal_lex, 1, 8)
-    assert rows[1]["coding_killed"] == single.coding_killed
-    assert rows[1]["censored"] == single.censored
-    assert all(row["max_censored_window"] >= 1 for row in rows)
