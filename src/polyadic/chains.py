@@ -167,7 +167,7 @@ def find_chain_start(diagram: Diagram, level: int) -> tuple[ChainStart, ...]:
             common = sources[v] & sources[vp]
             if not common:
                 continue
-            witness = max(common, key=lambda u: u.coords)
+            witness = max(common)
             for j in range(1, diagram.arity + 1):
                 if lo <= vp.coord(j) < v.coord(j) <= hi:
                     out.append(ChainStart(v, vp, j, witness))

@@ -64,8 +64,8 @@ def _ordering_spec(args) -> dict:
             )
     else:
         spec = {"preset": arg}
-    if args.seed is not None and "explicit" not in spec:
-        spec["seed"] = args.seed
+    if args.seed is not None:
+        spec["seed"] = args.seed  # `Ordering` refuses it unless the preset is random
     return spec
 
 

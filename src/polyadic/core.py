@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from operator import add, sub
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import (
     AritySmallerThanTwo,
@@ -46,9 +46,12 @@ def compositions_desc(total: int, parts: int) -> Iterator[Coords]:
             yield (head,) + tail
 
 
-@dataclass(frozen=True)
-class Vertex:
-    """A lattice point: q nonnegative coordinates summing to level * degree."""
+class Vertex(NamedTuple):
+    """A lattice point: q nonnegative coordinates summing to level * degree.
+
+    A named tuple, so it compares, hashes and sorts as (level, coords), in C:
+    `Vertex(1, (1, 0)) == (1, (1, 0))`, and JSON writes it as a list.
+    """
 
     level: int
     coords: Coords
@@ -77,11 +80,11 @@ class Vertex:
         return "(" + ",".join(map(str, self.coords)) + ")"
 
 
-@dataclass(frozen=True)
-class EdgeRef:
+class EdgeRef(NamedTuple):
     """One of the parallel edges from `source` up to `target`.
 
-    `copy` is 1-based and runs up to the multiplicity of the pair.
+    `copy` is 1-based and runs up to the multiplicity of the pair.  A named
+    tuple like `Vertex`: it compares, hashes and sorts as its three fields.
     """
 
     source: Vertex
@@ -277,12 +280,11 @@ class Diagram:
     lattice point, so equal vertices from it are also identical.  Any other
     vertex is validated by `vertex` first, so one off the lattice raises.
 
-    Neighbours are cached per vertex: `source_set` and `targets` return one
-    tuple per interned vertex, keyed by its `id` (the diagram keeps interned
-    vertices alive), so a hit needs no validation.  `coverage` keeps each
-    level's cover map in `_covers`.  `dimension` works on bare coordinate
-    tuples and the `Ordering` tables read the uncached `_lower`, so a cold
-    deep-level down-set is not kept alive vertex by vertex.
+    Neighbours are cached per vertex value: `source_set` and `targets` store
+    only valid vertices, so a hit needs no validation, and `coverage` keeps
+    each level's cover map in `_covers`.  `_interned` and `_dim` key on bare
+    coordinates, because `dimension` walks a cold deep down-set without
+    building its vertices; the `Ordering` tables read the uncached `_lower`.
     """
 
     def __init__(
@@ -310,8 +312,8 @@ class Diagram:
         self._dim: dict[Coords, int] = {(0,) * spec.arity: 1}
         self._expansion: dict[int, dict[Coords, int]] = {}
         self._covers: dict[int, dict[Vertex, tuple[Vertex, ...]]] = {}
-        self._sources: dict[int, tuple[Vertex, ...]] = {}
-        self._targets: dict[int, tuple[Vertex, ...]] = {}
+        self._sources: dict[Vertex, tuple[Vertex, ...]] = {}
+        self._targets: dict[Vertex, tuple[Vertex, ...]] = {}
 
     @property
     def arity(self) -> int:
@@ -331,8 +333,8 @@ class Diagram:
         return v or self._interned.setdefault(coords, Vertex(sum(coords) // self.degree, coords))
 
     def _checked(self, v: Vertex) -> Vertex:
-        """v if this diagram issued it, else `vertex(v.coords, v.level)`, which validates."""
-        return v if self._interned.get(v.coords) is v else self.vertex(v.coords, v.level)
+        """The interned vertex equal to v, else `vertex(v.coords, v.level)`, which validates."""
+        return u if (u := self._interned.get(v.coords)) == v else self.vertex(v.coords, v.level)
 
     def _lower(self, coords: Coords) -> list[tuple[Coords, int]]:
         """(u, edge count) for each source vector s with u = coords - s >= 0."""
@@ -372,20 +374,20 @@ class Diagram:
 
     def source_set(self, w: Vertex) -> tuple[Vertex, ...]:
         """Vertices one level down joined to w, in canonical order."""
-        found = self._sources.get(id(w))
+        found = self._sources.get(w)
         if found is None:
             w = self._checked(w)
             lower = sorted((u for u, _ in self._lower(w.coords)), reverse=True)
-            found = self._sources.setdefault(id(w), tuple(map(self._vertex, lower)))
+            found = self._sources.setdefault(w, tuple(map(self._vertex, lower)))
         return found
 
     def targets(self, u: Vertex) -> tuple[Vertex, ...]:
         """Vertices one level up joined to u, in canonical order."""
-        found = self._targets.get(id(u))
+        found = self._targets.get(u)
         if found is None:
             u = self._checked(u)
             upper = sorted((tuple(map(add, u.coords, s)) for s in self._mult), reverse=True)
-            found = self._targets.setdefault(id(u), tuple(map(self._vertex, upper)))
+            found = self._targets.setdefault(u, tuple(map(self._vertex, upper)))
         return found
 
     def edges_between(self, u: Vertex, w: Vertex) -> tuple[EdgeRef, ...]:

@@ -200,8 +200,8 @@ def check_cov2(diagram: Diagram, level: int) -> Cov2Report:
         for rows, sign, most in readings:  # sigma = w' - w up to the slack, w - w' up to d
             predicted = _predicted_cover(diagram, w, j, sign, most)
             if predicted != truth:
-                missing = tuple(sorted(truth - predicted, key=lambda v: v.coords, reverse=True))
-                spurious = tuple(sorted(predicted - truth, key=lambda v: v.coords, reverse=True))
+                missing = tuple(sorted(truth - predicted, reverse=True))
+                spurious = tuple(sorted(predicted - truth, reverse=True))
                 rows.append((w, missing, spurious))
     return Cov2Report(level, checked, tuple(fwd_rows), tuple(rev_rows))
 

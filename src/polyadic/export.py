@@ -178,7 +178,7 @@ def _value(o, nl: str) -> str:
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
-def _node_id(v) -> str:
+def _node_name(v) -> str:
     return f"n{v.level}_" + "_".join(map(str, v.coords))
 
 
@@ -196,17 +196,17 @@ def export_dot(diagram: Diagram, max_level: int, parallel_edges: bool = False) -
     for level in range(max_level + 1):
         names = []
         for v in diagram.vertices(level):
-            lines.append(f'  {_node_id(v)} [label="{v}"];')
-            names.append(_node_id(v))
+            lines.append(f'  {_node_name(v)} [label="{v}"];')
+            names.append(_node_name(v))
         lines.append("  { rank=same; " + "; ".join(names) + "; }")
     for level in range(1, max_level + 1):
         for w in diagram.vertices(level):
             for u in diagram.source_set(w):
                 count = diagram.multiplicity(u, w)
                 if parallel_edges:
-                    lines.extend(f"  {_node_id(u)} -> {_node_id(w)};" for _ in range(count))
+                    lines.extend(f"  {_node_name(u)} -> {_node_name(w)};" for _ in range(count))
                 else:
-                    lines.append(f'  {_node_id(u)} -> {_node_id(w)} [label="{count}"];')
+                    lines.append(f'  {_node_name(u)} -> {_node_name(w)} [label="{count}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

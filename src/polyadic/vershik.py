@@ -7,13 +7,13 @@ restarts everything below it at the minimal path into the new source.  Paths
 to the same terminal vertex form a tower, ordered by deepest-differing-edge
 comparison; rank and unrank convert between a path and its tower position.
 
-An ordering keeps one table per vertex, keyed by its coordinates: incoming
-edges in label order and prefix sums of source dimensions.  One label index,
-keyed by `id` of each table edge (the tables keep them alive), gives an
-edge's label, its target's edges and its rank offset; an equal edge built
-elsewhere is looked up by value.  Successor and predecessor splice a cached
-extreme path, one table edge and a suffix of x, checking only the seams.  A
-vertex coding word is built per call, one level at a time, and not kept.
+An ordering keeps one table per vertex: incoming edges in label order and
+prefix sums of source dimensions.  A label index gives each table edge its
+label, its target's edges and its rank offset.  Every cache keys on the
+vertex or edge value and stores only valid ones, so a hit needs no check.
+Successor and predecessor splice a cached extreme path, one table edge and
+a suffix of x, checking only the seams.  A vertex coding word is built per
+call, one level at a time, and not kept.
 
 All of this is finite-horizon: a path maximal up to its terminal vertex has
 no successor here, because the infinite-diagram successor would depend on
@@ -55,7 +55,7 @@ class FinitePath:
             if self.edges[-1].target != self.terminal:
                 raise ValueError("path does not end at its terminal vertex")
             for a, b in zip(self.edges, self.edges[1:]):
-                if a.target is not b.source and a.target != b.source:
+                if a.target != b.source:
                     raise ValueError("path edges are not contiguous")
         elif self.terminal.level != 0:
             raise ValueError("empty path must sit at the root")
@@ -77,10 +77,9 @@ class FinitePath:
 def _splice(head: FinitePath, edge: EdgeRef, x: FinitePath, k: int) -> FinitePath:
     """head, `edge`, then x after its edge k; head and x are validated paths,
     so only the seams at either end of `edge` need checking."""
-    if head.terminal is not edge.source and head.terminal != edge.source:
+    if head.terminal != edge.source:
         raise ValueError(f"{head.terminal} does not meet {edge}")
-    end = x.edges[k].target
-    if edge.target is not end and edge.target != end:
+    if edge.target != (end := x.edges[k].target):
         raise ValueError(f"{edge} does not meet {end}")
     path = object.__new__(FinitePath)  # contiguous by the seam checks
     vars(path).update(terminal=x.terminal, edges=head.edges + (edge,) + x.edges[k + 1 :])
@@ -100,9 +99,10 @@ class Ordering:
 
     Presets: "source-lex" (sources in ascending lexicographic order, then
     copy), "source-revlex" (sources in canonical descending order), and
-    "random" (a seeded shuffle, derived per vertex so labels do not depend
-    on evaluation order).  An explicit table overrides chosen vertices: it
-    maps "level:c1,c2,..." to the list of labels given to the source-lex
+    "random" (a shuffle seeded by `seed`, 0 by default, derived per vertex so
+    labels do not depend on evaluation order; any other preset refuses a
+    seed).  An explicit table overrides chosen vertices: it maps
+    "level:c1,c2,..." to the list of labels given to the source-lex
     enumeration of incoming edges.
     """
 
@@ -115,35 +115,32 @@ class Ordering:
     ) -> None:
         if preset not in ("source-lex", "source-revlex", "random", "explicit"):
             raise ValueError(f"unknown ordering preset {preset!r}")
-        if preset == "random" and seed is None:
-            seed = 0
+        if preset != "random" and seed is not None:
+            raise ValueError(f"a seed seeds only the random preset, not {preset!r}")
         if preset == "explicit" and table is None:
             raise ValueError("explicit ordering needs a table")
         self.diagram = diagram
         self.preset = preset
-        self.seed = seed
+        self.seed = 0 if preset == "random" and seed is None else seed
         self.table = dict(table) if table else {}
-        self._tables: dict[Coords, tuple[tuple[EdgeRef, ...], tuple[int, ...]]] = {}
-        # id of a table edge -> (0-based label, its target's edges, sums[label])
-        self._slots: dict[int, tuple[int, tuple[EdgeRef, ...], int]] = {}
-        self._minimal: dict[Coords, FinitePath] = {}
-        self._maximal: dict[Coords, FinitePath] = {}
+        self._tables: dict[Vertex, tuple[tuple[EdgeRef, ...], tuple[int, ...]]] = {}
+        # table edge -> (0-based label, its target's edges, sums[label])
+        self._slots: dict[EdgeRef, tuple[int, tuple[EdgeRef, ...], int]] = {}
+        self._minimal: dict[Vertex, FinitePath] = {}
+        self._maximal: dict[Vertex, FinitePath] = {}
 
     def describe(self) -> dict:
         if self.preset == "explicit":
             return {"explicit": self.table}
-        out: dict = {"preset": self.preset}
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
+        return {"preset": self.preset} | ({"seed": self.seed} if self.preset == "random" else {})
 
     def _table(self, w: Vertex) -> tuple[tuple[EdgeRef, ...], tuple[int, ...]]:
         """(edges in label order, prefix sums of source dimensions in label
         order, length indegree + 1); building it fills its edges' slots."""
-        d = self.diagram
-        w = d._checked(w)
-        table = self._tables.get(w.coords)
+        table = self._tables.get(w)
         if table is None:
+            d = self.diagram
+            w = d._checked(w)
             base = [
                 EdgeRef(d._vertex(u), w, c)
                 for u, count in sorted(d._lower(w.coords))
@@ -163,23 +160,22 @@ class Ordering:
                 random.Random(_mix(self.seed, w)).shuffle(base)
             edges = tuple(base)
             sums = (0, *accumulate(d.dimension(e.source) for e in edges))
-            self._slots.update((id(e), (i, edges, sums[i])) for i, e in enumerate(edges))
-            table = self._tables[w.coords] = (edges, sums)
+            self._slots.update((e, (i, edges, sums[i])) for i, e in enumerate(edges))
+            table = self._tables[w] = (edges, sums)
         return table
 
     def _slot(self, edge: EdgeRef) -> tuple[int, tuple[EdgeRef, ...], int]:
         """(0-based label, the target's edges in label order, rank offset).
 
-        A table edge is found by identity, any other by value in its target's
-        table; an edge of no table raises ValueError.
+        On a miss the target's table is built and looked up again; an edge of
+        no table raises ValueError.
         """
-        slot = self._slots.get(id(edge))
+        slot = self._slots.get(edge)
         if slot is None:
             try:
-                target = self.diagram.vertex(edge.target.coords, edge.target.level)
-                edges = self._table(target)[0]
-                slot = self._slots[id(edges[edges.index(edge)])]
-            except ValueError:
+                self._table(edge.target)
+                slot = self._slots[edge]
+            except (ValueError, KeyError):
                 raise ValueError(f"{edge} is not an edge of this ordering") from None
         return slot
 
@@ -195,17 +191,19 @@ class Ordering:
 
     def minimal_path(self, v: Vertex) -> FinitePath:
         """The all-label-1 path into v: rank 0 of its tower."""
-        v = self.diagram._checked(v)
-        found = self._minimal.get(v.coords)
-        return found or self._minimal.setdefault(v.coords, self.path_unrank(v, 0))
+        found = self._minimal.get(v)
+        if found is None:
+            v = self.diagram._checked(v)
+            found = self._minimal.setdefault(v, self.path_unrank(v, 0))
+        return found
 
     def maximal_path(self, v: Vertex) -> FinitePath:
         """The all-maximal-label path into v: rank dim - 1 of its tower."""
-        v = self.diagram._checked(v)
-        found = self._maximal.get(v.coords)
-        return found or self._maximal.setdefault(
-            v.coords, self.path_unrank(v, self.diagram.dimension(v) - 1)
-        )
+        found = self._maximal.get(v)
+        if found is None:
+            v = self.diagram._checked(v)
+            found = self._maximal.setdefault(v, self.path_unrank(v, self.diagram.dimension(v) - 1))
+        return found
 
     def successor(self, x: FinitePath) -> FinitePath:
         """Next path in the tower of x's terminal vertex.
@@ -215,10 +213,10 @@ class Ordering:
         """
         slots = self._slots
         for k, edge in enumerate(x.edges):
-            label, edges, _ = slots.get(id(edge)) or self._slot(edge)
+            label, edges, _ = slots.get(edge) or self._slot(edge)
             if label + 1 < len(edges):
                 nxt = edges[label + 1]
-                head = self._minimal.get(nxt.source.coords) or self.minimal_path(nxt.source)
+                head = self._minimal.get(nxt.source) or self.minimal_path(nxt.source)
                 return _splice(head, nxt, x, k)
         raise MaximalAtHorizon(f"no successor within the tower of {x.terminal}")
 
@@ -226,17 +224,17 @@ class Ordering:
         """Inverse of successor; the advanced edge's source gets a maximal prefix."""
         slots = self._slots
         for k, edge in enumerate(x.edges):
-            label, edges, _ = slots.get(id(edge)) or self._slot(edge)
+            label, edges, _ = slots.get(edge) or self._slot(edge)
             if label > 0:
                 prv = edges[label - 1]
-                head = self._maximal.get(prv.source.coords) or self.maximal_path(prv.source)
+                head = self._maximal.get(prv.source) or self.maximal_path(prv.source)
                 return _splice(head, prv, x, k)
         raise MinimalAtHorizon(f"no predecessor within the tower of {x.terminal}")
 
     def path_rank(self, x: FinitePath) -> int:
         """Tower position of x: 0 for the minimal path, dim - 1 for the maximal."""
         slots = self._slots
-        return sum([(slots.get(id(e)) or self._slot(e))[2] for e in x.edges])
+        return sum([(slots.get(e) or self._slot(e))[2] for e in x.edges])
 
     def path_unrank(self, v: Vertex, rank: int) -> FinitePath:
         """The rank-th path of v's tower; inverse of path_rank."""
@@ -248,7 +246,7 @@ class Ordering:
         current = v
         tables = self._tables
         while current.level > 0:
-            table, sums = tables.get(current.coords) or self._table(current)
+            table, sums = tables.get(current) or self._table(current)
             idx = bisect_right(sums, rank) - 1
             edge = table[idx]
             rank -= sums[idx]
@@ -285,15 +283,15 @@ class Ordering:
         layers = [{w}]
         for _ in range(w.level - j - 1):
             layers.append({e.source for v in layers[-1] for e in self.edges_in(v)})
-        words: dict[Coords, tuple[Vertex, ...]] = {}  # a level-j source is its own word
+        words: dict[Vertex, tuple[Vertex, ...]] = {}  # a level-j source is its own word
         for layer in reversed(layers):
             words = {
-                v.coords: tuple(chain.from_iterable(
-                    words.get(e.source.coords, (e.source,)) for e in self.edges_in(v)
+                v: tuple(chain.from_iterable(
+                    words.get(e.source, (e.source,)) for e in self.edges_in(v)
                 ))
                 for v in layer
             }
-        return words[w.coords]
+        return words[w]
 
     def basic_block(self, v: Vertex, k: int) -> tuple[tuple[Coords, int], ...]:
         """k-symbols of the tower of v, rank by rank.
@@ -315,6 +313,5 @@ def make_ordering(diagram: Diagram, spec: str | Mapping | None = None) -> Orderi
         return Ordering(diagram)
     if isinstance(spec, str):
         return Ordering(diagram, preset=spec)
-    if "explicit" in spec:
-        return Ordering(diagram, preset="explicit", table=spec["explicit"])
-    return Ordering(diagram, preset=spec.get("preset", "source-lex"), seed=spec.get("seed"))
+    preset = "explicit" if "explicit" in spec else spec.get("preset", "source-lex")
+    return Ordering(diagram, preset=preset, seed=spec.get("seed"), table=spec.get("explicit"))

@@ -129,6 +129,22 @@ class TestVershik:
             assert len(v["minimal_path"]) == 3
             assert len(v["maximal_path"]) == 3
 
+    @pytest.mark.parametrize(
+        "ordering",
+        ["source-lex", {"preset": "source-revlex"}, {"explicit": {"1:1,0": [1]}}],
+        ids=["preset", "preset-file", "explicit-file"],
+    )
+    def test_seed_without_the_random_preset_is_a_usage_error(self, capsys, tmp_path, ordering):
+        if isinstance(ordering, dict):
+            (tmp_path / "ordering.json").write_text(json.dumps(ordering), encoding="utf-8")
+            ordering = str(tmp_path / "ordering.json")
+        code, out, err = run(
+            capsys, "vershik", "--poly", PASCAL_TEXT, "--level", "1",
+            "--ordering", ordering, "--seed", "5",
+        )
+        assert (code, out) == (2, "")
+        assert "random" in err
+
 
 class TestExport:
     def test_pascal_dot_counts(self, capsys):
@@ -165,18 +181,6 @@ class TestExport:
         doc = json.loads(first)
         assert doc["levels"][0]["vertices"][0]["coords"] == [0, 0, 0]
         assert doc["levels"][3]["vertex_count"] == 28
-
-    def test_out_directory(self, capsys, tmp_path):
-        out_dir = tmp_path / "exports"
-        code, printed, _ = run(
-            capsys, "export", "--poly", PASCAL_TEXT, "--levels", "2",
-            "--out", str(out_dir),
-        )
-        assert code == 0
-        target = out_dir / "diagram.json"
-        assert printed.strip() == str(target)
-        code2, stdout_doc, _ = run(capsys, "export", "--poly", PASCAL_TEXT, "--levels", "2")
-        assert target.read_text(encoding="utf-8") == stdout_doc
 
 
 class TestVerifyAll:

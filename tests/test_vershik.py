@@ -82,6 +82,15 @@ class TestOrderings:
                 same = same and a.edges_in(w) == c.edges_in(w)
         assert not same
 
+    def test_seed_needs_the_random_preset(self, pascal):
+        with pytest.raises(ValueError, match="random"):
+            Ordering(pascal, "source-revlex", seed=1)
+        with pytest.raises(ValueError, match="random"):
+            make_ordering(pascal, {"preset": "source-lex", "seed": 3})
+        with pytest.raises(ValueError, match="random"):
+            make_ordering(pascal, {"explicit": {"1:1,0": [1]}, "seed": 3})
+        assert Ordering(pascal, "random").describe() == {"preset": "random", "seed": 0}
+
     def test_random_labels_independent_of_query_order(self, quartic):
         a = Ordering(quartic, preset="random", seed=11)
         b = Ordering(quartic, preset="random", seed=11)
@@ -94,7 +103,7 @@ class TestOrderings:
     def test_every_labeling_is_bijective(self, all_diagrams):
         for diagram in all_diagrams.values():
             for preset in ("source-lex", "source-revlex", "random"):
-                ordering = Ordering(diagram, preset=preset, seed=5)
+                ordering = Ordering(diagram, preset=preset, seed=5 if preset == "random" else None)
                 for level in range(1, 5):
                     for w in diagram.vertices(level):
                         edges = ordering.edges_in(w)
@@ -212,7 +221,7 @@ class TestSuccessor:
         y = getattr(ordering, step)(x)
         head = y.edges[advanced_edge(x, y)].source
         other = next(u for u in pascal.vertices(head.level) if u != head)
-        getattr(ordering, cache)[head.coords] = getattr(ordering, extreme)(other)
+        getattr(ordering, cache)[head] = getattr(ordering, extreme)(other)
         with pytest.raises(ValueError, match="does not meet"):
             getattr(ordering, step)(x)
 
@@ -221,8 +230,8 @@ class TestSuccessor:
         # to an edge that does not end where it did
         ordering = Ordering(pascal)
         x = ordering.minimal_path(pascal.vertex((2, 2)))
-        label, _, offset = ordering._slots[id(x.edges[0])]
-        ordering._slots[id(x.edges[0])] = (label, ordering.edges_in(pascal.vertex((1, 1))), offset)
+        label, _, offset = ordering._slots[x.edges[0]]
+        ordering._slots[x.edges[0]] = (label, ordering.edges_in(pascal.vertex((1, 1))), offset)
         with pytest.raises(ValueError, match="does not meet"):
             ordering.successor(x)
 
@@ -298,13 +307,30 @@ class TestCallerVertices:
             lambda o, v: o.minimal_path(v),
             lambda o, v: o.maximal_path(v),
             lambda o, v: o.path_unrank(v, 0),
+            lambda o, v: o.label_of(EdgeRef(o.diagram.root, v)),
+            lambda o, v: o.vertex_coding(v, 0),
+            lambda o, v: o.diagram.source_set(v),
+            lambda o, v: o.diagram.targets(v),
+            lambda o, v: o.diagram.dimension(v),
+            lambda o, v: o.diagram.dsv(v, 1),
+            lambda o, v: o.diagram.indegree(v),
+            lambda o, v: o.diagram.multiplicity(v, o.diagram.vertex((1, 1))),
+            lambda o, v: o.diagram.edges_between(o.diagram.vertex((0, 1)), v),
+            lambda o, v: o.diagram.connect(v, v),
         ],
-        ids=["edges_in", "indegree", "minimal_path", "maximal_path", "path_unrank"],
+        ids=["edges_in", "indegree", "minimal_path", "maximal_path", "path_unrank", "label_of",
+             "vertex_coding", "source_set", "targets", "dimension", "dsv", "diagram_indegree",
+             "multiplicity", "edges_between", "connect"],
     )
     def test_off_the_lattice_raises(self, call, kind):
+        # the caches key on vertex values and are warm through level 2, which
+        # holds (1, 1): Vertex(7, (1, 1)) of the level kind must still miss
         ordering = Ordering(Diagram(parse_polynomial("x1 + x2")))
-        v = ordering.diagram.vertex((1, 1))
-        ordering.minimal_path(v), ordering.maximal_path(v)  # (1, 1) is cached under its coordinates
+        d = ordering.diagram
+        for u in (u for level in range(3) for u in d.vertices(level)):
+            d.source_set(u), d.targets(u)
+            ordering.edges_in(u), ordering.minimal_path(u), ordering.maximal_path(u)
+        assert Vertex(2, OFF_LATTICE["level"].coords) in ordering._minimal
         error = raised_within(lambda: call(ordering, OFF_LATTICE[kind]))
         assert isinstance(error, ValueError), error
 
@@ -531,9 +557,14 @@ class TestTableProperties:
             assert ordering.path_rank(fresh) == ordering.path_rank(x)
             assert ordering.successor(fresh) == ordering.successor(x)
             assert ordering.predecessor(fresh) == ordering.predecessor(x)
+            assert [ordering.label_of(e) for e in fresh.edges] == labels_of(ordering, x)
+            # a value hashes as the tuple of its fields, like the diagram's own
+            assert [hash(e) for e in fresh.edges] == [hash(e) for e in x.edges]
+            assert [hash(u) for u in fresh.vertices()] == [hash(u) for u in x.vertices()]
+            assert hash(fresh.terminal) == hash((v.level, v.coords))
 
     def test_equal_coords_at_different_levels_rejected(self, pascal):
-        # the identity short-cut must not let a level mismatch through
+        # equal coordinates at another level are another vertex
         first = EdgeRef(pascal.root, pascal.vertex((1, 0)))
         lifted = Vertex(2, (1, 0))
         second = EdgeRef(lifted, Vertex(3, (2, 0)))
