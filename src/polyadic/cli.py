@@ -1,8 +1,9 @@
 """Command-line interface.
 
-`main` reads the polynomial (inline text, expression file, or JSON), builds
-the diagram and, for `probe` and `vershik`, the ordering, and hands them to
-the subcommand's handler.  A handler returns its exit code and the body of
+`main` reads the polynomial, the multiplicity and, for `probe` and
+`vershik`, the ordering, each given inline or as `@path` and read by
+`_read`; it builds the diagram and the ordering and hands them to the
+subcommand's handler.  A handler returns its exit code and the body of
 its document; `main` puts the common header on the body and writes one
 deterministic JSON document (DOT for the exporter) to stdout or to a fixed
 file name under `--out`.  Exit codes: 0 success, 1 completed but a
@@ -12,12 +13,11 @@ discrepancy was found, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .chains import build_distinguished_chain, find_chain_start
-from .core import Diagram, parse_polynomial
+from .core import Diagram, PolynomialSpec, parse_polynomial
 from .coverage import coverage_report
 from .errors import PolyadicError
 from .export import document_header, export_dot, export_json, to_stable_json
@@ -33,55 +33,26 @@ from .verify import verify_all
 from .vershik import DEFAULT_TOWER_BUDGET, make_ordering
 
 
-def _load_multiplicity(arg: str):
-    if arg == "all-ones":
-        return "all-ones"
-    with open(arg, encoding="utf-8") as fh:
-        rows = json.load(fh)
+def _read(arg: str, parse):
+    """parse(arg), or, for "@path", parse of that file's text; an error in
+    the file names it."""
+    if not arg.startswith("@"):
+        return parse(arg)
+    with open(arg[1:], encoding="utf-8") as fh:
+        text = fh.read()
     try:
-        return {tuple(row["exp"]): int(row["count"]) for row in rows}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(
-            f"bad multiplicity table {arg}: expected a list of {{exp, count}} objects ({exc!r})"
-        ) from exc
+        return parse(text)
+    except (PolyadicError, ValueError) as exc:
+        raise ValueError(f"{arg[1:]}: {exc}") from exc
 
 
-def _ordering_spec(args) -> dict:
-    arg = args.ordering
-    if os.path.exists(arg):
-        with open(arg, encoding="utf-8") as fh:
-            spec = json.load(fh)
-        table = spec.get("explicit", {}) if isinstance(spec, dict) else None
-        if not (
-            isinstance(table, dict)
-            and isinstance(spec.get("seed"), (int, type(None)))
-            and all(isinstance(labels, list) for labels in table.values())
-            and all(isinstance(x, int) for labels in table.values() for x in labels)
-        ):
-            raise ValueError(
-                f"bad ordering file {arg}: expected an object with a 'preset' and an integer "
-                "'seed', or 'explicit' mapping 'level:coords' keys to label lists"
-            )
-    else:
-        spec = {"preset": arg}
-    if args.seed is not None:
-        spec["seed"] = args.seed  # `Ordering` refuses it unless the preset is random
-    return spec
-
-
-def _build(args) -> Diagram:
-    text = args.poly
-    if os.path.exists(text):
-        with open(text, encoding="utf-8") as fh:
-            text = fh.read()
-    spec = parse_polynomial(text)
-    if args.mode == "shape":
-        multiplicity = _load_multiplicity(args.multiplicity or "all-ones")
-    elif args.multiplicity is not None:
-        raise ValueError("--multiplicity needs --mode shape, not --mode polynomial")
-    else:
-        multiplicity = "coefficients"
-    return Diagram(spec, multiplicity=multiplicity)
+def _diagram(poly: PolynomialSpec, multiplicity: str) -> Diagram:
+    """`--multiplicity`: "coefficients", "all-ones", or a polynomial with the
+    monomials of `poly` whose coefficients are the edge counts."""
+    name = multiplicity.strip()
+    if name in ("coefficients", "all-ones"):
+        return Diagram(poly, multiplicity=name)
+    return Diagram(poly, multiplicity=dict(parse_polynomial(name).terms))
 
 
 def _cmd_describe(args, diagram, ordering):
@@ -208,16 +179,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Polynomial-shape diagrams: lattices, orderings, probes, measures.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--poly", required=True, help="polynomial text, file, or JSON")
-    common.add_argument("--mode", choices=("polynomial", "shape"), default="polynomial")
+    common.add_argument("--poly", required=True, help="polynomial text or JSON, or @file")
     common.add_argument(
         "--multiplicity",
-        default=None,
-        help="shape mode only: 'all-ones' (the default) or a JSON table file",
+        default="coefficients",
+        help="'coefficients', 'all-ones', or a polynomial of edge counts, or @file",
     )
     common.add_argument("--out", default=None, help="directory for output files")
     ordered = argparse.ArgumentParser(add_help=False, parents=[common])
-    ordered.add_argument("--ordering", default="source-lex", help="preset name or JSON file")
+    ordered.add_argument("--ordering", default="source-lex", help="preset name or JSON, or @file")
     ordered.add_argument("--seed", type=int, default=None, help="seed of the random preset")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -274,8 +244,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "probe" and args.i >= args.horizon:
             raise ValueError(f"--i {args.i} must be below --horizon {args.horizon}")
-        diagram = _build(args)
-        ordering = make_ordering(diagram, _ordering_spec(args)) if "ordering" in args else None
+        poly = _read(args.poly, parse_polynomial)
+        diagram = _read(args.multiplicity, lambda text: _diagram(poly, text))
+        ordering = None
+        if "ordering" in args:
+            ordering = _read(args.ordering, lambda text: make_ordering(diagram, text, args.seed))
         code, body = args.fn(args, diagram, ordering)
         if isinstance(body, str):  # export's DOT text
             name, text = f"{args.file}.dot", body

@@ -73,9 +73,6 @@ class Vertex(NamedTuple):
         """True when all weight sits on at most one coordinate."""
         return sum(1 for c in self.coords if c) <= 1
 
-    def to_json(self) -> dict:
-        return {"level": self.level, "coords": list(self.coords)}
-
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.coords)) + ")"
 
@@ -332,9 +329,11 @@ class Diagram:
         v = self._interned.get(coords)
         return v or self._interned.setdefault(coords, Vertex(sum(coords) // self.degree, coords))
 
-    def _checked(self, v: Vertex) -> Vertex:
-        """The interned vertex equal to v, else `vertex(v.coords, v.level)`, which validates."""
-        return u if (u := self._interned.get(v.coords)) == v else self.vertex(v.coords, v.level)
+    def _checked(self, v: tuple[int, Coords]) -> Vertex:
+        """The interned vertex equal to the pair (level, coords) v, a `Vertex` or
+        a plain tuple, else `vertex(coords, level)`, which validates."""
+        level, coords = v
+        return u if (u := self._interned.get(coords)) == v else self.vertex(coords, level)
 
     def _lower(self, coords: Coords) -> list[tuple[Coords, int]]:
         """(u, edge count) for each source vector s with u = coords - s >= 0."""

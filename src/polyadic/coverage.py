@@ -161,27 +161,6 @@ class Cov2Report:
             return "sigma = w - w'"
         return None
 
-    def to_json(self) -> dict:
-        def fmt(rows):
-            return [
-                {
-                    "v": list(w.coords),
-                    "missing": [list(v.coords) for v in missing],
-                    "spurious": [list(v.coords) for v in spurious],
-                }
-                for w, missing, spurious in rows
-            ]
-
-        return {
-            "level": self.level,
-            "checked": self.checked,
-            "mismatches": {
-                "sigma = w' - w": fmt(self.mismatches_forward),
-                "sigma = w - w'": fmt(self.mismatches_reverse),
-            },
-            "matching_convention": self.matching_convention,
-        }
-
 
 def check_cov2(diagram: Diagram, level: int) -> Cov2Report:
     """Score both sigma orientations of the covering-set formula at one level."""

@@ -19,6 +19,14 @@ equal i-symbols, so its window reaches a tower end in both directions.  The
 bucket, and the CLI's exit 1 when it is not empty, therefore cannot fire on
 a real scan; the test suite fills it only by shrinking windows by hand.
 
+The survivor counts are not evidence about depth-i pairs.  At Pascal i=1
+source-lex, L = 6..13, every level-L path lies in some surviving pair, and
+the paths in genuine conflicts hold about half the mass at every L.  So
+`genuine_conflicts` counts are artifacts of the tower boundaries at the
+horizon: evidence neither for nor against the paper's claim that such
+pairs are exceptional.  The exceptional-mass report planned as item 1 of
+ROADMAP.md is what measures that claim.
+
 The simulation never builds paths.  One bottom-up pass gives each admitted
 tower per-level arrays: row k, column m holds an id of the rank-m path's
 first k edges and the min-coordinate of its level-k vertex.  A pair's window

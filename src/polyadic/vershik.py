@@ -23,6 +23,7 @@ boundaries as censoring (see the probe module).
 
 from __future__ import annotations
 
+import json
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -94,16 +95,42 @@ def _mix(seed: int, v: Vertex) -> int:
     return key
 
 
+def _explicit_labels(diagram: Diagram, table: Mapping[str, list[int]]) -> dict[Vertex, list[int]]:
+    """An explicit table keyed on its vertices, each key and label list checked."""
+    labels_at: dict[Vertex, list[int]] = {}
+    for key, labels in table.items():
+        try:
+            level, _, coords = key.partition(":")
+            w = diagram.vertex(coords.split(","), int(level))
+        except (AttributeError, ValueError) as exc:
+            raise ValueError(f"explicit key {key!r} is not a vertex 'level:c1,...' ({exc})") from None
+        n = diagram.indegree(w)
+        if not (
+            isinstance(labels, (list, tuple))
+            and all(type(x) is int for x in labels)
+            and sorted(labels) == list(range(1, n + 1))
+        ):
+            raise NonBijectiveLabeling(
+                f"labels for {key} are {labels!r}, not a permutation of 1..{n}"
+            )
+        if w in labels_at:
+            raise ValueError(f"two explicit keys name {w}")
+        labels_at[w] = labels
+    return labels_at
+
+
 class Ordering:
     """A labeling of every vertex's incoming edges with 1..indegree.
 
     Presets: "source-lex" (sources in ascending lexicographic order, then
     copy), "source-revlex" (sources in canonical descending order), and
-    "random" (a shuffle seeded by `seed`, 0 by default, derived per vertex so
-    labels do not depend on evaluation order; any other preset refuses a
-    seed).  An explicit table overrides chosen vertices: it maps
-    "level:c1,c2,..." to the list of labels given to the source-lex
-    enumeration of incoming edges.
+    "random" (a shuffle seeded by the integer `seed`, 0 by default, derived
+    per vertex so labels do not depend on evaluation order; any other preset
+    refuses a seed).  The "explicit" preset takes a table that overrides
+    chosen vertices of source-lex: it maps "level:c1,c2,..." to the list of
+    labels given to the source-lex enumeration of incoming edges.  The whole
+    spec is checked here: each key must name a vertex of the diagram and
+    each list must be a permutation of 1..indegree.
     """
 
     def __init__(
@@ -115,14 +142,17 @@ class Ordering:
     ) -> None:
         if preset not in ("source-lex", "source-revlex", "random", "explicit"):
             raise ValueError(f"unknown ordering preset {preset!r}")
-        if preset != "random" and seed is not None:
-            raise ValueError(f"a seed seeds only the random preset, not {preset!r}")
-        if preset == "explicit" and table is None:
-            raise ValueError("explicit ordering needs a table")
+        if seed is not None and (preset != "random" or type(seed) is not int):
+            raise ValueError(
+                f"a seed is an integer for the random preset only, not {seed!r} for {preset!r}"
+            )
+        if (preset == "explicit") != (table is not None):
+            raise ValueError("an explicit table goes with the explicit preset, which needs one")
         self.diagram = diagram
         self.preset = preset
         self.seed = 0 if preset == "random" and seed is None else seed
-        self.table = dict(table) if table else {}
+        self.table = dict(table or {})  # as given, for `describe`
+        self._labels = _explicit_labels(diagram, self.table)
         self._tables: dict[Vertex, tuple[tuple[EdgeRef, ...], tuple[int, ...]]] = {}
         # table edge -> (0-based label, its target's edges, sums[label])
         self._slots: dict[EdgeRef, tuple[int, tuple[EdgeRef, ...], int]] = {}
@@ -146,14 +176,9 @@ class Ordering:
                 for u, count in sorted(d._lower(w.coords))
                 for c in range(1, count + 1)
             ]
-            key = f"{w.level}:{','.join(map(str, w.coords))}"
-            if key in self.table:
-                perm = self.table[key]
-                if sorted(perm) != list(range(1, len(base) + 1)):
-                    raise NonBijectiveLabeling(
-                        f"labels for {key} are {perm}, not a permutation of 1..{len(base)}"
-                    )
-                base = [edge for _, edge in sorted(zip(perm, base))]  # labels are distinct
+            labels = self._labels.get(w)
+            if labels is not None:
+                base = [edge for _, edge in sorted(zip(labels, base))]  # labels are distinct
             elif self.preset == "source-revlex":
                 base.reverse()
             elif self.preset == "random":
@@ -238,10 +263,10 @@ class Ordering:
 
     def path_unrank(self, v: Vertex, rank: int) -> FinitePath:
         """The rank-th path of v's tower; inverse of path_rank."""
-        if not 0 <= rank < self.diagram.dimension(v):
-            raise RankOutOfRange(
-                f"rank {rank} outside 0..{self.diagram.dimension(v) - 1} for {v}"
-            )
+        v = self.diagram._checked(v)
+        dim = self.diagram.dimension(v)
+        if not 0 <= rank < dim:
+            raise RankOutOfRange(f"rank {rank} outside 0..{dim - 1} for {v}")
         edges = []
         current = v
         tables = self._tables
@@ -278,6 +303,7 @@ class Ordering:
         repeated by multiplicity.  Each call builds the words of w's down-set
         bottom-up from level j + 1, one level at a time, and keeps none.
         """
+        w = self.diagram._checked(w)
         if not 0 <= j < w.level:
             raise ValueError(f"need 0 <= j < level {w.level}, got {j}")
         layers = [{w}]
@@ -300,6 +326,7 @@ class Ordering:
         path; the symbol is (u.coords, r).  The tower runs through the
         level-k word of v, one block of dim(u) ranks per letter u.
         """
+        v = self.diagram._checked(v)
         dim = self.diagram.dimension(v)
         if dim > DEFAULT_TOWER_BUDGET:
             raise TowerTooLarge(f"dimension {dim} of {v} exceeds budget {DEFAULT_TOWER_BUDGET}")
@@ -307,11 +334,20 @@ class Ordering:
         return tuple((u.coords, r) for u in word for r in range(self.diagram.dimension(u)))
 
 
-def make_ordering(diagram: Diagram, spec: str | Mapping | None = None) -> Ordering:
-    """Build an ordering from a preset name or its JSON description."""
-    if spec is None:
-        return Ordering(diagram)
+def make_ordering(
+    diagram: Diagram, spec: str | Mapping | None = None, seed: int | None = None
+) -> Ordering:
+    """Build an ordering from its spec: a preset name, or JSON text or a
+    mapping with the keys "preset", "seed" and "explicit" (a table alone
+    means the explicit preset).  `seed`, when given, replaces the spec's.
+    `Ordering` checks the rest before it builds any table.
+    """
     if isinstance(spec, str):
-        return Ordering(diagram, preset=spec)
-    preset = "explicit" if "explicit" in spec else spec.get("preset", "source-lex")
-    return Ordering(diagram, preset=preset, seed=spec.get("seed"), table=spec.get("explicit"))
+        text = spec.strip()
+        spec = json.loads(text) if text.startswith("{") else {"preset": text}
+    spec = {} if spec is None else spec
+    if not isinstance(spec, Mapping) or set(spec) - {"preset", "seed", "explicit"}:
+        raise ValueError(f"an ordering spec takes only 'preset', 'seed' and 'explicit': {spec!r}")
+    preset = spec.get("preset", "explicit" if "explicit" in spec else "source-lex")
+    seed = spec.get("seed") if seed is None else seed
+    return Ordering(diagram, preset, seed, spec.get("explicit"))

@@ -36,7 +36,7 @@ class TestDescribe:
     def test_polynomial_file(self, capsys, tmp_path):
         poly = tmp_path / "poly.txt"
         poly.write_text(QUARTIC_TEXT, encoding="utf-8")
-        code, doc, _ = run_json(capsys, "describe", "--poly", str(poly))
+        code, doc, _ = run_json(capsys, "describe", "--poly", f"@{poly}")
         assert code == 0
         assert doc["degree"] == 4
         assert len(doc["source_vectors"]) == 5
@@ -111,7 +111,7 @@ class TestMeasure:
 
     def test_shape_mode_rejected(self, capsys):
         code, _, err = run(
-            capsys, "measure", "--poly", PASCAL_TEXT, "--mode", "shape"
+            capsys, "measure", "--poly", PASCAL_TEXT, "--multiplicity", "all-ones"
         )
         assert code == 2
         assert "coefficient" in err
@@ -137,13 +137,30 @@ class TestVershik:
     def test_seed_without_the_random_preset_is_a_usage_error(self, capsys, tmp_path, ordering):
         if isinstance(ordering, dict):
             (tmp_path / "ordering.json").write_text(json.dumps(ordering), encoding="utf-8")
-            ordering = str(tmp_path / "ordering.json")
+            ordering = f"@{tmp_path / 'ordering.json'}"
         code, out, err = run(
             capsys, "vershik", "--poly", PASCAL_TEXT, "--level", "1",
             "--ordering", ordering, "--seed", "5",
         )
         assert (code, out) == (2, "")
-        assert "random" in err
+        assert "for the random preset only" in err
+
+    def test_ordering_file_and_inline_json_agree(self, capsys, tmp_path):
+        spec = '{"preset": "random", "seed": 7}'
+        (tmp_path / "ordering.json").write_text(spec, encoding="utf-8")
+        argv = ("vershik", "--poly", PASCAL_TEXT, "--level", "3", "--ordering")
+        code, inline, _ = run(capsys, *argv, spec)
+        file_code, from_file, _ = run(capsys, *argv, f"@{tmp_path / 'ordering.json'}")
+        assert code == file_code == 0 and inline == from_file
+        assert json.loads(inline)["ordering"] == {"preset": "random", "seed": 7}
+
+    def test_a_file_named_like_a_preset_is_not_read(self, capsys, tmp_path, monkeypatch):
+        argv = ("vershik", "--poly", PASCAL_TEXT, "--level", "3", "--ordering", "source-lex")
+        _, expected, _ = run(capsys, *argv)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "source-lex").write_text('{"preset": "source-revlex"}', encoding="utf-8")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == expected
 
 
 class TestExport:
@@ -226,6 +243,29 @@ class TestFailures:
         assert code == 2
         assert "zigzag" in err
 
+    @pytest.mark.parametrize("via", ["inline", "file"])
+    @pytest.mark.parametrize(
+        "spec, fragment",
+        [
+            ('{"explicit": {"9:1,2": [1]}}', "explicit key '9:1,2'"),
+            ('{"explicit": {"2-1,1": [2, 1]}}', "explicit key '2-1,1'"),
+            ('{"presett": "random"}', "takes only"),
+            ('{"explicit": {"5:3,2": [1, 1]}}', "not a permutation"),  # above --horizon 3
+            ('{"preset": "random", "seed": "5"}', "integer"),
+        ],
+        ids=["off-lattice-key", "malformed-key", "unknown-key", "non-permutation", "string-seed"],
+    )
+    def test_bad_ordering_spec_is_an_input_error(self, capsys, tmp_path, spec, fragment, via):
+        if via == "file":
+            (tmp_path / "ordering.json").write_text(spec, encoding="utf-8")
+            spec = f"@{tmp_path / 'ordering.json'}"
+        code, out, err = run(
+            capsys, "probe", "--poly", PASCAL_TEXT, "--i", "1", "--horizon", "3", "--ordering", spec
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and fragment in err
+        assert via == "inline" or str(tmp_path / "ordering.json") in err
+
     def test_missing_required_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["describe"])
@@ -264,10 +304,10 @@ class TestFailures:
 
     def test_multiplicity_file_missing(self, capsys):
         code, _, err = run(
-            capsys, "describe", "--poly", PASCAL_TEXT, "--mode", "shape",
-            "--multiplicity", "/no/such/table.json",
+            capsys, "describe", "--poly", PASCAL_TEXT, "--multiplicity", "@/no/such/table.json"
         )
         assert code == 2
+        assert err.startswith("error:") and "/no/such/table.json" in err
 
     @pytest.mark.parametrize(
         "command, option, content",
@@ -280,9 +320,8 @@ class TestFailures:
     def test_malformed_input_file_is_an_input_error(self, capsys, tmp_path, command, option, content):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(content), encoding="utf-8")
-        argv = [command, "--poly", PASCAL_TEXT, option, str(path)]
-        argv += ["--mode", "shape"] if command == "describe" else ["--level", "2"]
-        code, out, err = run(capsys, *argv)
+        argv = [command, "--poly", PASCAL_TEXT, option, f"@{path}"]
+        code, out, err = run(capsys, *argv, *REQUIRED[command])
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and str(path) in err
@@ -331,7 +370,8 @@ class TestOptions:
         "command, option, value",
         [(c, "--ordering", "random") for c in SHAPE_ONLY]
         + [(c, "--budget", "40") for c in REQUIRED if c != "probe"]
-        + [(c, "--seed", "1") for c in SHAPE_ONLY],
+        + [(c, "--seed", "1") for c in SHAPE_ONLY]
+        + [(c, "--mode", "shape") for c in REQUIRED],
     )
     def test_option_the_handler_does_not_read_is_a_usage_error(self, capsys, command, option, value):
         with pytest.raises(SystemExit) as exc:
@@ -342,21 +382,29 @@ class TestOptions:
         assert f"unrecognized arguments: {option} {value}" in captured.err
         assert captured.err.startswith(f"usage: polyadic {command} ")
 
-    @pytest.mark.parametrize("mode", [(), ("--mode", "polynomial")])
-    def test_multiplicity_without_shape_mode_is_an_input_error(self, capsys, tmp_path, mode):
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps([{"exp": [1, 0], "count": 2}, {"exp": [0, 1], "count": 1}]))
-        code, out, err = run(capsys, "describe", "--poly", PASCAL_TEXT, *mode, "--multiplicity", str(path))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "--multiplicity" in err and "--mode" in err
-
-    def test_shape_mode_defaults_to_all_ones(self, capsys, tmp_path):
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps([{"exp": [1, 0], "count": 2}, {"exp": [0, 1], "count": 1}]))
-        code, doc, _ = run_json(capsys, "describe", "--poly", PASCAL_TEXT, "--mode", "shape")
-        assert code == 0 and doc["mode"] == "all-ones"
+    @pytest.mark.parametrize(
+        "multiplicity, mode, indegrees",
+        [
+            ("all-ones", "all-ones", [1, 1]),
+            ("coefficients", "coefficients", [1, 1]),
+            ("2 x1 + x2", "custom", [2, 1]),
+            ("@table.txt", "custom", [1, 3]),
+        ],
+        ids=["all-ones", "coefficients", "inline-polynomial", "polynomial-file"],
+    )
+    def test_multiplicity_takes_a_name_or_a_polynomial(
+        self, capsys, tmp_path, monkeypatch, multiplicity, mode, indegrees
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "table.txt").write_text("x1 + 3 x2\n", encoding="utf-8")
         code, doc, _ = run_json(
-            capsys, "describe", "--poly", PASCAL_TEXT, "--mode", "shape", "--multiplicity", str(path)
+            capsys, "vershik", "--poly", PASCAL_TEXT, "--level", "1", "--multiplicity", multiplicity
         )
-        assert code == 0 and doc["mode"] == "custom"
+        assert code == 0 and doc["mode"] == mode
+        assert [v["indegree"] for v in doc["vertices"]] == indegrees
+
+    @pytest.mark.parametrize("multiplicity", ["x1 + x2 + x3", "x1^2 + x1 x2 + x2^2", "2 x1"])
+    def test_multiplicity_needs_the_monomials_of_poly(self, capsys, multiplicity):
+        code, out, err = run(capsys, "describe", "--poly", PASCAL_TEXT, "--multiplicity", multiplicity)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")

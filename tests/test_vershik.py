@@ -123,9 +123,32 @@ class TestOrderings:
         ]
 
     def test_explicit_table_must_be_bijective(self, pascal):
-        ordering = Ordering(pascal, preset="explicit", table={"2:1,1": [1, 1]})
-        with pytest.raises(NonBijectiveLabeling):
-            ordering.edges_in(pascal.vertex((1, 1)))
+        with pytest.raises(NonBijectiveLabeling):  # at construction, before any table
+            Ordering(pascal, preset="explicit", table={"2:1,1": [1, 1]})
+
+    @pytest.mark.parametrize(
+        "spec, error",
+        [
+            ({"presett": "random"}, ValueError),
+            ({"preset": "random", "explicit": {}}, ValueError),
+            ({"preset": "explicit"}, ValueError),
+            ({"preset": "random", "seed": "5"}, ValueError),
+            ({"preset": "random", "seed": True}, ValueError),
+            ({"explicit": {"9:1,2": [1]}}, ValueError),
+            ({"explicit": {"2:1,1,0": [1, 2]}}, ValueError),
+            ({"explicit": {"2-1,1": [1, 2]}}, ValueError),
+            ({"explicit": {"2:1,1": [2, 1], "2:01,1": [1, 2]}}, ValueError),
+            ({"explicit": {"40:20,20": [1, 1]}}, NonBijectiveLabeling),
+            ({"explicit": {"2:1,1": [1]}}, NonBijectiveLabeling),
+            ({"explicit": {"2:1,1": ["1", "2"]}}, NonBijectiveLabeling),
+            ({"explicit": {"2:1,1": 12}}, NonBijectiveLabeling),
+            ('{"preset": "random", "seed": 1.5}', ValueError),
+            ("{not json", ValueError),
+        ],
+    )
+    def test_the_whole_spec_is_checked_at_construction(self, pascal, spec, error):
+        with pytest.raises(error):
+            make_ordering(pascal, spec)
 
     def test_make_ordering_forms(self, pascal):
         assert make_ordering(pascal).preset == "source-lex"
@@ -333,6 +356,27 @@ class TestCallerVertices:
         assert Vertex(2, OFF_LATTICE["level"].coords) in ordering._minimal
         error = raised_within(lambda: call(ordering, OFF_LATTICE[kind]))
         assert isinstance(error, ValueError), error
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda o, v: o.diagram.source_set(v),
+            lambda o, v: o.diagram.targets(v),
+            lambda o, v: o.edges_in(v),
+            lambda o, v: o.minimal_path(v),
+            lambda o, v: o.maximal_path(v),
+            lambda o, v: o.path_unrank(v, 1),
+            lambda o, v: o.vertex_coding(v, 1),
+            lambda o, v: o.basic_block(v, 1),
+        ],
+        ids=["source_set", "targets", "edges_in", "minimal_path", "maximal_path", "path_unrank",
+             "vertex_coding", "basic_block"],
+    )
+    def test_a_plain_pair_gets_one_answer_cold_or_warm(self, call):
+        cold, warm = (Ordering(Diagram(parse_polynomial("x1 + x2"))) for _ in range(2))
+        expected = call(warm, warm.diagram.vertex((1, 1)))  # warms the caches
+        assert call(cold, (2, (1, 1))) == expected
+        assert call(warm, (2, (1, 1))) == expected
 
     def test_equal_vertex_is_the_interned_one(self, pascal, pascal_lex):
         v, same = pascal.vertex((2, 1)), Vertex(3, (2, 1))
