@@ -193,6 +193,22 @@ class LinkReport:
     candidates_status: str
 
 
+def _uncovered_around(diagram: Diagram, w: Vertex) -> tuple[bool, bool]:
+    """Whether every source of w is uncovered, and every target of those sources.
+
+    Claim (b) of a link depends on its w1 alone, so each vertex's answer is
+    kept on the diagram, beside its cover maps.
+    """
+    found = diagram._uncovered_around.get(w)
+    if found is None:
+        srcs = diagram.source_set(w)
+        found = diagram._uncovered_around[w] = (
+            not any(is_covered_oracle(diagram, u) for u in srcs),
+            not any(is_covered_oracle(diagram, t) for u in srcs for t in diagram.targets(u)),
+        )
+    return found
+
+
 def check_link_consequences(diagram: Diagram, w0: Vertex, w1: Vertex, j: int) -> LinkReport:
     """Check what a single shared-source link forces, piece by piece.
 
@@ -211,27 +227,20 @@ def check_link_consequences(diagram: Diagram, w0: Vertex, w1: Vertex, j: int) ->
         raise HypothesisNotMet(f"{w0} and {w1} share no source")
     d = diagram.degree
     level = w1.level
+    u1 = diagram.dsv(w1, j)
 
     if w1.coord(j) <= w0.coord(j):
-        u = diagram.dsv(w1, j)
-        if u is None:
-            a_status = "pass"
-        else:
-            a_status = "fail" if u in diagram.source_set(w0) else "pass"
+        a_status = "fail" if u1 is not None and u1 in diagram.source_set(w0) else "pass"
     else:
         a_status = "not applicable"
 
     if 2 * d <= w1.coord(j) <= (level - 2) * d:
-        srcs = diagram.source_set(w1)
-        b_sources = "pass" if not any(is_covered_oracle(diagram, u) for u in srcs) else "fail"
-        targets_ok = all(
-            not is_covered_oracle(diagram, t) for u in srcs for t in diagram.targets(u)
+        b_sources, b_targets = (
+            "pass" if ok else "fail" for ok in _uncovered_around(diagram, w1)
         )
-        b_targets = "pass" if targets_ok else "fail"
     else:
         b_sources = b_targets = "not applicable"
 
-    u1 = diagram.dsv(w1, j)
     in_window = 2 * d <= w1.coord(j) <= w0.coord(j) <= (level - 1) * d
     if u1 is None:
         candidates: tuple[Vertex, ...] = ()

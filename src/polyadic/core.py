@@ -273,15 +273,19 @@ class Diagram:
 
     `multiplicity` is "coefficients" (the polynomial diagram), "all-ones",
     or a mapping from each degree-d source vector to a positive edge count.
-    Vertices the diagram hands out are interned: one `Vertex` object per
-    lattice point, so equal vertices from it are also identical.  Any other
-    vertex is validated by `vertex` first, so one off the lattice raises.
+    `mode` names the diagram: a mapping equal to the coefficients, or else to
+    all ones, takes that name, and any other is "custom".  Vertices the
+    diagram hands out are interned: one `Vertex` object per lattice point,
+    so equal vertices from it are also identical.  Any other vertex is
+    validated by `vertex` first, so one off the lattice raises.
 
     Neighbours are cached per vertex value: `source_set` and `targets` store
     only valid vertices, so a hit needs no validation, and `coverage` keeps
-    each level's cover map in `_covers`.  `_interned` and `_dim` key on bare
-    coordinates, because `dimension` walks a cold deep down-set without
-    building its vertices; the `Ordering` tables read the uncached `_lower`.
+    each level's cover map in `_covers`, beside which `chains` keeps each
+    vertex's link facts in `_uncovered_around`.  `_interned` and `_dim` key
+    on bare coordinates, because `dimension` walks a cold deep down-set
+    without building its vertices; the `Ordering` tables read the uncached
+    `_lower`.
     """
 
     def __init__(
@@ -290,25 +294,28 @@ class Diagram:
         multiplicity: str | Mapping[Coords, int] = "coefficients",
     ) -> None:
         self.spec = spec
-        if multiplicity == "coefficients":
-            table = {exp: coef for exp, coef in spec.terms}
-            self.mode = "coefficients"
-        elif multiplicity == "all-ones":
-            table = {exp: 1 for exp, _ in spec.terms}
-            self.mode = "all-ones"
+        named = {
+            "coefficients": {exp: coef for exp, coef in spec.terms},
+            "all-ones": {exp: 1 for exp, _ in spec.terms},
+        }
+        if isinstance(multiplicity, str):
+            if multiplicity not in named:
+                raise ValueError(f"unknown multiplicity {multiplicity!r}")
+            table, self.mode = named[multiplicity], multiplicity
         else:
             table = {tuple(exp): int(count) for exp, count in multiplicity.items()}
             if set(table) != set(spec.source_vectors):
                 raise MissingMonomial("multiplicity table must cover every source vector")
             if any(count <= 0 for count in table.values()):
                 raise NonPositiveCoefficient("multiplicity table entries must be positive")
-            self.mode = "custom"
+            self.mode = next((name for name, known in named.items() if table == known), "custom")
         self._mult = table
         self._levels: dict[int, tuple[Vertex, ...]] = {}
         self._interned: dict[Coords, Vertex] = {}
         self._dim: dict[Coords, int] = {(0,) * spec.arity: 1}
         self._expansion: dict[int, dict[Coords, int]] = {}
         self._covers: dict[int, dict[Vertex, tuple[Vertex, ...]]] = {}
+        self._uncovered_around: dict[Vertex, tuple[bool, bool]] = {}
         self._sources: dict[Vertex, tuple[Vertex, ...]] = {}
         self._targets: dict[Vertex, tuple[Vertex, ...]] = {}
 

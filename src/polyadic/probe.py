@@ -29,13 +29,25 @@ ROADMAP.md is what measures that claim.
 
 The simulation never builds paths.  One bottom-up pass gives each admitted
 tower per-level arrays: row k, column m holds an id of the rank-m path's
-first k edges and the min-coordinate of its level-k vertex.  A pair's window
-is the run of equal i-symbols around it on its diagonal (rank p of one tower
-against rank p + s of another), so only a run's first pair steps, forward,
-one array comparison per step; a run spanning its whole diagonal survives,
-with its (i+1)-symbol mismatches shifted to each pair as conflict times.
-The test suite replays pairs with the raw successor machine to pin the
-equivalence.
+first k edges and the min-coordinate of its level-k vertex.  A pair is
+rank p of one tower against rank p + s of another, and each (towers, s) is
+a diagonal; a pair's window is the run of equal i-symbols around it on its
+diagonal, so a pair survives exactly when its whole diagonal has equal
+i-symbols.  The kernel decides that with one test per diagonal, not one
+step per pair: the towers' i-symbols are laid on one axis, forward and then
+reversed, each tower followed by a sentinel of its own, and prefix doubling
+(Karp, Miller & Rosenberg; Manber & Myers) ranks every window of length
+2^j.  A diagonal survives iff the two power-of-two windows that cover its
+overlap, one from each end, rank the same in both towers; its pairs are
+then survivors, with its (i+1)-symbol mismatches shifted to each pair as
+conflict times.  `max_killed_window`, the longest run that is not a whole
+diagonal, ends at a real mismatch (two symbols, not a sentinel) forward or
+backward.  The longest extension that does so lies between two neighbours
+in the suffix order of the forward half or of the reversed half, each
+ordered on its own, and binary lifting over the same ranks measures it.
+The cost follows the diagonals and the axis length, not the c^{2L} pairs.
+The test suite keeps the pair scan the kernel replaced and replays pairs
+with the raw successor machine to pin the equivalence.
 
 Survivors are kept as columns, as the run expansion leaves them: the
 positions of x and x', divergence level, window, and conflict times as one
@@ -228,15 +240,15 @@ def _conflict_rows(report: ProbeReport, selected: np.ndarray) -> str:
     return "[\n  " + ",\n  ".join(out) + "\n]"
 
 
-_PAIR_CHUNK = 4096  # pairs enumerated together; bounds the kernel's working arrays
+_DIAGONAL_BATCH = 4096  # diagonals tested together; bounds the kernel's working arrays
 
 
 def _prefix_blocks(
     ordering: Ordering, horizon: int, admitted: list[Vertex], budget: int
-) -> list[np.ndarray]:
-    """Per admitted tower, a 2 x (horizon + 1) x dim array of per-level data.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The admitted towers' 2 x (horizon + 1) x dim blocks side by side, and their dims.
 
-    Column m describes the rank-m tower path and row k its level-k prefix:
+    In a tower's block, column m describes the rank-m path and row k its level-k prefix:
     plane 0 holds the prefix's symbol id (one id per distinct level-k path,
     increasing in canonical vertex order, then tower rank), plane 1 the
     minimum coordinate of its level-k vertex.  Built level by level: a block
@@ -257,25 +269,111 @@ def _prefix_blocks(
             nxt[v] = block
             offset += dim
         blocks = nxt
-    return [blocks[v] for v in admitted]
+    return (
+        np.concatenate([blocks[v] for v in admitted], axis=2),
+        np.array([blocks[v].shape[2] for v in admitted]),
+    )
 
 
-def _lived(sym: np.ndarray, a: np.ndarray, b: np.ndarray, room: np.ndarray) -> np.ndarray:
-    """Per pair, the steps t = 1..room survived before sym[a + t] != sym[b + t].
+def _dense_ranks(key: np.ndarray) -> np.ndarray:
+    """Each entry's rank among the distinct values of `key`, counted from 0."""
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    step = np.zeros(len(key), dtype=np.int64)
+    np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
+    rank = np.empty_like(step)
+    rank[order] = np.cumsum(step, out=step)
+    return rank
 
-    A pair that never mismatches lives its whole room.  All undecided pairs
-    advance together, one comparison per t, and a pair drops out once it
-    mismatches or runs out of room, so the work is the total steps lived.
+
+def _window_ranks(axis: np.ndarray, rows: int) -> np.ndarray:
+    """Row j, column p: the dense rank of the length-2^j window of `axis` at p.
+
+    Prefix doubling (Karp, Miller & Rosenberg): a window of length 2^(j+1) is
+    the pair of its halves' ranks.  `axis` ends in a sentinel and no sentinel
+    repeats, so a window running off the end is already told apart by its
+    first half.  Rows stop once every window is distinct (at the latest after
+    `rows` rows); a longer window's rank is then the last row's.
     """
-    lived = room.copy()
-    live = np.flatnonzero(room > 0)
-    t = 1
-    while live.size:
-        miss = sym[a[live] + t] != sym[b[live] + t]
-        lived[live[miss]] = t - 1
-        live = live[~miss & (room[live] > t)]
-        t += 1
-    return lived
+    n = len(axis)
+    ranks = np.empty((rows, n), dtype=np.int64)
+    ranks[0] = _dense_ranks(axis)
+    j = 0
+    while ranks[j].max() < n - 1:
+        half = 1 << j
+        key = ranks[j] * (n + 1)
+        key[: n - half] += ranks[j, half:] + 1  # 0 past the end
+        ranks[j + 1] = _dense_ranks(key)
+        j += 1
+    return ranks[: j + 1]
+
+
+def _diagonal_runs(sym: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, int]:
+    """Every diagonal whose symbols agree on its whole overlap, and the longest killed run.
+
+    `sym` holds the symbols of the towers, tower after tower, and `sizes`
+    their lengths.  A diagonal (A, B, s), towers A <= B and s > 0 when A = B,
+    sets rank r of A against rank r + s of B over their overlap.  Returns
+    the surviving diagonals as (a0, b0, length) columns, a0 < b0 the
+    positions of the overlap's first pair, and the longest maximal run of
+    equal symbols on a diagonal that is not the whole diagonal.
+    """
+    towers = len(sizes)
+    tower = np.arange(towers)
+    # the joint axis: every tower forward, each followed by a sentinel, then
+    # all of that but the last sentinel read backwards, so that each reversed
+    # tower is followed by a sentinel too; every slot without a symbol holds
+    # a sentinel of its own, above every symbol
+    top = int(sym.max()) + 1
+    n = 2 * (len(sym) + towers)
+    at = np.arange(len(sym)) + np.repeat(tower, sizes)  # a symbol's forward position
+    axis = top + np.arange(n)
+    axis[at] = sym
+    axis[n - 2 - at] = sym
+    ranks = _window_ranks(axis, int(sizes.max()).bit_length() + 1)
+    levels = len(ranks)
+    flat = ranks.ravel()
+    width = 1 << np.arange(levels)  # the window lengths ranked
+    start = np.cumsum(sizes) - sizes + tower  # a tower's first position on the axis
+    stop = start + sizes  # and its sentinel's
+
+    # a diagonal survives iff its overlap [a0, a0 + length) equals
+    # [b0, b0 + length): two overlapping power-of-two windows agree at both ends
+    a_of, b_of = np.nonzero(tower[:, None] <= tower)
+    same = a_of == b_of
+    count = sizes[a_of] + sizes[b_of] - 1 - sizes[a_of] * same
+    s_first = np.where(same, 1, 1 - sizes[a_of])
+    offset = np.cumsum(count) - count
+    total = int(count.sum())
+    runs = [np.zeros((3, 0), dtype=np.int64)]
+    for lo in range(0, total, _DIAGONAL_BATCH):
+        d = np.arange(lo, min(lo + _DIAGONAL_BATCH, total))
+        k = np.searchsorted(offset, d, side="right") - 1
+        s = s_first[k] + d - offset[k]
+        a, b = a_of[k], b_of[k]
+        a0, b0 = start[a] - np.minimum(s, 0), start[b] + np.maximum(s, 0)
+        length = np.minimum(stop[a] - a0, stop[b] - b0)
+        j = np.searchsorted(width, length, side="right") - 1  # the widest that fits
+        head = j * n + a0
+        tail = head + length - width[j]
+        shift = b0 - a0
+        whole = (flat[head] == flat[head + shift]) & (flat[tail] == flat[tail + shift])
+        runs.append(np.stack((a0 - a, b0 - b, length))[:, whole])
+
+    # a killed run ends at a real mismatch forward (or backward, on the
+    # reversed half); the longest such extension is between two neighbours
+    # in the suffix order of one half, so each half is ordered on its own
+    order = np.empty(n, dtype=np.int64)
+    order[ranks[-1]] = np.arange(n)
+    forward = order < n // 2
+    order = np.concatenate((order[forward], order[~forward]))
+    p, q = order[:-1], order[1:]
+    lce = np.zeros(n - 1, dtype=np.int64)
+    for j in range(levels - 1, -1, -1):
+        lce += (ranks[j, p + lce] == ranks[j, q + lce]) * width[j]
+    real = (axis[p + lce] < top) & (axis[q + lce] < top)
+    real[n // 2 - 1] = False  # the last forward suffix against the first reversed one
+    return np.concatenate(runs, axis=1), int(lce[real].max(initial=0))
 
 
 def probe_depth_pairs(
@@ -307,40 +405,17 @@ def probe_depth_pairs(
         return ProbeReport(i, horizon, min_coord_floor, budget, 0, skipped, 0)
 
     # one global position axis: every admitted tower's paths, tower after tower
-    blocks = _prefix_blocks(ordering, horizon, admitted, budget)
-    ids, mins = np.concatenate(blocks, axis=2)
-    sizes = np.array([block.shape[2] for block in blocks])
-    tower = np.repeat(np.arange(len(blocks)), sizes)
+    (ids, mins), sizes = _prefix_blocks(ordering, horizon, admitted, budget)
+    tower = np.repeat(np.arange(len(sizes)), sizes)
     first = (np.cumsum(sizes) - sizes)[tower]
-    last = first + sizes[tower] - 1
     sym, sym1 = ids[i], ids[i + 1]
-
-    # pairs live inside i-symbol groups; sorted position p pairs with every
-    # later member of its group, so pair indices run group by group, row-major
-    order = np.argsort(sym, kind="stable")
-    group_end = np.searchsorted(sym[order], sym[order], side="right")
-    row_len = group_end - np.arange(len(order)) - 1
-    row_start = np.cumsum(row_len) - row_len
-    candidates = int(row_len.sum())
-
-    # only the first pair of each run of equal i-symbols on a diagonal steps
-    max_killed_window = 0
-    runs = [np.zeros((3, 0), dtype=np.int64)]
-    for lo in range(0, candidates, _PAIR_CHUNK):
-        idx = np.arange(lo, min(lo + _PAIR_CHUNK, candidates))
-        p = np.searchsorted(row_start, idx, side="right") - 1
-        a, b = order[p], order[p + 1 + idx - row_start[p]]
-        back = np.minimum(a - first[a], b - first[b])
-        start = (back == 0) | (sym[a - 1] != sym[b - 1])
-        a, b, back = a[start], b[start], back[start]
-        fwd = np.minimum(last[a] - a, last[b] - b)
-        lived = _lived(sym, a, b, fwd)
-        whole = (back == 0) & (lived == fwd)
-        max_killed_window = max(max_killed_window, int((lived[~whole] + 1).max(initial=0)))
-        runs.append(np.stack((a[whole], b[whole], lived[whole] + 1)))
+    # pairs live inside i-symbol groups, so a group of g paths holds C(g, 2)
+    group = np.bincount(sym)
+    candidates = int((group * (group - 1) // 2).sum())
+    # a pair survives iff its whole diagonal has equal i-symbols
+    (a0, b0, length), max_killed_window = _diagonal_runs(sym, sizes)
 
     # every pair of a surviving run survives; expand runs to pairs, offset t
-    a0, b0, length = np.concatenate(runs, axis=1)
     run = np.repeat(np.arange(len(length)), length)
     t = np.arange(len(run)) - (np.cumsum(length) - length)[run]
     a, b = a0[run] + t, b0[run] + t
@@ -355,6 +430,10 @@ def probe_depth_pairs(
     n = run_hits[run]
     ends = np.cumsum(n)
     flat = np.repeat(np.cumsum(run_hits)[run] - ends, n) + np.arange(n.sum())
+    # paths share their level-k prefix for each k below their divergence level
+    divergence = np.zeros(len(a), dtype=np.int64)
+    for row in ids:
+        divergence += row[a] == row[b]
     survivors = _Columns(
         terminals=tuple(admitted),
         sizes=sizes,
@@ -364,7 +443,7 @@ def probe_depth_pairs(
         x=a,
         x_prime=b,
         # survivors read every field off the per-level arrays; no path is built
-        divergence=np.argmax(ids[:, a] != ids[:, b], axis=0),
+        divergence=divergence,
         backward=t,
         forward=length[run] - 1 - t,
         times=hit_t[flat] - np.repeat(t, n),

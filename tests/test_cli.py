@@ -116,6 +116,13 @@ class TestMeasure:
         assert code == 2
         assert "coefficient" in err
 
+    def test_table_equal_to_the_coefficients_is_measured(self, capsys):
+        code, doc, _ = run_json(
+            capsys, "measure", "--poly", PASCAL_TEXT, "--levels", "1", "--multiplicity", "x1 + x2"
+        )
+        assert code == 0 and doc["mode"] == "coefficients"
+        assert all(row["ok"] for row in doc["levels"])
+
 
 class TestVershik:
     def test_pascal_level_three(self, capsys):
@@ -389,8 +396,12 @@ class TestOptions:
             ("coefficients", "coefficients", [1, 1]),
             ("2 x1 + x2", "custom", [2, 1]),
             ("@table.txt", "custom", [1, 3]),
+            ("x1 + x2", "coefficients", [1, 1]),
         ],
-        ids=["all-ones", "coefficients", "inline-polynomial", "polynomial-file"],
+        ids=[
+            "all-ones", "coefficients", "inline-polynomial", "polynomial-file",
+            "polynomial-equal-to-the-coefficients",
+        ],
     )
     def test_multiplicity_takes_a_name_or_a_polynomial(
         self, capsys, tmp_path, monkeypatch, multiplicity, mode, indegrees

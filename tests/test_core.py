@@ -239,6 +239,8 @@ class TestEdges:
             Diagram(spec, multiplicity={(1, 0): 2})
         with pytest.raises(NonPositiveCoefficient):
             Diagram(spec, multiplicity={(1, 0): 2, (0, 1): 0})
+        with pytest.raises(ValueError, match="unknown multiplicity"):
+            Diagram(spec, multiplicity="shape")
 
     def test_edges_between_copies(self, quartic):
         u = quartic.vertex((5, 3))

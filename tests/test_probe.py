@@ -1,11 +1,11 @@
-"""Depth-i conflict search: array simulation vs direct odometer replay."""
+"""Depth-i conflict search: the diagonal kernel vs the pair scan and odometer replay."""
 
 import dataclasses
 import json
 import math
 import random
-from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +17,7 @@ from polyadic.errors import MaximalAtHorizon, MinimalAtHorizon
 from polyadic.export import to_stable_json
 from polyadic.measure import dense_orbit_trace
 from polyadic.probe import probe_depth_pairs
+from polyadic.vershik import DEFAULT_TOWER_BUDGET
 
 
 def document(report):
@@ -94,6 +95,70 @@ def replay_report(ordering, i, horizon, floor=0):
     return candidates, killed, survivors, max_killed_window
 
 
+_PAIR_CHUNK = 4096  # pairs the scan enumerates together; bounds its working arrays
+
+
+def _lived(sym, a, b, room):
+    """Per pair, the steps t = 1..room survived before sym[a + t] != sym[b + t].
+
+    A pair that never mismatches lives its whole room.  All undecided pairs
+    advance together, one comparison per t, and a pair drops out once it
+    mismatches or runs out of room, so the work is the total steps lived.
+    """
+    lived = room.copy()
+    live = np.flatnonzero(room > 0)
+    t = 1
+    while live.size:
+        miss = sym[a[live] + t] != sym[b[live] + t]
+        lived[live[miss]] = t - 1
+        live = live[~miss & (room[live] > t)]
+        t += 1
+    return lived
+
+
+def scan_runs(sym, sizes, chunk=_PAIR_CHUNK):
+    """The pair scan that the diagonal kernel replaced, as its oracle.
+
+    Enumerates every pair of positions with equal symbols, `chunk` pairs at
+    a time, and steps the first pair of each run of equal symbols on a
+    diagonal forward.  Returns the candidate count, the runs spanning their
+    whole diagonal as a set of (a0, b0, length), and the longest other run.
+    """
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    last = first + np.repeat(sizes, sizes) - 1
+    # sorted position p pairs with every later member of its symbol group
+    order = np.argsort(sym, kind="stable")
+    group_end = np.searchsorted(sym[order], sym[order], side="right")
+    row_len = group_end - np.arange(len(order)) - 1
+    row_start = np.cumsum(row_len) - row_len
+    candidates = int(row_len.sum())
+    max_killed_window = 0
+    runs = set()
+    for lo in range(0, candidates, chunk):
+        idx = np.arange(lo, min(lo + chunk, candidates))
+        p = np.searchsorted(row_start, idx, side="right") - 1
+        a, b = order[p], order[p + 1 + idx - row_start[p]]
+        back = np.minimum(a - first[a], b - first[b])
+        start = (back == 0) | (sym[a - 1] != sym[b - 1])
+        a, b, back = a[start], b[start], back[start]
+        fwd = np.minimum(last[a] - a, last[b] - b)
+        lived = _lived(sym, a, b, fwd)
+        whole = (back == 0) & (lived == fwd)
+        max_killed_window = max(max_killed_window, int((lived[~whole] + 1).max(initial=0)))
+        runs.update(zip(a[whole].tolist(), b[whole].tolist(), (lived[whole] + 1).tolist()))
+    return candidates, runs, max_killed_window
+
+
+def kernel_and_scan(ordering, i, horizon, floor=0, chunk=_PAIR_CHUNK):
+    """The kernel's runs and longest killed run on one probe's axis, then the scan's result."""
+    admitted = [v for v in ordering.diagram.vertices(horizon) if v.min_coord >= floor]
+    if not admitted:
+        return (set(), 0), (0, set(), 0)
+    (ids, _), sizes = probe._prefix_blocks(ordering, horizon, admitted, DEFAULT_TOWER_BUDGET)
+    runs, max_killed_window = probe._diagonal_runs(ids[i], sizes)
+    return (set(zip(*runs.tolist())), max_killed_window), scan_runs(ids[i], sizes, chunk)
+
+
 def report_survivors(report):
     return {
         frozenset(
@@ -162,12 +227,27 @@ def test_survivor_fields_match_paths(all_diagrams, system, i, horizon, preset, s
 def test_pair_chunking_leaves_report_unchanged(
     all_diagrams, monkeypatch, system, i, horizon, preset, seed
 ):
+    # the chunked pair scan, at its own chunk size and at a tiny one, finds
+    # the kernel's runs and longest killed run, and so does the kernel when
+    # it tests a few diagonals at a time
     ordering = Ordering(all_diagrams[system], preset=preset, seed=seed)
-    expected = probe_depth_pairs(ordering, i, horizon)
-    monkeypatch.setattr(probe, "_PAIR_CHUNK", 5)
-    chunked = probe_depth_pairs(ordering, i, horizon)
-    assert to_stable_json(chunked.to_document()) == to_stable_json(expected.to_document())
-    assert chunked.survivors == expected.survivors  # includes conflict-free survivors
+    report = probe_depth_pairs(ordering, i, horizon)
+    monkeypatch.setattr(probe, "_DIAGONAL_BATCH", 7)
+    batched = probe_depth_pairs(ordering, i, horizon)
+    assert to_stable_json(batched.to_document()) == to_stable_json(report.to_document())
+    for chunk in (_PAIR_CHUNK, 5):
+        (runs, max_killed_window), (candidates, scanned, scanned_max) = kernel_and_scan(
+            ordering, i, horizon, chunk=chunk
+        )
+        assert runs == scanned and max_killed_window == scanned_max
+        assert (report.candidates, report.max_killed_window) == (candidates, scanned_max)
+        assert report.censored == sum(length for _, _, length in scanned)
+
+
+# Regression: each half's suffixes must be ordered on their own.  A kernel
+# that ordered forward and reversed suffixes together passed every golden
+# digest and the deep Pascal ladder, and failed only the two floor-filtered
+# cases below (max killed window 6 against 4).
 
 
 def test_floor_filter_matches_replay(pascal_lex):
@@ -182,7 +262,7 @@ def test_floor_filter_matches_replay(pascal_lex):
     "horizon,floor,counts",
     [
         (2, 1, (0, 0, 0, 0)),  # towers admitted, no pair shares a 1-symbol
-        (4, 2, (6, 6, 0, 2)),  # pairs, every one killed
+        (4, 2, (6, 6, 0, 2)),  # pairs, every one killed; see the regression note above
     ],
 )
 def test_scans_without_survivors(pascal_lex, horizon, floor, counts):
@@ -194,14 +274,18 @@ def test_scans_without_survivors(pascal_lex, horizon, floor, counts):
     assert got == (candidates, killed, len(survivors), max_killed_window)
 
 
-@st.composite
-def probe_cases(draw):
-    """A random small diagram, ordering, horizon (at most 60 paths), depth and floor."""
+def random_ordering(draw):
+    """A random diagram's random ordering, and its number of level-1 paths."""
     spec = draw(polynomial_specs(max_degree=2))
     preset = draw(st.sampled_from(["source-lex", "source-revlex", "random"]))
     seed = draw(st.integers(0, 2**32)) if preset == "random" else None
-    ordering = Ordering(Diagram(spec), preset=preset, seed=seed)
-    level_one = sum(count for _, count in spec.terms)  # level-L paths: level_one**L
+    return Ordering(Diagram(spec), preset=preset, seed=seed), sum(n for _, n in spec.terms)
+
+
+@st.composite
+def probe_cases(draw):
+    """A random small diagram, ordering, horizon (at most 60 paths), depth and floor."""
+    ordering, level_one = random_ordering(draw)  # level-L paths: level_one**L
     horizon = draw(st.integers(1, max(h for h in (1, 2, 3) if level_one**h <= 60)))
     return ordering, draw(st.integers(0, horizon - 1)), horizon, draw(st.integers(0, 1))
 
@@ -215,9 +299,28 @@ def test_report_matches_replay_on_random_diagrams(case):
     assert (report.candidates, report.coding_killed) == (candidates, killed)
     assert report_survivors(report) == survivors
     assert report.max_killed_window == max_killed_window
-    with mock.patch.object(probe, "_PAIR_CHUNK", 5):
-        chunked = probe_depth_pairs(ordering, i, horizon, min_coord_floor=floor)
-    assert to_stable_json(chunked.to_document()) == to_stable_json(report.to_document())
+    (runs, max_killed_window), (_, scanned, scanned_max) = kernel_and_scan(
+        ordering, i, horizon, floor, chunk=5
+    )
+    assert (runs, max_killed_window) == (scanned, scanned_max)
+
+
+@st.composite
+def larger_probe_cases(draw):
+    """As `probe_cases`, at one of the two deepest horizons with at most 4,096 paths."""
+    ordering, level_one = random_ordering(draw)
+    deepest = max(h for h in range(1, 13) if level_one**h <= 4096)
+    horizon = draw(st.integers(max(deepest - 1, 1), deepest))  # past the replay's 60 paths
+    return ordering, draw(st.integers(0, horizon - 1)), horizon, draw(st.integers(0, 1))
+
+
+@given(case=larger_probe_cases())
+@settings(max_examples=30, deadline=None)
+def test_kernel_matches_pair_scan_past_the_replay(case):
+    # the report itself is out of reach here: an i=0 probe of 4,096 paths
+    # has millions of survivors, each with hundreds of conflict times
+    (runs, max_killed_window), (_, scanned, scanned_max) = kernel_and_scan(*case, chunk=1 << 16)
+    assert (runs, max_killed_window) == (scanned, scanned_max)
 
 
 @given(case=probe_cases())
@@ -316,6 +419,16 @@ class TestPascalDepthOne:
         assert report.uncensored_genuine_conflicts == []
         assert report.same_terminal_survivors == []
         assert report.max_killed_window == 76
+
+    @pytest.mark.parametrize(
+        "horizon,survivors,max_killed_window", [(14, 32738, 934), (15, 65504, 1727)]
+    )
+    def test_deep_horizon_counts(self, pascal_lex, horizon, survivors, max_killed_window):
+        # the pair scan's counts, which took it 7 s and 31 s
+        report = probe_depth_pairs(pascal_lex, 1, horizon)
+        assert report.candidates == 2 * math.comb(2 ** (horizon - 1), 2)
+        assert report.censored == survivors
+        assert report.max_killed_window == max_killed_window
 
     def test_conflicts_cling_to_corners(self, pascal_lex):
         # raising the floor by one removes every genuine conflict
