@@ -105,7 +105,7 @@ def _cmd_probe(args, diagram, ordering):
     report = probe_depth_pairs(
         ordering, args.i, args.horizon, min_coord_floor=args.floor, budget=args.budget
     )
-    return 1 if report._uncensored_genuine().any() else 0, {"report": report.to_document()}
+    return 1 if report._columns.uncensored_genuine().any() else 0, {"report": report.to_document()}
 
 
 def _cmd_measure(args, diagram, ordering):

@@ -75,3 +75,7 @@ class MeasureModeUnsupported(PolyadicError):
 
 class InvalidWeight(PolyadicError):
     """A supplied weight vector is not positive or does not satisfy p(theta) = 1."""
+
+
+class ReportTooLarge(PolyadicError):
+    """A probe report would hold more survivors or conflict times than the cap."""

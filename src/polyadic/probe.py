@@ -56,7 +56,13 @@ rows.  A survivor's censor flags are read off its window, which is censored
 in a direction when it reaches a tower end there.  `_conflict_rows` writes
 selected survivors as the JSON rows of the CLI document.  The report's
 survivor views are those rows read back, parsed once per report and
-selected by mask, so a survivor has one writer and one reader.
+selected by mask, so a survivor has one writer and one reader.  A report
+past a fixed cap of survivors or of conflict times is refused with
+`ReportTooLarge` before it is allocated.
+
+All of the numpy code above, the kernel and the columns, lives in
+`polyadic._diagonals`.  `probe_depth_pairs` imports it in its body, so
+numpy loads with the first probe and not with `import polyadic`.
 """
 
 from __future__ import annotations
@@ -64,44 +70,22 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import Vertex
-from .export import Encoded, _list
+from .export import Encoded
 from .vershik import DEFAULT_TOWER_BUDGET, Ordering
 
-
-class _Columns(NamedTuple):
-    """Surviving pairs as columns, one entry per pair in enumeration order.
-
-    Pairs name their paths by position on the scan's axis of admitted tower
-    paths (tower after tower); `tower`, `rank` and `mins` are indexed by
-    position, `sizes` by tower.
-    """
-
-    terminals: tuple[Vertex, ...] = ()  # admitted towers
-    sizes: np.ndarray = np.zeros(0, dtype=np.int64)  # per tower: its dimension
-    tower: np.ndarray = np.zeros(0, dtype=np.int64)  # per position: its tower
-    rank: np.ndarray = np.zeros(0, dtype=np.int64)  # per position: its tower rank
-    mins: np.ndarray = np.zeros((1, 0), dtype=np.int64)  # level x position: min coordinate
-    x: np.ndarray = np.zeros(0, dtype=np.int64)  # per pair: position of x
-    x_prime: np.ndarray = np.zeros(0, dtype=np.int64)  # per pair: position of x'
-    divergence: np.ndarray = np.zeros(0, dtype=np.int64)
-    backward: np.ndarray = np.zeros(0, dtype=np.int64)
-    forward: np.ndarray = np.zeros(0, dtype=np.int64)
-    times: np.ndarray = np.zeros(0, dtype=np.int64)  # conflict times, pair after pair
-    cuts: np.ndarray = np.zeros(0, dtype=np.int64)  # per pair: end of its times
+if TYPE_CHECKING:
+    from ._diagonals import _Columns
 
 
 @dataclass(frozen=True, eq=False)
 class ProbeReport:
     """Outcome counts plus every surviving pair, for one (i, L, floor) run.
 
-    Survivors stay in the scan's columns.  `to_document` writes the conflict
-    lists straight from them; the survivor views select from one parse of
-    every survivor's row, made when a view first selects a row.
+    Survivors stay in the kernel's columns.  `to_document` writes the
+    conflict lists straight from them; the survivor views select from one
+    parse of every survivor's row, made when a view first selects a row.
     """
 
     i: int
@@ -111,7 +95,7 @@ class ProbeReport:
     candidates: int
     skipped_towers: int
     max_killed_window: int
-    _columns: _Columns = _Columns()
+    _columns: _Columns
 
     @property
     def censored(self) -> int:  # every survivor is censored; see the module docstring
@@ -121,55 +105,37 @@ class ProbeReport:
     def coding_killed(self) -> int:
         return self.candidates - self.censored
 
-    def _censored(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per survivor, whether its window reaches a tower end forward, and backward."""
-        c = self._columns
-        room = c.sizes[c.tower] - 1 - c.rank
-        forward = np.minimum(room[c.x], room[c.x_prime]) == c.forward
-        backward = np.minimum(c.rank[c.x], c.rank[c.x_prime]) == c.backward
-        return forward, backward
-
-    def _genuine(self) -> np.ndarray:
-        return np.diff(self._columns.cuts, prepend=0) > 0
-
-    def _uncensored_genuine(self) -> np.ndarray:
-        forward, backward = self._censored()
-        return self._genuine() & ~forward & ~backward
-
-    def _same_terminal(self) -> np.ndarray:
-        c = self._columns
-        return c.tower[c.x] == c.tower[c.x_prime]
-
     @cached_property
     def _all_rows(self) -> list[dict]:
-        return json.loads(_conflict_rows(self, np.ones(self.censored, dtype=bool)))
+        return json.loads(self._columns.write_rows(self._columns.every_row()))
 
-    def _rows(self, selected: np.ndarray) -> list[dict]:
+    def _rows(self, selected) -> list[dict]:  # selected: a boolean mask over survivors
         if not selected.any():
             return []
         rows = self._all_rows
-        return [rows[k] for k in np.flatnonzero(selected).tolist()]
+        return [rows[k] for k in selected.nonzero()[0].tolist()]
 
     @property
     def survivors(self) -> list[dict]:
         """Every surviving pair's row, in enumeration order."""
-        return self._rows(np.ones(self.censored, dtype=bool))
+        return self._rows(self._columns.every_row())
 
     @property
     def genuine_conflicts(self) -> list[dict]:
-        return self._rows(self._genuine())
+        return self._rows(self._columns.genuine())
 
     @property
     def uncensored_genuine_conflicts(self) -> list[dict]:
-        return self._rows(self._uncensored_genuine())
+        return self._rows(self._columns.uncensored_genuine())
 
     @property
     def same_terminal_survivors(self) -> list[dict]:
-        return self._rows(self._same_terminal())
+        return self._rows(self._columns.same_terminal())
 
     def to_document(self) -> dict:
         """The report as the CLI writes it, its conflict lists pre-written from the columns."""
-        genuine = self._genuine()
+        c = self._columns
+        genuine = c.genuine()
         return {
             "i": self.i,
             "L": self.horizon,
@@ -180,200 +146,11 @@ class ProbeReport:
             "censored": self.censored,
             "skipped_towers": self.skipped_towers,
             "max_killed_window": self.max_killed_window,
-            "genuine_conflicts": Encoded(_conflict_rows(self, genuine)),
-            "uncensored_genuine_conflicts": Encoded(
-                _conflict_rows(self, self._uncensored_genuine())
-            ),
+            "genuine_conflicts": Encoded(c.write_rows(genuine)),
+            "uncensored_genuine_conflicts": Encoded(c.write_rows(c.uncensored_genuine())),
             "survivors_without_conflict": len(genuine) - int(genuine.sum()),
-            "same_terminal_survivors": int(self._same_terminal().sum()),
+            "same_terminal_survivors": int(c.same_terminal().sum()),
         }
-
-
-def _conflict_rows(report: ProbeReport, selected: np.ndarray) -> str:
-    """The `selected` survivors as the stable JSON list of their rows.
-
-    Written as `to_stable_json` writes the list at top level, without the
-    final newline: one template per row in sorted key order.  A path's
-    reference and min-coordinate trace are written once per position, and a
-    terminal once per tower, since survivors share them.
-    """
-    rows = np.flatnonzero(selected)
-    if not rows.size:
-        return "[]"
-    c = report._columns
-    x, x_prime = c.x[rows], c.x_prime[rows]
-    used = np.zeros(len(c.tower), dtype=bool)
-    used[x] = used[x_prime] = True
-    used = np.flatnonzero(used)
-    field_nl, item_nl = "\n    ", "\n      "  # a row's fields, a field's items
-    terminals: dict[int, str] = {}
-    refs, traces = {}, {}
-    for p, k, r, trace in zip(
-        used.tolist(), c.tower[used].tolist(), c.rank[used].tolist(), c.mins[:, used].T.tolist()
-    ):
-        if k not in terminals:
-            terminals[k] = _list(c.terminals[k].coords, item_nl)
-        refs[p] = f'{{\n      "rank": {r},\n      "terminal": {terminals[k]}\n    }}'
-        traces[p] = _list(trace, item_nl)
-    censored = [
-        f'{{{item_nl}"backward": {backward},{item_nl}"forward": {forward}{field_nl}}}'
-        for backward in ("false", "true")
-        for forward in ("false", "true")
-    ]
-    forward, backward = report._censored()
-    times = c.times.tolist()
-    ends = c.cuts.tolist()
-    starts = [0, *ends]
-    out = [
-        f'{{\n    "censored": {censored[cen]},'
-        f'\n    "conflict_times": {_list(times[starts[k]:ends[k]], field_nl)},'
-        f'\n    "divergence_level": {div},'
-        f'\n    "min_coord_trace": [\n      {traces[a]},\n      {traces[b]}\n    ],'
-        f'\n    "window": [\n      {-bk},\n      {f}\n    ],'
-        f'\n    "x": {refs[a]},\n    "x_prime": {refs[b]}\n  }}'
-        for k, a, b, div, f, bk, cen in zip(
-            rows.tolist(), x.tolist(), x_prime.tolist(), c.divergence[rows].tolist(),
-            c.forward[rows].tolist(), c.backward[rows].tolist(),
-            (2 * backward[rows] + forward[rows]).tolist(),
-        )
-    ]
-    return "[\n  " + ",\n  ".join(out) + "\n]"
-
-
-_DIAGONAL_BATCH = 4096  # diagonals tested together; bounds the kernel's working arrays
-
-
-def _prefix_blocks(
-    ordering: Ordering, horizon: int, admitted: list[Vertex], budget: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The admitted towers' 2 x (horizon + 1) x dim blocks side by side, and their dims.
-
-    In a tower's block, column m describes the rank-m path and row k its level-k prefix:
-    plane 0 holds the prefix's symbol id (one id per distinct level-k path,
-    increasing in canonical vertex order, then tower rank), plane 1 the
-    minimum coordinate of its level-k vertex.  Built level by level: a block
-    is the label-order concatenation of its sources' blocks plus its own row.
-    """
-    diagram = ordering.diagram
-    blocks = {diagram.vertices(0)[0]: np.zeros((2, horizon + 1, 1), dtype=np.int64)}
-    for level in range(1, horizon + 1):
-        nxt: dict[Vertex, np.ndarray] = {}
-        offset = 0
-        for v in diagram.vertices(level):
-            dim = diagram.dimension(v)
-            if dim > budget:
-                continue
-            block = np.concatenate([blocks[e.source] for e in ordering.edges_in(v)], axis=2)
-            block[0, level] = np.arange(offset, offset + dim)
-            block[1, level] = v.min_coord
-            nxt[v] = block
-            offset += dim
-        blocks = nxt
-    return (
-        np.concatenate([blocks[v] for v in admitted], axis=2),
-        np.array([blocks[v].shape[2] for v in admitted]),
-    )
-
-
-def _dense_ranks(key: np.ndarray) -> np.ndarray:
-    """Each entry's rank among the distinct values of `key`, counted from 0."""
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    step = np.zeros(len(key), dtype=np.int64)
-    np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
-    rank = np.empty_like(step)
-    rank[order] = np.cumsum(step, out=step)
-    return rank
-
-
-def _window_ranks(axis: np.ndarray, rows: int) -> np.ndarray:
-    """Row j, column p: the dense rank of the length-2^j window of `axis` at p.
-
-    Prefix doubling (Karp, Miller & Rosenberg): a window of length 2^(j+1) is
-    the pair of its halves' ranks.  `axis` ends in a sentinel and no sentinel
-    repeats, so a window running off the end is already told apart by its
-    first half.  Rows stop once every window is distinct (at the latest after
-    `rows` rows); a longer window's rank is then the last row's.
-    """
-    n = len(axis)
-    ranks = np.empty((rows, n), dtype=np.int64)
-    ranks[0] = _dense_ranks(axis)
-    j = 0
-    while ranks[j].max() < n - 1:
-        half = 1 << j
-        key = ranks[j] * (n + 1)
-        key[: n - half] += ranks[j, half:] + 1  # 0 past the end
-        ranks[j + 1] = _dense_ranks(key)
-        j += 1
-    return ranks[: j + 1]
-
-
-def _diagonal_runs(sym: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, int]:
-    """Every diagonal whose symbols agree on its whole overlap, and the longest killed run.
-
-    `sym` holds the symbols of the towers, tower after tower, and `sizes`
-    their lengths.  A diagonal (A, B, s), towers A <= B and s > 0 when A = B,
-    sets rank r of A against rank r + s of B over their overlap.  Returns
-    the surviving diagonals as (a0, b0, length) columns, a0 < b0 the
-    positions of the overlap's first pair, and the longest maximal run of
-    equal symbols on a diagonal that is not the whole diagonal.
-    """
-    towers = len(sizes)
-    tower = np.arange(towers)
-    # the joint axis: every tower forward, each followed by a sentinel, then
-    # all of that but the last sentinel read backwards, so that each reversed
-    # tower is followed by a sentinel too; every slot without a symbol holds
-    # a sentinel of its own, above every symbol
-    top = int(sym.max()) + 1
-    n = 2 * (len(sym) + towers)
-    at = np.arange(len(sym)) + np.repeat(tower, sizes)  # a symbol's forward position
-    axis = top + np.arange(n)
-    axis[at] = sym
-    axis[n - 2 - at] = sym
-    ranks = _window_ranks(axis, int(sizes.max()).bit_length() + 1)
-    levels = len(ranks)
-    flat = ranks.ravel()
-    width = 1 << np.arange(levels)  # the window lengths ranked
-    start = np.cumsum(sizes) - sizes + tower  # a tower's first position on the axis
-    stop = start + sizes  # and its sentinel's
-
-    # a diagonal survives iff its overlap [a0, a0 + length) equals
-    # [b0, b0 + length): two overlapping power-of-two windows agree at both ends
-    a_of, b_of = np.nonzero(tower[:, None] <= tower)
-    same = a_of == b_of
-    count = sizes[a_of] + sizes[b_of] - 1 - sizes[a_of] * same
-    s_first = np.where(same, 1, 1 - sizes[a_of])
-    offset = np.cumsum(count) - count
-    total = int(count.sum())
-    runs = [np.zeros((3, 0), dtype=np.int64)]
-    for lo in range(0, total, _DIAGONAL_BATCH):
-        d = np.arange(lo, min(lo + _DIAGONAL_BATCH, total))
-        k = np.searchsorted(offset, d, side="right") - 1
-        s = s_first[k] + d - offset[k]
-        a, b = a_of[k], b_of[k]
-        a0, b0 = start[a] - np.minimum(s, 0), start[b] + np.maximum(s, 0)
-        length = np.minimum(stop[a] - a0, stop[b] - b0)
-        j = np.searchsorted(width, length, side="right") - 1  # the widest that fits
-        head = j * n + a0
-        tail = head + length - width[j]
-        shift = b0 - a0
-        whole = (flat[head] == flat[head + shift]) & (flat[tail] == flat[tail + shift])
-        runs.append(np.stack((a0 - a, b0 - b, length))[:, whole])
-
-    # a killed run ends at a real mismatch forward (or backward, on the
-    # reversed half); the longest such extension is between two neighbours
-    # in the suffix order of one half, so each half is ordered on its own
-    order = np.empty(n, dtype=np.int64)
-    order[ranks[-1]] = np.arange(n)
-    forward = order < n // 2
-    order = np.concatenate((order[forward], order[~forward]))
-    p, q = order[:-1], order[1:]
-    lce = np.zeros(n - 1, dtype=np.int64)
-    for j in range(levels - 1, -1, -1):
-        lce += (ranks[j, p + lce] == ranks[j, q + lce]) * width[j]
-    real = (axis[p + lce] < top) & (axis[q + lce] < top)
-    real[n // 2 - 1] = False  # the last forward suffix against the first reversed one
-    return np.concatenate(runs, axis=1), int(lce[real].max(initial=0))
 
 
 def probe_depth_pairs(
@@ -389,10 +166,13 @@ def probe_depth_pairs(
     at least `min_coord_floor` (a finite stand-in for restricting to dense
     orbits) and whose towers fit the `budget`; oversized towers are counted
     as skipped, not errors.  See the module docstring for kill and censor
-    semantics.
+    semantics.  Raises `ReportTooLarge` when the survivors or their conflict
+    times would pass the kernel's cap.
     """
     if i < 0 or horizon < 1:
         raise ValueError("need i >= 0 and horizon >= 1")
+    from ._diagonals import _search  # numpy loads here, with the first probe
+
     diagram = ordering.diagram
     all_terminals = diagram.vertices(horizon)
     skipped = sum(1 for v in all_terminals if diagram.dimension(v) > budget)
@@ -401,55 +181,7 @@ def probe_depth_pairs(
         for v in all_terminals
         if v.min_coord >= min_coord_floor and diagram.dimension(v) <= budget
     ]
-    if i >= horizon or not admitted:
-        return ProbeReport(i, horizon, min_coord_floor, budget, 0, skipped, 0)
-
-    # one global position axis: every admitted tower's paths, tower after tower
-    (ids, mins), sizes = _prefix_blocks(ordering, horizon, admitted, budget)
-    tower = np.repeat(np.arange(len(sizes)), sizes)
-    first = (np.cumsum(sizes) - sizes)[tower]
-    sym, sym1 = ids[i], ids[i + 1]
-    # pairs live inside i-symbol groups, so a group of g paths holds C(g, 2)
-    group = np.bincount(sym)
-    candidates = int((group * (group - 1) // 2).sum())
-    # a pair survives iff its whole diagonal has equal i-symbols
-    (a0, b0, length), max_killed_window = _diagonal_runs(sym, sizes)
-
-    # every pair of a surviving run survives; expand runs to pairs, offset t
-    run = np.repeat(np.arange(len(length)), length)
-    t = np.arange(len(run)) - (np.cumsum(length) - length)[run]
-    a, b = a0[run] + t, b0[run] + t
-    # a run's (i+1)-symbol mismatches, read once, are each of its pairs'
-    # conflict times shifted by the pair's offset
-    hit = np.flatnonzero(sym1[a] != sym1[b])
-    hit_t = t[hit]
-    run_hits = np.bincount(run[hit], minlength=len(length))
-    # survivors go back to enumeration order: i-symbol, then x, then x'
-    keep = np.lexsort((b, a, sym[a]))
-    a, b, run, t = a[keep], b[keep], run[keep], t[keep]
-    n = run_hits[run]
-    ends = np.cumsum(n)
-    flat = np.repeat(np.cumsum(run_hits)[run] - ends, n) + np.arange(n.sum())
-    # paths share their level-k prefix for each k below their divergence level
-    divergence = np.zeros(len(a), dtype=np.int64)
-    for row in ids:
-        divergence += row[a] == row[b]
-    survivors = _Columns(
-        terminals=tuple(admitted),
-        sizes=sizes,
-        tower=tower,
-        rank=np.arange(len(tower)) - first,
-        mins=mins.copy(),  # not a view, which would keep the symbol ids alive
-        x=a,
-        x_prime=b,
-        # survivors read every field off the per-level arrays; no path is built
-        divergence=divergence,
-        backward=t,
-        forward=length[run] - 1 - t,
-        times=hit_t[flat] - np.repeat(t, n),
-        cuts=ends,
-    )
-
+    candidates, max_killed_window, survivors = _search(ordering, i, horizon, admitted, budget)
     return ProbeReport(
         i=i,
         horizon=horizon,

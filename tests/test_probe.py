@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PASCAL_TEXT, k_coding_symbol, polynomial_specs
-from polyadic import Diagram, Ordering, probe
+from polyadic import Diagram, Ordering, _diagonals, parse_polynomial
 from polyadic.cli import main
-from polyadic.errors import MaximalAtHorizon, MinimalAtHorizon
+from polyadic.errors import MaximalAtHorizon, MinimalAtHorizon, ReportTooLarge
 from polyadic.export import to_stable_json
 from polyadic.measure import dense_orbit_trace
 from polyadic.probe import probe_depth_pairs
@@ -154,8 +154,8 @@ def kernel_and_scan(ordering, i, horizon, floor=0, chunk=_PAIR_CHUNK):
     admitted = [v for v in ordering.diagram.vertices(horizon) if v.min_coord >= floor]
     if not admitted:
         return (set(), 0), (0, set(), 0)
-    (ids, _), sizes = probe._prefix_blocks(ordering, horizon, admitted, DEFAULT_TOWER_BUDGET)
-    runs, max_killed_window = probe._diagonal_runs(ids[i], sizes)
+    (ids, _), sizes = _diagonals._prefix_blocks(ordering, horizon, admitted, DEFAULT_TOWER_BUDGET)
+    runs, max_killed_window = _diagonals._diagonal_runs(ids[i], sizes)
     return (set(zip(*runs.tolist())), max_killed_window), scan_runs(ids[i], sizes, chunk)
 
 
@@ -232,7 +232,7 @@ def test_pair_chunking_leaves_report_unchanged(
     # it tests a few diagonals at a time
     ordering = Ordering(all_diagrams[system], preset=preset, seed=seed)
     report = probe_depth_pairs(ordering, i, horizon)
-    monkeypatch.setattr(probe, "_DIAGONAL_BATCH", 7)
+    monkeypatch.setattr(_diagonals, "_DIAGONAL_BATCH", 7)
     batched = probe_depth_pairs(ordering, i, horizon)
     assert to_stable_json(batched.to_document()) == to_stable_json(report.to_document())
     for chunk in (_PAIR_CHUNK, 5):
@@ -362,7 +362,7 @@ def test_censor_flags_are_read_off_the_window(pascal_lex):
 
 def test_survivor_rows_are_parsed_once(pascal_lex, monkeypatch, capsys):
     calls = {"_conflict_rows": 0, "loads": 0}
-    write, loads = probe._conflict_rows, json.loads
+    write, loads = _diagonals._conflict_rows, json.loads
 
     def counted_write(*args):
         calls["_conflict_rows"] += 1
@@ -372,7 +372,7 @@ def test_survivor_rows_are_parsed_once(pascal_lex, monkeypatch, capsys):
         calls["loads"] += 1
         return loads(*args, **kwargs)
 
-    monkeypatch.setattr(probe, "_conflict_rows", counted_write)
+    monkeypatch.setattr(_diagonals, "_conflict_rows", counted_write)
     monkeypatch.setattr(json, "loads", counted_loads)
     report = probe_depth_pairs(pascal_lex, 1, 6)
     assert report.uncensored_genuine_conflicts == []  # an empty selection parses nothing
@@ -468,10 +468,20 @@ class TestRandomDepthThree:
 
 
 class TestEdges:
+    @staticmethod
+    def assert_empty(report):
+        assert (report.candidates, report.censored, report.max_killed_window) == (0, 0, 0)
+        assert report.survivors == report.genuine_conflicts == []
+        assert report.uncensored_genuine_conflicts == report.same_terminal_survivors == []
+        doc = document(report)
+        assert doc["genuine_conflicts"] == doc["uncensored_genuine_conflicts"] == []
+        assert (doc["survivors_without_conflict"], doc["same_terminal_survivors"]) == (0, 0)
+
     def test_depth_at_horizon_is_empty(self, pascal_lex):
-        report = probe_depth_pairs(pascal_lex, 6, 6)
-        assert report.candidates == 0
-        assert report.survivors == []
+        self.assert_empty(probe_depth_pairs(pascal_lex, 6, 6))
+
+    def test_floor_above_every_terminal_is_empty(self, pascal_lex):
+        self.assert_empty(probe_depth_pairs(pascal_lex, 1, 4, min_coord_floor=100))
 
     def test_budget_skips_towers(self, pascal, pascal_lex):
         report = probe_depth_pairs(pascal_lex, 1, 4, budget=5)
@@ -486,6 +496,28 @@ class TestEdges:
             probe_depth_pairs(pascal_lex, 1, 10, budget=100).skipped_towers
             == expected_skips
         )
+
+    def test_oversized_report_is_refused(self):
+        # 4,096 paths, 8,386,560 surviving pairs and 4,061,012,650 conflict
+        # times, which would take 30 GiB: refused before the times are laid out
+        ordering = Ordering(Diagram(parse_polynomial("x1 + 3 x2")))
+        with pytest.raises(ReportTooLarge, match="8386560 surviving pairs with 4061012650 "):
+            probe_depth_pairs(ordering, 0, 6)
+
+    def test_report_cap_counts_survivors_and_times(self, pascal_lex, monkeypatch, capsys):
+        report = probe_depth_pairs(pascal_lex, 0, 6)
+        assert (report.censored, len(report._columns.times)) == (2016, 8300)
+        monkeypatch.setattr(_diagonals, "_REPORT_CAP", 2015)
+        with pytest.raises(ReportTooLarge, match="^2016 surviving pairs; the cap is 2015$"):
+            probe_depth_pairs(pascal_lex, 0, 6)
+        monkeypatch.setattr(_diagonals, "_REPORT_CAP", 8299)
+        with pytest.raises(ReportTooLarge, match="2016 surviving pairs with 8300 conflict times"):
+            probe_depth_pairs(pascal_lex, 0, 6)
+        assert main(["probe", "--poly", PASCAL_TEXT, "--i", "0", "--horizon", "6"]) == 2
+        assert "8300 conflict times" in capsys.readouterr().err
+        monkeypatch.setattr(_diagonals, "_REPORT_CAP", 8300)
+        at_cap = probe_depth_pairs(pascal_lex, 0, 6)
+        assert to_stable_json(at_cap.to_document()) == to_stable_json(report.to_document())
 
     def test_argument_validation(self, pascal_lex):
         with pytest.raises(ValueError):
