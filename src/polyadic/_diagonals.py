@@ -272,21 +272,29 @@ def _search(
     survivors = int(length.sum())
     if survivors > _REPORT_CAP:
         raise ReportTooLarge(f"{survivors} surviving pairs; the cap is {_REPORT_CAP}")
-
-    # every pair of a surviving run survives; expand runs to pairs, offset t
-    run = np.repeat(np.arange(len(length)), length)
-    t = np.arange(survivors) - (np.cumsum(length) - length)[run]
-    a, b = a0[run] + t, b0[run] + t
     # a run's (i+1)-symbol mismatches, read once, are each of its pairs'
-    # conflict times shifted by the pair's offset
-    hit = np.flatnonzero(sym1[a] != sym1[b])
-    hit_t = t[hit]
-    run_hits = np.bincount(run[hit], minlength=len(length))
+    # conflict times shifted by the pair's offset; they are counted, a
+    # bounded batch of pairs at a time, before any column is laid out
+    firsts = np.cumsum(length) - length
+    run_hits = np.zeros(len(length), dtype=np.int64)
+    for lo in range(0, survivors, _DIAGONAL_BATCH):
+        pair = np.arange(lo, min(lo + _DIAGONAL_BATCH, survivors))
+        run = np.searchsorted(firsts, pair, side="right") - 1
+        t = pair - firsts[run]
+        low, high = run[0], run[-1] + 1
+        hits = run[sym1[a0[run] + t] != sym1[b0[run] + t]] - low
+        run_hits[low:high] += np.bincount(hits, minlength=high - low)
     times = int(run_hits @ length)
     if times > _REPORT_CAP:
         raise ReportTooLarge(
             f"{survivors} surviving pairs with {times} conflict times; the cap is {_REPORT_CAP}"
         )
+
+    # every pair of a surviving run survives; expand runs to pairs, offset t
+    run = np.repeat(np.arange(len(length)), length)
+    t = np.arange(survivors) - firsts[run]
+    a, b = a0[run] + t, b0[run] + t
+    hit_t = t[sym1[a] != sym1[b]]
     # survivors go back to enumeration order: i-symbol, then x, then x'
     keep = np.lexsort((b, a, sym[a]))
     a, b, run, t = a[keep], b[keep], run[keep], t[keep]

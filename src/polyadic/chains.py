@@ -221,11 +221,16 @@ def check_link_consequences(diagram: Diagram, w0: Vertex, w1: Vertex, j: int) ->
     Claim (c) needs its window: at a corner pair such as (5,0), (4,1) with
     d = 1 the drop source (4,0) feeds only those two vertices.
     """
+    diagram._index(w0)  # validates each vertex the diagram did not issue
+    diagram._index(w1)
     if w0.level != w1.level or w0 == w1:
         raise HypothesisNotMet("w0 and w1 must be distinct vertices on one level")
-    if set(diagram.source_set(w0)).isdisjoint(diagram.source_set(w1)):
-        raise HypothesisNotMet(f"{w0} and {w1} share no source")
     d = diagram.degree
+    # a shared source is a lattice point one level down and below both, so
+    # below their coordinatewise minimum, and every such point is a source:
+    # one exists iff the minimum holds a level's worth, (level - 1) * d
+    if sum(map(min, w0.coords, w1.coords)) < (w0.level - 1) * d:
+        raise HypothesisNotMet(f"{w0} and {w1} share no source")
     level = w1.level
     u1 = diagram.dsv(w1, j)
 

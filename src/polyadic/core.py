@@ -46,6 +46,22 @@ def compositions_desc(total: int, parts: int) -> Iterator[Coords]:
             yield (head,) + tail
 
 
+def _rank_desc(coords: Coords, total: int) -> int:
+    """Position of `coords` in `compositions_desc(total, len(coords))`, in O(q).
+
+    The combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3): ahead of c
+    come the C(rest + p - 2, p - 1) compositions into p parts whose first
+    part is larger, rest = total - c[0], and then those ahead of c's tail.
+    """
+    rank = coords[-1]  # the place of the last two parts among theirs
+    parts = len(coords)
+    for c in coords[:-2]:
+        total -= c
+        rank += math.comb(total + parts - 2, parts - 1)
+        parts -= 1
+    return rank
+
+
 class Vertex(NamedTuple):
     """A lattice point: q nonnegative coordinates summing to level * degree.
 
@@ -279,13 +295,19 @@ class Diagram:
     so equal vertices from it are also identical.  Any other vertex is
     validated by `vertex` first, so one off the lattice raises.
 
+    A vertex's index is (level, rank), its rank the position in canonical
+    order, found in O(q) without listing the level.  `_issued` maps each
+    index handed out to its vertex and `_rank` each such vertex back to its
+    rank; a hit in `_rank` needs no validation.  Dimensions are kept as
+    whole rows, one per level a caller touched (`_rows`), each stepped up
+    from the nearest kept row below, so a deep cold `dimension` holds two
+    rows, not its down-set.  The `Ordering` tables read the same rows and
+    the shifted runs of `_shifts`.
+
     Neighbours are cached per vertex value: `source_set` and `targets` store
     only valid vertices, so a hit needs no validation, and `coverage` keeps
     each level's cover map in `_covers`, beside which `chains` keeps each
-    vertex's link facts in `_uncovered_around`.  `_interned` and `_dim` key
-    on bare coordinates, because `dimension` walks a cold deep down-set
-    without building its vertices; the `Ordering` tables read the uncached
-    `_lower`.
+    vertex's link facts in `_uncovered_around`.
     """
 
     def __init__(
@@ -311,8 +333,10 @@ class Diagram:
             self.mode = next((name for name, known in named.items() if table == known), "custom")
         self._mult = table
         self._levels: dict[int, tuple[Vertex, ...]] = {}
-        self._interned: dict[Coords, Vertex] = {}
-        self._dim: dict[Coords, int] = {(0,) * spec.arity: 1}
+        self._issued: dict[tuple[int, int], Vertex] = {}
+        self._rank: dict[Vertex, int] = {}
+        self._rows: dict[int, list[int]] = {0: [1]}
+        self._intern(0, 0, (0,) * spec.arity)
         self._expansion: dict[int, dict[Coords, int]] = {}
         self._covers: dict[int, dict[Vertex, tuple[Vertex, ...]]] = {}
         self._uncovered_around: dict[Vertex, tuple[bool, bool]] = {}
@@ -329,18 +353,32 @@ class Diagram:
 
     @property
     def root(self) -> Vertex:
-        return self._vertex((0,) * self.arity)
+        return self._issued[0, 0]
+
+    def _intern(self, level: int, rank: int, coords: Coords) -> Vertex:
+        """The issued vertex at index (level, rank), whose coordinates are `coords`."""
+        v = self._issued.get((level, rank))
+        if v is None:
+            v = self._issued[level, rank] = Vertex(level, coords)
+            self._rank[v] = rank
+        return v
 
     def _vertex(self, coords: Coords) -> Vertex:
-        """The interned vertex at `coords` (a valid lattice point)."""
-        v = self._interned.get(coords)
-        return v or self._interned.setdefault(coords, Vertex(sum(coords) // self.degree, coords))
+        """The issued vertex at `coords` (a valid lattice point)."""
+        total = sum(coords)
+        index = total // self.degree, _rank_desc(coords, total)
+        return self._issued.get(index) or self._intern(*index, coords)
+
+    def _index(self, v: tuple[int, Coords]) -> int:
+        """The rank of the pair (level, coords) v, a `Vertex` or a plain tuple;
+        one the diagram did not issue goes through `vertex`, which validates."""
+        rank = self._rank.get(v)
+        return self._rank[self.vertex(v[1], v[0])] if rank is None else rank
 
     def _checked(self, v: tuple[int, Coords]) -> Vertex:
-        """The interned vertex equal to the pair (level, coords) v, a `Vertex` or
-        a plain tuple, else `vertex(coords, level)`, which validates."""
-        level, coords = v
-        return u if (u := self._interned.get(coords)) == v else self.vertex(coords, level)
+        """The issued vertex equal to the pair (level, coords) v, validated as by `_index`."""
+        rank = self._rank.get(v)
+        return self.vertex(v[1], v[0]) if rank is None else self._issued[v[0], rank]
 
     def _lower(self, coords: Coords) -> list[tuple[Coords, int]]:
         """(u, edge count) for each source vector s with u = coords - s >= 0."""
@@ -353,7 +391,8 @@ class Diagram:
         """All level-`level` vertices in canonical (descending lex) order."""
         if level not in self._levels:
             self._levels[level] = tuple(
-                map(self._vertex, compositions_desc(level * self.degree, self.arity))
+                self._intern(level, rank, coords)
+                for rank, coords in enumerate(compositions_desc(level * self.degree, self.arity))
             )
         return self._levels[level]
 
@@ -404,25 +443,55 @@ class Diagram:
         return sum(count for _, count in self._lower(self._checked(w).coords))
 
     def dimension(self, v: Vertex) -> int:
-        """Number of root-to-v paths, via the level recursion (exact integer).
+        """Number of root-to-v paths: v's entry in its level's row (exact integer)."""
+        return self._row(v[0])[self._index(v)]
 
-        Fills in the uncached part of v's down-set bottom-up, with no recursion.
+    def _row(self, level: int) -> list[int]:
+        """The dimensions of the level's vertices by rank, kept once asked for.
+
+        A new row is stepped up from the nearest kept row below it, level by
+        level, with no recursion; the rows in between are not kept.
         """
-        v = self._checked(v)
-        dims = self._dim
-        if v.coords not in dims:
-            # `_lower` inlined in both passes; w - s off the lattice is never in dims
-            layers = [{v.coords}]
-            while layers[-1]:
-                layers.append({
-                    u for w in layers[-1] for s in self._mult
-                    if min(u := tuple(map(sub, w, s))) >= 0 and u not in dims
-                })
-            mult = self._mult.items()
-            for layer in reversed(layers):
-                for w in layer:
-                    dims[w] = sum([n * dims.get(tuple(map(sub, w, s)), 0) for s, n in mult])
-        return dims[v.coords]
+        row = self._rows.get(level)
+        if row is None:
+            start = max(n for n in self._rows if n < level)
+            row = self._rows[start]
+            for n in range(start + 1, level + 1):
+                nxt = [0] * self.vertex_count(n)
+                for count, shifts in self._shifts(n):
+                    for src, dst, size in shifts:
+                        part = row[src : src + size]
+                        if count != 1:
+                            part = [count * x for x in part]
+                        nxt[dst : dst + size] = map(add, nxt[dst : dst + size], part)
+                row = nxt
+            self._rows[level] = row
+        return row
+
+    def _shifts(self, level: int) -> Iterator[tuple[int, list[tuple[int, int, int]]]]:
+        """The edges from level - 1 into `level`, one source vector s at a time
+        in canonical order: s's multiplicity and its runs, (source rank,
+        target rank, length).
+
+        A run is the vertices that share their first q - 2 coordinates; they
+        hold consecutive ranks, the last coordinate counting up.  Adding s
+        moves a whole run one level up, onto the run of the heads' sum,
+        starting at its place s[-1].
+        """
+        runs = []
+        for total in ((level - 1) * self.degree, level * self.degree):
+            starts, rank = {}, 0
+            for *head, rest in compositions_desc(total, self.arity - 1):
+                starts[tuple(head)] = rank, rest + 1
+                rank += rest + 1
+            runs.append(starts)
+        below, above = runs
+        for s in self.spec.source_vectors:
+            head = s[:-2]
+            yield self._mult[s], [
+                (src, above[tuple(map(add, h, head))][0] + s[-1], size)
+                for h, (src, size) in below.items()
+            ]
 
     def expansion_coefficients(self, level: int) -> dict[Coords, int]:
         """Coefficient table of (sum_s m_s x^s)**level, by iterated multiplication.

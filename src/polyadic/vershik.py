@@ -7,11 +7,16 @@ restarts everything below it at the minimal path into the new source.  Paths
 to the same terminal vertex form a tower, ordered by deepest-differing-edge
 comparison; rank and unrank convert between a path and its tower position.
 
-An ordering keeps one table per vertex: incoming edges in label order and
-prefix sums of source dimensions.  A label index gives each table edge its
-label, its target's edges and its rank offset.  Every cache keys on the
+An ordering keeps one integer table per level, built a whole level at a
+time from the diagram's shifted runs and dimension rows: per vertex in
+label order, each incoming edge's source rank and copy, and the prefix
+sums of the source dimensions.  `path_unrank` descends these tables on
+integers and builds only the edges of the path it returns.  The edge views
+behind `edges_in`, labels, successor, predecessor and `path_rank` are built
+from the tables per vertex on first use; a label index gives each view edge
+its label, its target's edges and its rank offset.  Every cache keys on the
 vertex or edge value and stores only valid ones, so a hit needs no check.
-Successor and predecessor splice a cached extreme path, one table edge and
+Successor and predecessor splice a cached extreme path, one view edge and
 a suffix of x, checking only the seams.  A vertex coding word is built per
 call, one level at a time, and not kept.
 
@@ -27,8 +32,9 @@ import json
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from typing import Iterator, Mapping
+from itertools import chain, count, repeat
+from operator import le, sub
+from typing import Iterator, Mapping, NamedTuple
 
 from .core import Coords, Diagram, EdgeRef, Vertex
 from .errors import (
@@ -75,6 +81,13 @@ class FinitePath:
         return [e.to_json() for e in self.edges]
 
 
+def _contiguous(terminal: Vertex, edges: tuple[EdgeRef, ...]) -> FinitePath:
+    """A path its maker knows to be contiguous, built without the checks."""
+    path = object.__new__(FinitePath)
+    vars(path).update(terminal=terminal, edges=edges)
+    return path
+
+
 def _splice(head: FinitePath, edge: EdgeRef, x: FinitePath, k: int) -> FinitePath:
     """head, `edge`, then x after its edge k; head and x are validated paths,
     so only the seams at either end of `edge` need checking."""
@@ -82,9 +95,7 @@ def _splice(head: FinitePath, edge: EdgeRef, x: FinitePath, k: int) -> FinitePat
         raise ValueError(f"{head.terminal} does not meet {edge}")
     if edge.target != (end := x.edges[k].target):
         raise ValueError(f"{edge} does not meet {end}")
-    path = object.__new__(FinitePath)  # contiguous by the seam checks
-    vars(path).update(terminal=x.terminal, edges=head.edges + (edge,) + x.edges[k + 1 :])
-    return path
+    return _contiguous(x.terminal, head.edges + (edge,) + x.edges[k + 1 :])
 
 
 def _mix(seed: int, v: Vertex) -> int:
@@ -117,6 +128,17 @@ def _explicit_labels(diagram: Diagram, table: Mapping[str, list[int]]) -> dict[V
             raise ValueError(f"two explicit keys name {w}")
         labels_at[w] = labels
     return labels_at
+
+
+class _LevelTable(NamedTuple):
+    """One level's incoming edges, vertex after vertex by rank, each vertex's
+    in label order: vertex r's edges are entries start[r] to start[r + 1] - 1."""
+
+    start: list[int]
+    source: list[int]  # the source's rank, one level down
+    copy: list[int]
+    sums: list[int]  # dimensions of the sources with lower labels at the same vertex
+    below: tuple[Vertex, ...]  # the vertices one level down, by rank
 
 
 class Ordering:
@@ -153,8 +175,10 @@ class Ordering:
         self.seed = 0 if preset == "random" and seed is None else seed
         self.table = dict(table or {})  # as given, for `describe`
         self._labels = _explicit_labels(diagram, self.table)
-        self._tables: dict[Vertex, tuple[tuple[EdgeRef, ...], tuple[int, ...]]] = {}
-        # table edge -> (0-based label, its target's edges, sums[label])
+        self._vectors = [(s, diagram._mult[s]) for s in diagram.spec.source_vectors]
+        self._tables: list[_LevelTable | None] = [_LevelTable([0, 0], [], [], [], ())]
+        self._views: dict[Vertex, tuple[EdgeRef, ...]] = {}
+        # view edge -> (0-based label, its target's edges, its sums entry)
         self._slots: dict[EdgeRef, tuple[int, tuple[EdgeRef, ...], int]] = {}
         self._minimal: dict[Vertex, FinitePath] = {}
         self._maximal: dict[Vertex, FinitePath] = {}
@@ -164,41 +188,78 @@ class Ordering:
             return {"explicit": self.table}
         return {"preset": self.preset} | ({"seed": self.seed} if self.preset == "random" else {})
 
-    def _table(self, w: Vertex) -> tuple[tuple[EdgeRef, ...], tuple[int, ...]]:
-        """(edges in label order, prefix sums of source dimensions in label
-        order, length indegree + 1); building it fills its edges' slots."""
-        table = self._tables.get(w)
+    def _permuted(self, w: Vertex, edges: list) -> list:
+        """w's incoming edges, given in source-lex order, put in label order.
+
+        Source-lex order lists the sources ascending, which is the source
+        vectors descending (canonical order), then copies; the preset or the
+        explicit table permutes it.
+        """
+        labels = self._labels.get(w)
+        if labels is not None:
+            return [edge for _, edge in sorted(zip(labels, edges))]  # labels are distinct
+        if self.preset == "source-revlex":
+            edges.reverse()
+        elif self.preset == "random":
+            random.Random(_mix(self.seed, w)).shuffle(edges)
+        return edges
+
+    def _level(self, level: int) -> _LevelTable:
+        """The table of `level`, built on first use from the diagram's runs and
+        the dimension row one level down."""
+        tables = self._tables
+        if level >= len(tables):
+            tables.extend([None] * (level + 1 - len(tables)))
+        table = tables[level]
         if table is None:
             d = self.diagram
-            w = d._checked(w)
-            base = [
-                EdgeRef(d._vertex(u), w, c)
-                for u, count in sorted(d._lower(w.coords))
-                for c in range(1, count + 1)
-            ]
-            labels = self._labels.get(w)
-            if labels is not None:
-                base = [edge for _, edge in sorted(zip(labels, base))]  # labels are distinct
-            elif self.preset == "source-revlex":
-                base.reverse()
-            elif self.preset == "random":
-                random.Random(_mix(self.seed, w)).shuffle(base)
-            edges = tuple(base)
-            sums = (0, *accumulate(d.dimension(e.source) for e in edges))
-            self._slots.update((e, (i, edges, sums[i])) for i, e in enumerate(edges))
-            table = self._tables[w] = (edges, sums)
+            vertices = d.vertices(level)
+            dims = d._row(level - 1)
+            columns = []  # per source vector: the source rank at each vertex, or -1
+            for mult, shifts in d._shifts(level):
+                column = [-1] * len(vertices)
+                for src, dst, size in shifts:
+                    column[dst : dst + size] = range(src, src + size)
+                columns.append((column, range(1, mult + 1)))
+            start, source, copy, sums = [0], [], [], []
+            for r, w in enumerate(vertices):
+                edges = [(col[r], c) for col, copies in columns if col[r] >= 0 for c in copies]
+                total = 0
+                for u, c in self._permuted(w, edges):
+                    source.append(u)
+                    copy.append(c)
+                    sums.append(total)
+                    total += dims[u]
+                start.append(len(source))
+            below = d.vertices(level - 1)
+            table = tables[level] = _LevelTable(start, source, copy, sums, below)
         return table
+
+    def _view(self, w: Vertex) -> tuple[EdgeRef, ...]:
+        """The incoming edges of w in label order, built from its level's
+        table on first use; building them fills their slots."""
+        edges = self._views.get(w)
+        if edges is None:
+            d = self.diagram
+            rank = d._index(w)
+            w = d._issued[w[0], rank]
+            start, source, copy, sums, below = self._level(w.level)
+            a, b = start[rank], start[rank + 1]
+            sources = [below[u] for u in source[a:b]]
+            edges = self._views[w] = tuple(map(EdgeRef._make, zip(sources, repeat(w), copy[a:b])))
+            self._slots.update(zip(edges, zip(count(), repeat(edges), sums[a:b])))
+        return edges
 
     def _slot(self, edge: EdgeRef) -> tuple[int, tuple[EdgeRef, ...], int]:
         """(0-based label, the target's edges in label order, rank offset).
 
-        On a miss the target's table is built and looked up again; an edge of
-        no table raises ValueError.
+        On a miss the target's edges are built and looked up again; an edge
+        of no vertex's edges raises ValueError.
         """
         slot = self._slots.get(edge)
         if slot is None:
             try:
-                self._table(edge.target)
+                self._view(edge.target)
                 slot = self._slots[edge]
             except (ValueError, KeyError):
                 raise ValueError(f"{edge} is not an edge of this ordering") from None
@@ -206,20 +267,33 @@ class Ordering:
 
     def edges_in(self, w: Vertex) -> tuple[EdgeRef, ...]:
         """Incoming edges of w in label order (position k holds label k + 1)."""
-        return self._table(w)[0]
+        return self._view(w)
 
     def label_of(self, edge: EdgeRef) -> int:
         return self._slot(edge)[0] + 1
 
     def indegree(self, w: Vertex) -> int:
-        return len(self._table(w)[0])
+        return len(self._view(w))
+
+    def _extreme_path(self, v: Vertex, end: int) -> FinitePath:
+        """The path into v through the edge at `end` of each vertex's label
+        order, 0 or -1.  Its edges are the views' own, the keys of their
+        slots, so the successor machine finds them by identity."""
+        edges = []
+        w = v
+        while w.level:
+            edge = (self._views.get(w) or self._view(w))[end]
+            edges.append(edge)
+            w = edge.source
+        edges.reverse()
+        return _contiguous(v, tuple(edges))
 
     def minimal_path(self, v: Vertex) -> FinitePath:
         """The all-label-1 path into v: rank 0 of its tower."""
         found = self._minimal.get(v)
         if found is None:
             v = self.diagram._checked(v)
-            found = self._minimal.setdefault(v, self.path_unrank(v, 0))
+            found = self._minimal.setdefault(v, self._extreme_path(v, 0))
         return found
 
     def maximal_path(self, v: Vertex) -> FinitePath:
@@ -227,7 +301,7 @@ class Ordering:
         found = self._maximal.get(v)
         if found is None:
             v = self.diagram._checked(v)
-            found = self._maximal.setdefault(v, self.path_unrank(v, self.diagram.dimension(v) - 1))
+            found = self._maximal.setdefault(v, self._extreme_path(v, -1))
         return found
 
     def successor(self, x: FinitePath) -> FinitePath:
@@ -262,22 +336,31 @@ class Ordering:
         return sum([(slots.get(e) or self._slot(e))[2] for e in x.edges])
 
     def path_unrank(self, v: Vertex, rank: int) -> FinitePath:
-        """The rank-th path of v's tower; inverse of path_rank."""
-        v = self.diagram._checked(v)
-        dim = self.diagram.dimension(v)
+        """The rank-th path of v's tower; inverse of path_rank.
+
+        Descends the level tables on integers, then builds the path's edges.
+        """
+        d = self.diagram
+        r = d._index(v)
+        level = v[0]
+        dim = d._row(level)[r]
         if not 0 <= rank < dim:
             raise RankOutOfRange(f"rank {rank} outside 0..{dim - 1} for {v}")
-        edges = []
-        current = v
-        tables = self._tables
-        while current.level > 0:
-            table, sums = tables.get(current) or self._table(current)
-            idx = bisect_right(sums, rank) - 1
-            edge = table[idx]
-            rank -= sums[idx]
-            edges.append(edge)
-            current = edge.source
-        return FinitePath(v, tuple(reversed(edges)))
+        tables = self._tables[1 : level + 1]
+        if len(tables) < level or None in tables:
+            tables = [self._level(n) for n in range(1, level + 1)]  # bottom-up, row by row
+        path, copies = [d._issued[level, r]], []  # top down
+        for start, source, copy, sums, below in reversed(tables):
+            j = bisect_right(sums, rank, start[r], start[r + 1]) - 1
+            rank -= sums[j]
+            r = source[j]
+            path.append(below[r])
+            copies.append(copy[j])
+        path.reverse()
+        copies.reverse()
+        # EdgeRef's own constructor, minus a Python frame per edge
+        edges = tuple(map(tuple.__new__, repeat(EdgeRef), zip(path, path[1:], copies)))
+        return _contiguous(path[-1], edges)
 
     def iter_tower(self, v: Vertex) -> Iterator[FinitePath]:
         """Yield the tower of v in successor order without materializing it."""
@@ -301,20 +384,28 @@ class Ordering:
         word the label-order concatenation of the codings of w's sources.  At
         j = level - 1 this is just the incoming sources in label order, each
         repeated by multiplicity.  Each call builds the words of w's down-set
-        bottom-up from level j + 1, one level at a time, and keeps none.
+        bottom-up from level j + 1, one level at a time, and keeps none.  It
+        orders each vertex's sources itself, without the level tables, so a
+        thin down-set such as that of Pascal (3000, 1) stays thin.
         """
-        w = self.diagram._checked(w)
+        d = self.diagram
+        w = d._checked(w)
         if not 0 <= j < w.level:
             raise ValueError(f"need 0 <= j < level {w.level}, got {j}")
+
+        def sources(v: Vertex) -> list[Vertex]:  # in label order, one per edge
+            edges = [
+                s for s, mult in self._vectors if all(map(le, s, v.coords)) for _ in range(mult)
+            ]
+            return [d._vertex(tuple(map(sub, v.coords, s))) for s in self._permuted(v, edges)]
+
         layers = [{w}]
         for _ in range(w.level - j - 1):
-            layers.append({e.source for v in layers[-1] for e in self.edges_in(v)})
+            layers.append({u for v in layers[-1] for u in sources(v)})
         words: dict[Vertex, tuple[Vertex, ...]] = {}  # a level-j source is its own word
         for layer in reversed(layers):
             words = {
-                v: tuple(chain.from_iterable(
-                    words.get(e.source, (e.source,)) for e in self.edges_in(v)
-                ))
+                v: tuple(chain.from_iterable(words.get(u, (u,)) for u in sources(v)))
                 for v in layer
             }
         return words[w]

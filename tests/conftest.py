@@ -7,7 +7,10 @@ polynomials for the hypothesis properties of several modules, and
 `k_coding_symbol` is the oracle for the library's integer k-symbols.
 """
 
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 
 import pytest
@@ -36,9 +39,9 @@ def k_coding_symbol(x, k):
 
 
 @st.composite
-def polynomial_specs(draw, max_degree):
-    """A random valid polynomial: 2-3 variables, every monomial of one degree."""
-    arity = draw(st.integers(min_value=2, max_value=3))
+def polynomial_specs(draw, max_degree, max_arity=3):
+    """A random valid polynomial: 2 to `max_arity` variables, every monomial of one degree."""
+    arity = draw(st.integers(min_value=2, max_value=max_arity))
     degree = draw(st.integers(min_value=1, max_value=max_degree))
     vectors = list(compositions_desc(degree, arity))
     return PolynomialSpec.from_coefficients(arity, {s: draw(COEFFICIENTS) for s in vectors})
@@ -78,6 +81,37 @@ def raised_within(call, seconds=5.0):
         timed_out.set()
         pytest.fail(f"still running after {seconds} s")
     return outcome.get("error")
+
+
+def peak_rss_mb(code):
+    """Run `code` in a fresh interpreter that imports this checkout's package,
+    and return its peak resident set size in MB; the run must succeed.
+
+    The peak is the kernel's high-water mark of the new program's own
+    memory (Linux's VmHWM): `ru_maxrss` would also count the memory of the
+    test process, which the child is forked from.
+    """
+    import polyadic
+
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs Linux's /proc/self/status")
+    src = os.path.dirname(os.path.dirname(polyadic.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = textwrap.dedent(code) + textwrap.dedent(
+        """
+        with open("/proc/self/status") as status:
+            print(next(line for line in status if line.startswith("VmHWM:")).split()[1])
+        """
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    return int(child.stdout.split()[-1]) / 1024  # in kB
 
 
 @pytest.fixture(scope="session")

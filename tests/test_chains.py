@@ -2,6 +2,7 @@
 
 import pytest
 
+from polyadic import Diagram, Vertex, parse_polynomial
 from polyadic.chains import (
     Chain,
     ChainStart,
@@ -195,3 +196,25 @@ class TestLinkConsequences:
             check_link_consequences(pascal, v, v, 1)
         with pytest.raises(HypothesisNotMet):
             check_link_consequences(pascal, v, pascal.vertex((3, 7)), 1)
+        with pytest.raises(ValueError):
+            check_link_consequences(pascal, v, Vertex(10, (3, 6)), 1)  # off the lattice
+
+    def test_shared_source_hypothesis_matches_the_source_sets(self, all_diagrams):
+        # the hypothesis is read off the two vertices' coordinates; the oracle
+        # intersects their source sets
+        custom = Diagram(parse_polynomial("x1^2 + x1 x2 + x2^2"), {(2, 0): 3, (1, 1): 1, (0, 2): 2})
+        for diagram in (*all_diagrams.values(), custom):
+            for level in range(1, 5):
+                vertices = diagram.vertices(level)
+                for w0 in vertices:
+                    for w1 in vertices:
+                        if w0 == w1:
+                            continue
+                        share = not set(diagram.source_set(w0)).isdisjoint(diagram.source_set(w1))
+                        try:
+                            check_link_consequences(diagram, w0, w1, 1)
+                            met = True
+                        except HypothesisNotMet as exc:
+                            assert str(exc) == f"{w0} and {w1} share no source"
+                            met = False
+                        assert met == share, (w0, w1)

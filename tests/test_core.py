@@ -17,7 +17,7 @@ from polyadic.errors import (
     PolynomialSyntaxError,
 )
 
-from conftest import OFF_LATTICE, raised_within
+from conftest import OFF_LATTICE, peak_rss_mb, raised_within
 
 QUARTIC = "x1^4 + 2 x1^3 x2 + x1^2 x2^2 + 3 x1 x2^3 + x2^4"
 
@@ -284,10 +284,26 @@ class TestDimension:
                 assert expansion == recursion
 
     def test_deep_level_on_a_cold_diagram(self):
-        # bottom-up over a down-set of about a million vertices, no recursion
+        # two thousand rows stepped up from the root, no recursion, and only
+        # the rows asked for are kept
         diagram = Diagram(parse_polynomial("x1 + x2"))
         assert diagram.dimension(diagram.vertex((1000, 1000))) == math.comb(2000, 1000)
         assert sum(diagram.dimension(v) for v in diagram.vertices(1000)) == 2**1000
+        assert sorted(diagram._rows) == [0, 1000, 2000]
+
+    def test_deep_level_holds_rows_not_the_down_set(self):
+        # the down-set of (1000, 1000) has about a million vertices; holding
+        # each one's dimension took about 350 MB
+        peak = peak_rss_mb(
+            """
+            import math
+            from polyadic import Diagram, parse_polynomial
+
+            pascal = Diagram(parse_polynomial("x1 + x2"))
+            assert pascal.dimension(pascal.vertex((1000, 1000))) == math.comb(2000, 1000)
+            """
+        )
+        assert peak < 60, peak
 
     def test_shape_mode_counts_differ(self):
         spec = parse_polynomial(QUARTIC)
@@ -381,10 +397,15 @@ class TestCallerVertices:
     )
     def test_off_the_lattice_raises(self, call, kind):
         diagram = Diagram(parse_polynomial("x1 + x2"))
-        diagram.dimension(diagram.vertex((1, 1)))  # (1, 1) is cached under its coordinates
+        diagram.dimension(diagram.vertex((1, 1)))  # (1, 1) is issued, at index (2, 1)
         error = raised_within(lambda: call(diagram, OFF_LATTICE[kind]))
         assert isinstance(error, ValueError), error
-        assert all(sum(c) == v.level and len(c) == 2 for c, v in diagram._interned.items())
+        # nothing off the lattice was issued, and each index names its vertex
+        assert diagram._rank == {v: rank for (_, rank), v in diagram._issued.items()}
+        assert all(
+            sum(v.coords) == v.level == level and len(v.coords) == 2 and v.coords[1] == rank
+            for (level, rank), v in diagram._issued.items()
+        )
 
     def test_equal_vertex_is_the_interned_one(self, pascal):
         v = Vertex(2, (1, 1))

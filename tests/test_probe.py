@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PASCAL_TEXT, k_coding_symbol, polynomial_specs
+from conftest import PASCAL_TEXT, k_coding_symbol, peak_rss_mb, polynomial_specs
 from polyadic import Diagram, Ordering, _diagonals, parse_polynomial
 from polyadic.cli import main
 from polyadic.errors import MaximalAtHorizon, MinimalAtHorizon, ReportTooLarge
@@ -503,6 +503,24 @@ class TestEdges:
         ordering = Ordering(Diagram(parse_polynomial("x1 + 3 x2")))
         with pytest.raises(ReportTooLarge, match="8386560 surviving pairs with 4061012650 "):
             probe_depth_pairs(ordering, 0, 6)
+
+    def test_oversized_report_is_refused_before_it_is_expanded(self):
+        # the conflict times are counted a bounded batch of pairs at a time,
+        # so the refusal costs megabytes; expanding the survivors first
+        # peaked at about 430 MB
+        peak = peak_rss_mb(
+            """
+            import pytest
+            from polyadic import Diagram, Ordering, parse_polynomial
+            from polyadic.errors import ReportTooLarge
+            from polyadic.probe import probe_depth_pairs
+
+            ordering = Ordering(Diagram(parse_polynomial("x1 + 3 x2")))
+            with pytest.raises(ReportTooLarge, match="8386560 surviving pairs with 4061012650 "):
+                probe_depth_pairs(ordering, 0, 6)
+            """
+        )
+        assert peak < 150, peak
 
     def test_report_cap_counts_survivors_and_times(self, pascal_lex, monkeypatch, capsys):
         report = probe_depth_pairs(pascal_lex, 0, 6)

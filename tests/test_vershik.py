@@ -1,5 +1,6 @@
 """Edge labelings, successor dynamics, towers, ranks, and coding words."""
 
+import random
 import re
 import tracemalloc
 
@@ -17,7 +18,7 @@ from polyadic.errors import (
     RankOutOfRange,
     TowerTooLarge,
 )
-from polyadic.vershik import FinitePath, make_ordering
+from polyadic.vershik import FinitePath, _mix, make_ordering
 
 
 def visited(path):
@@ -37,6 +38,38 @@ def rank_oracle(ordering, path):
         for e in path.edges
         for f in ordering.edges_in(e.target)[: ordering.label_of(e) - 1]
     )
+
+
+def label_order_oracle(ordering, w):
+    """w's incoming edges in label order, built for w alone: a sorted scan of
+    its sources, then the explicit table's permutation or the preset's."""
+    d = ordering.diagram
+    edges = [
+        EdgeRef(d.vertex(u), w, c) for u, count in sorted(d._lower(w.coords)) for c in range(1, count + 1)
+    ]
+    explicit = {}
+    for key, labels in ordering.table.items():
+        level, _, coords = key.partition(":")
+        explicit[d.vertex(coords.split(","), int(level))] = labels
+    if w in explicit:
+        return tuple(edge for _, edge in sorted(zip(explicit[w], edges)))
+    if ordering.preset == "source-revlex":
+        edges.reverse()
+    elif ordering.preset == "random":
+        random.Random(_mix(ordering.seed, w)).shuffle(edges)
+    return tuple(edges)
+
+
+def random_table(diagram, rng, max_level):
+    """An explicit table that permutes the labels at about half the vertices up to a level."""
+    table = {}
+    for level in range(1, max_level + 1):
+        for w in diagram.vertices(level):
+            if rng.random() < 0.5:
+                labels = list(range(1, diagram.indegree(w) + 1))
+                rng.shuffle(labels)
+                table[f"{level}:{','.join(map(str, w.coords))}"] = labels
+    return table
 
 
 def advanced_edge(x, y):
@@ -111,6 +144,22 @@ class TestOrderings:
                             range(1, len(edges) + 1)
                         )
                         assert len(edges) == diagram.indegree(w)
+
+    @pytest.mark.parametrize(
+        "preset, seed",
+        [("source-lex", None), ("source-revlex", None), ("random", 0), ("random", 5), ("explicit", 3)],
+    )
+    def test_labels_match_the_per_vertex_oracle(self, all_diagrams, preset, seed):
+        # in order, not only as a set, at every vertex of the first levels
+        for name, max_level in (("pascal", 6), ("quartic", 3), ("q3", 4)):
+            diagram = all_diagrams[name]
+            if preset == "explicit":
+                ordering = Ordering(diagram, preset, table=random_table(diagram, random.Random(seed), 3))
+            else:
+                ordering = Ordering(diagram, preset, seed)
+            for level in range(max_level + 1):
+                for w in diagram.vertices(level):
+                    assert ordering.edges_in(w) == label_order_oracle(ordering, w), (name, w)
 
     def test_explicit_table_relabels(self, pascal):
         ordering = Ordering(pascal, preset="explicit", table={"2:1,1": [2, 1]})
@@ -513,14 +562,18 @@ class TestFinitePaths:
 
 @st.composite
 def diagram_orderings(draw):
-    """A random valid polynomial under a preset ordering (source-lex,
-    source-revlex or seeded random) or a custom edge table."""
-    spec = draw(polynomial_specs(max_degree=3))
+    """A random valid polynomial, 2-4 variables of degree 1-4 with parallel
+    edges, under a preset ordering (source-lex, source-revlex or seeded
+    random) or an explicit table, or a custom edge table."""
+    spec = draw(polynomial_specs(max_degree=4, max_arity=4))
     if draw(st.booleans()):
         diagram = Diagram(spec)
-        preset = draw(st.sampled_from(["source-lex", "source-revlex", "random"]))
+        preset = draw(st.sampled_from(["source-lex", "source-revlex", "random", "explicit"]))
         seed = draw(st.integers(0, 2**32)) if preset == "random" else None
-        ordering = Ordering(diagram, preset=preset, seed=seed)
+        table = None
+        if preset == "explicit":
+            table = random_table(diagram, random.Random(draw(st.integers(0, 99))), 2)
+        ordering = Ordering(diagram, preset, seed, table)
     else:
         diagram = Diagram(spec, multiplicity={s: draw(COEFFICIENTS) for s in spec.source_vectors})
         ordering = Ordering(diagram)
@@ -551,13 +604,19 @@ class TestTableProperties:
     def test_tower_machine(self, case):
         diagram, ordering, v = case
         for w in {v, *diagram.source_set(v)}:
-            # the labeled edges are exactly the edges of the multiplicity table
+            # the labeled edges are exactly the edges of the multiplicity
+            # table, in the order the per-vertex oracle gives them
             expected = sorted(
                 (u.coords, c)
                 for u in diagram.source_set(w)
                 for c in range(1, diagram.multiplicity(u, w) + 1)
             )
             assert sorted((e.source.coords, e.copy) for e in ordering.edges_in(w)) == expected
+            assert ordering.edges_in(w) == label_order_oracle(ordering, w)
+        # each kept dimension row is its level's polynomial coefficients
+        for level in range(v.level + 1):
+            expansion = diagram.expansion_coefficients(level)
+            assert diagram._row(level) == [expansion[u.coords] for u in diagram.vertices(level)]
         tower = list(ordering.iter_tower(v))
         dim = diagram.dimension(v)
         assert len(tower) == dim == diagram.expansion_coefficients(v.level)[v.coords]
