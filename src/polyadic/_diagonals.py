@@ -29,38 +29,24 @@ class _Columns(NamedTuple):
 
     Pairs name their paths by position on the scan's axis of admitted tower
     paths (tower after tower); `tower`, `rank` and `mins` are indexed by
-    position, `sizes` by tower.  The masks select survivors for `write_rows`.
+    position.  The masks select survivors for `write_rows`.
     """
 
     terminals: tuple[Vertex, ...] = ()  # admitted towers
-    sizes: np.ndarray = np.zeros(0, dtype=np.int64)  # per tower: its dimension
     tower: np.ndarray = np.zeros(0, dtype=np.int64)  # per position: its tower
     rank: np.ndarray = np.zeros(0, dtype=np.int64)  # per position: its tower rank
     mins: np.ndarray = np.zeros((1, 0), dtype=np.int64)  # level x position: min coordinate
     x: np.ndarray = np.zeros(0, dtype=np.int64)  # per pair: position of x
     x_prime: np.ndarray = np.zeros(0, dtype=np.int64)  # per pair: position of x'
     divergence: np.ndarray = np.zeros(0, dtype=np.int64)
-    backward: np.ndarray = np.zeros(0, dtype=np.int64)
-    forward: np.ndarray = np.zeros(0, dtype=np.int64)
     times: np.ndarray = np.zeros(0, dtype=np.int64)  # conflict times, pair after pair
     cuts: np.ndarray = np.zeros(0, dtype=np.int64)  # per pair: end of its times
-
-    def censored(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per survivor, whether its window reaches a tower end forward, and backward."""
-        room = self.sizes[self.tower] - 1 - self.rank
-        forward = np.minimum(room[self.x], room[self.x_prime]) == self.forward
-        backward = np.minimum(self.rank[self.x], self.rank[self.x_prime]) == self.backward
-        return forward, backward
 
     def every_row(self) -> np.ndarray:
         return np.ones(len(self.x), dtype=bool)
 
     def genuine(self) -> np.ndarray:
         return np.diff(self.cuts, prepend=0) > 0
-
-    def uncensored_genuine(self) -> np.ndarray:
-        forward, backward = self.censored()
-        return self.genuine() & ~forward & ~backward
 
     def same_terminal(self) -> np.ndarray:
         return self.tower[self.x] == self.tower[self.x_prime]
@@ -94,26 +80,16 @@ def _conflict_rows(c: _Columns, selected: np.ndarray) -> str:
             terminals[k] = _list(c.terminals[k].coords, item_nl)
         refs[p] = f'{{\n      "rank": {r},\n      "terminal": {terminals[k]}\n    }}'
         traces[p] = _list(trace, item_nl)
-    censored = [
-        f'{{{item_nl}"backward": {backward},{item_nl}"forward": {forward}{field_nl}}}'
-        for backward in ("false", "true")
-        for forward in ("false", "true")
-    ]
-    forward, backward = c.censored()
     times = c.times.tolist()
     ends = c.cuts.tolist()
     starts = [0, *ends]
     out = [
-        f'{{\n    "censored": {censored[cen]},'
-        f'\n    "conflict_times": {_list(times[starts[k]:ends[k]], field_nl)},'
+        f'{{\n    "conflict_times": {_list(times[starts[k]:ends[k]], field_nl)},'
         f'\n    "divergence_level": {div},'
         f'\n    "min_coord_trace": [\n      {traces[a]},\n      {traces[b]}\n    ],'
-        f'\n    "window": [\n      {-bk},\n      {f}\n    ],'
         f'\n    "x": {refs[a]},\n    "x_prime": {refs[b]}\n  }}'
-        for k, a, b, div, f, bk, cen in zip(
-            rows.tolist(), x.tolist(), x_prime.tolist(), c.divergence[rows].tolist(),
-            c.forward[rows].tolist(), c.backward[rows].tolist(),
-            (2 * backward[rows] + forward[rows]).tolist(),
+        for k, a, b, div in zip(
+            rows.tolist(), x.tolist(), x_prime.tolist(), c.divergence[rows].tolist()
         )
     ]
     return "[\n  " + ",\n  ".join(out) + "\n]"
@@ -127,27 +103,32 @@ def _prefix_blocks(
     In a tower's block, column m describes the rank-m path and row k its level-k prefix:
     plane 0 holds the prefix's symbol id (one id per distinct level-k path,
     increasing in canonical vertex order, then tower rank), plane 1 the
-    minimum coordinate of its level-k vertex.  Built level by level: a block
-    is the label-order concatenation of its sources' blocks plus its own row.
+    minimum coordinate of its level-k vertex.  Built level by level from the
+    ordering's level tables: a block is the label-order concatenation of its
+    sources' blocks plus its own row.  A tower over the budget has no block,
+    and no block needs it: dimensions only grow going up, so every tower it
+    feeds is over the budget too.
     """
     diagram = ordering.diagram
-    blocks = {diagram.vertices(0)[0]: np.zeros((2, horizon + 1, 1), dtype=np.int64)}
+    blocks = [np.zeros((2, horizon + 1, 1), dtype=np.int64)]  # by rank within the level
     for level in range(1, horizon + 1):
-        nxt: dict[Vertex, np.ndarray] = {}
+        start, source, *_ = ordering._level(level)
+        nxt: list[np.ndarray | None] = []
         offset = 0
-        for v in diagram.vertices(level):
-            dim = diagram.dimension(v)
+        for r, (v, dim) in enumerate(zip(diagram.vertices(level), diagram._row(level))):
             if dim > budget:
+                nxt.append(None)
                 continue
-            block = np.concatenate([blocks[e.source] for e in ordering.edges_in(v)], axis=2)
+            block = np.concatenate([blocks[u] for u in source[start[r] : start[r + 1]]], axis=2)
             block[0, level] = np.arange(offset, offset + dim)
             block[1, level] = v.min_coord
-            nxt[v] = block
+            nxt.append(block)
             offset += dim
         blocks = nxt
+    admitted_blocks = [blocks[diagram._index(v)] for v in admitted]
     return (
-        np.concatenate([blocks[v] for v in admitted], axis=2),
-        np.array([blocks[v].shape[2] for v in admitted]),
+        np.concatenate(admitted_blocks, axis=2),
+        np.array([block.shape[2] for block in admitted_blocks]),
     )
 
 
@@ -307,7 +288,6 @@ def _search(
         divergence += row[a] == row[b]
     return candidates, max_killed_window, _Columns(
         terminals=tuple(admitted),
-        sizes=sizes,
         tower=tower,
         rank=np.arange(len(tower)) - first,
         mins=mins.copy(),  # not a view, which would keep the symbol ids alive
@@ -315,8 +295,6 @@ def _search(
         x_prime=b,
         # survivors read every field off the per-level arrays; no path is built
         divergence=divergence,
-        backward=t,
-        forward=length[run] - 1 - t,
         times=hit_t[flat] - np.repeat(t, n),
         cuts=ends,
     )

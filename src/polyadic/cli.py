@@ -7,7 +7,8 @@ subcommand's handler.  A handler returns its exit code and the body of
 its document; `main` puts the common header on the body and writes one
 deterministic JSON document (DOT for the exporter) to stdout or to a fixed
 file name under `--out`.  Exit codes: 0 success, 1 completed but a
-discrepancy was found, 2 usage or input errors.
+discrepancy was found (`covered`, `measure`, `verify-all`), 2 usage or
+input errors.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def _cmd_probe(args, diagram, ordering):
     report = probe_depth_pairs(
         ordering, args.i, args.horizon, min_coord_floor=args.floor, budget=args.budget
     )
-    return 1 if report._columns.uncensored_genuine().any() else 0, {"report": report.to_document()}
+    return 0, {"report": report.to_document()}
 
 
 def _cmd_measure(args, diagram, ordering):
@@ -252,8 +253,8 @@ def main(argv=None) -> int:
         code, body = args.fn(args, diagram, ordering)
         if isinstance(body, str):  # export's DOT text
             name, text = f"{args.file}.dot", body
-        else:  # export's JSON already holds this header, with neither ordering nor seed
-            header = document_header(diagram, ordering=ordering, seed=vars(args).get("seed"))
+        else:  # export's JSON already holds this header, without the ordering
+            header = document_header(diagram, ordering=ordering)
             name, text = f"{args.file}.json", to_stable_json(header | body)
         if not args.out:
             sys.stdout.write(text)

@@ -2,7 +2,8 @@
 
 Outputs are deterministic byte for byte: vertices appear in canonical order,
 JSON objects are written with sorted keys, and every document carries the same
-header block (schema version, polynomial, multiplicity mode, ordering, seed).
+header block (schema version, polynomial, multiplicity mode and, where a
+command takes one, the ordering, whose description holds a random one's seed).
 
 `to_stable_json` writes the same bytes as
 `json.dumps(obj, sort_keys=True, indent=2)`, plus a final newline: two-space
@@ -45,9 +46,7 @@ from .version import __version__
 SCHEMA_VERSION = 1
 
 
-def document_header(
-    diagram: Diagram, ordering: Ordering | None = None, seed: int | None = None
-) -> dict:
+def document_header(diagram: Diagram, ordering: Ordering | None = None) -> dict:
     header = {
         "schema_version": SCHEMA_VERSION,
         "generator": f"polyadic {__version__}",
@@ -56,8 +55,6 @@ def document_header(
     }
     if ordering is not None:
         header["ordering"] = ordering.describe()
-    if seed is not None:
-        header["seed"] = seed
     return header
 
 

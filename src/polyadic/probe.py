@@ -9,15 +9,12 @@ paths, within their terminal vertices' towers.
 
 The first simulated time whose i-symbols differ kills the pair: no infinite
 extensions of these two paths can form a depth-i pair, which is the evidence
-the search accumulates.  A pair that reaches a tower boundary in both
-directions without a mismatch is censored: the horizon ran out before the
-pair was resolved.  Censored survivors whose (i+1)-symbols differ somewhere
-in the observed window are reported as genuine conflicts - they look exactly
-like depth-i pairs as far as this horizon can see.  The uncensored bucket
-is empty by construction: a pair survives only when its whole diagonal has
-equal i-symbols, so its window reaches a tower end in both directions.  The
-bucket, and the CLI's exit 1 when it is not empty, therefore cannot fire on
-a real scan; the test suite fills it only by shrinking windows by hand.
+the search accumulates.  A pair that is not killed survives, censored: the
+horizon ran out before the pair was resolved.  Every survivor is censored
+both ways, since it survives only when its whole diagonal has equal
+i-symbols.  Survivors whose (i+1)-symbols differ somewhere on that diagonal
+are reported as genuine conflicts - they look exactly like depth-i pairs as
+far as this horizon can see.
 
 The survivor counts are not evidence about depth-i pairs.  At Pascal i=1
 source-lex, L = 6..13, every level-L path lies in some surviving pair, and
@@ -50,10 +47,10 @@ The test suite keeps the pair scan the kernel replaced and replays pairs
 with the raw successor machine to pin the equivalence.
 
 Survivors are kept as columns, as the run expansion leaves them: the
-positions of x and x', divergence level, window, and conflict times as one
-flat array with cuts, beside per-position tower, rank and min-coordinate
-rows.  A survivor's censor flags are read off its window, which is censored
-in a direction when it reaches a tower end there.  `_conflict_rows` writes
+positions of x and x', divergence level, and conflict times as one flat
+array with cuts, beside per-position tower, rank and min-coordinate rows.
+A survivor's window, its whole diagonal, follows from its two (rank,
+terminal) references, so no row repeats it.  `_conflict_rows` writes
 selected survivors as the JSON rows of the CLI document.  The report's
 survivor views are those rows read back, parsed once per report and
 selected by mask, so a survivor has one writer and one reader.  A report
@@ -125,10 +122,6 @@ class ProbeReport:
         return self._rows(self._columns.genuine())
 
     @property
-    def uncensored_genuine_conflicts(self) -> list[dict]:
-        return self._rows(self._columns.uncensored_genuine())
-
-    @property
     def same_terminal_survivors(self) -> list[dict]:
         return self._rows(self._columns.same_terminal())
 
@@ -147,7 +140,7 @@ class ProbeReport:
             "skipped_towers": self.skipped_towers,
             "max_killed_window": self.max_killed_window,
             "genuine_conflicts": Encoded(c.write_rows(genuine)),
-            "uncensored_genuine_conflicts": Encoded(c.write_rows(c.uncensored_genuine())),
+            "uncensored_genuine_conflicts": [],  # always empty; perfbench's probe check reads it
             "survivors_without_conflict": len(genuine) - int(genuine.sum()),
             "same_terminal_survivors": int(c.same_terminal().sum()),
         }

@@ -24,11 +24,11 @@ from polyadic import (
     verify_all,
     weight_from_theta,
 )
-from polyadic import coverage
+from polyadic import _diagonals, coverage
 from polyadic.cli import main as cli_main
-from polyadic.errors import MaximalAtHorizon
+from polyadic.errors import MaximalAtHorizon, MinimalAtHorizon
 
-from conftest import PASCAL_TEXT, Q3_TEXT, QUARTIC_TEXT
+from conftest import PASCAL_TEXT, Q3_TEXT, QUARTIC_TEXT, k_coding_symbol
 
 ALL_TEXTS = (PASCAL_TEXT, QUARTIC_TEXT, Q3_TEXT)
 
@@ -174,20 +174,70 @@ def test_criterion_08_measure_bounds(all_diagrams, pascal, quartic):
     check(8, "invariant weights and mass bounds", problems)
 
 
-def test_criterion_09_probe(pascal):
+# Pascal i=1 L=10 source-lex, then random seeds 3, 7 and 11 at i=3 L=10:
+# (random seed, None for source-lex; i; candidates; survivors; genuine conflicts)
+PROBE_PINS = [(None, 1, 261632, 2026, 512)] + [
+    (seed, 3, 65024, survivors, genuine)
+    for seed, survivors, genuine in ((3, 965, 149), (7, 819, 168), (11, 693, 225))
+]
+REPLAY_STEP = 5  # every fifth survivor row, in enumeration order, is replayed
+
+
+def replay_problems(ordering, i, row):
+    """Walk the row's pair back and forth with the raw machines: it must reach
+    both tower ends with equal i-symbols, and its (i+1)-symbols must differ at
+    exactly its conflict times."""
+    x, y = (
+        ordering.path_unrank(ordering.diagram.vertex(ref["terminal"]), ref["rank"])
+        for ref in (row["x"], row["x_prime"])
+    )
+    times = []
+    for step, end, sign in (
+        (ordering.predecessor, MinimalAtHorizon, -1),
+        (ordering.successor, MaximalAtHorizon, 1),
+    ):
+        a, b, t = x, y, 0
+        while True:
+            if k_coding_symbol(a, i) != k_coding_symbol(b, i):
+                return [("killed", sign * t, row["x"], row["x_prime"])]
+            if (t or sign > 0) and k_coding_symbol(a, i + 1) != k_coding_symbol(b, i + 1):
+                times.append(sign * t)
+            try:
+                a, b = step(a), step(b)
+            except end:
+                break
+            t += 1
+    if sorted(times) != row["conflict_times"]:
+        return [("conflict times", sorted(times), row["x"], row["x_prime"])]
+    return []
+
+
+def probe_problems(pascal):
     problems = []
-    lex = probe_depth_pairs(Ordering(pascal), 1, 10)
-    if lex.candidates != 261632:
-        problems.append(("left-right candidates", lex.candidates))
-    if lex.uncensored_genuine_conflicts:
-        problems.append(("left-right uncensored", len(lex.uncensored_genuine_conflicts)))
-    for seed in (3, 7, 11):
-        report = probe_depth_pairs(Ordering(pascal, preset="random", seed=seed), 3, 10)
-        if report.candidates != 65024:
-            problems.append((seed, "candidates", report.candidates))
-        if report.uncensored_genuine_conflicts:
-            problems.append((seed, "uncensored", len(report.uncensored_genuine_conflicts)))
-    check(9, "no uncensored depth-i conflicts at the horizon", problems)
+    for seed, i, candidates, survivors, genuine in PROBE_PINS:
+        ordering = Ordering(pascal) if seed is None else Ordering(pascal, "random", seed)
+        report = probe_depth_pairs(ordering, i, 10)
+        got = (report.candidates, report.censored, len(report.genuine_conflicts))
+        if got != (candidates, survivors, genuine):
+            problems.append((seed, "candidates, survivors, genuine", got))
+        for row in report.survivors[::REPLAY_STEP]:
+            problems.extend((seed, *p) for p in replay_problems(ordering, i, row))
+    return problems
+
+
+def test_criterion_09_probe(pascal, monkeypatch):
+    problems = probe_problems(pascal)
+    blocks = _diagonals._prefix_blocks
+
+    def one_symbol_off(ordering, horizon, admitted, budget):
+        (ids, mins), sizes = blocks(ordering, horizon, admitted, budget)
+        ids[1, 0] = ids[1].max() + 1  # the first path's 1-symbol, shared with no path
+        return (ids, mins), sizes
+
+    monkeypatch.setattr(_diagonals, "_prefix_blocks", one_symbol_off)
+    if not probe_problems(pascal):
+        problems.append(("a changed 1-symbol still passes",))
+    check(9, "pinned probe counts and replayed survivors", problems)
 
 
 def test_criterion_10_chain_builder(pascal):

@@ -44,13 +44,13 @@ GOLDEN = {
     "readme-probe-floor": (
         ("probe", "--poly", PASCAL_TEXT, "--i", "1", "--horizon", "10", "--floor", "0"),
         0,
-        "1a45c9d3272992c1f7d30ca83f99386b5437d565eb12dc300f5e41eebe304b7c",
+        "9f6d9011fe147efc7673e39f2feda55644d3e867203787537033a0c1b632ed66",
     ),
     "readme-probe-random": (
         ("probe", "--poly", PASCAL_TEXT, "--i", "3", "--horizon", "10",
          "--ordering", "random", "--seed", "7"),
         0,
-        "a313b48cab6aed0fa27d1f5bfaaa708c8c1df810c02b17e26123bf551184c1aa",
+        "87fb3ba5da51af79bc4ea75b8d27eda86ec37753cb80cacf3950599b92679578",
     ),
     "readme-measure": (
         ("measure", "--poly", Q3_TEXT, "--levels", "6"),
@@ -91,13 +91,13 @@ GOLDEN = {
         ("probe", "--poly", Q3_TEXT, "--i", "0", "--horizon", "2", "--floor", "0",
          "--ordering", "random", "--seed", "5"),
         0,
-        "16079b631c6b1c540b0e73f19dd5514a8a680f6c8adb8fff908813a95729edcb",
+        "c31f73ac5197c6838f0d0e64c6e41f6884b28e03eb6adcfd59e2ef876b9931dd",
     ),
     "probe-quartic-survive": (
         ("probe", "--poly", QUARTIC_TEXT, "--i", "0", "--horizon", "2", "--floor", "0",
          "--ordering", "random", "--seed", "5"),
         0,
-        "324575f49e3d15e35ac103c4bac97fc8ad7bada191dcd2356fdebdfaa9d88fe7",
+        "ff219bfb00e5705049fffd6923115b4d1d1cedada13f163c82d794f196ecc36b",
     ),
     "probe-pascal-all-killed": (
         ("probe", "--poly", PASCAL_TEXT, "--i", "1", "--horizon", "4", "--floor", "2"),
@@ -107,13 +107,13 @@ GOLDEN = {
     "probe-pascal-skipped-towers": (
         ("probe", "--poly", PASCAL_TEXT, "--i", "1", "--horizon", "10", "--budget", "40"),
         0,
-        "bb708fc336e11d51ea591ba1006c67872346f8ecb0df1390d0075a1757edfdf3",
+        "3f04d1588057863fe6781f27c16d85c1ece2fa31ad8d2661f6c8d9b131d1fd6a",
     ),
     "probe-pascal-random-floor": (
         ("probe", "--poly", PASCAL_TEXT, "--i", "2", "--horizon", "9", "--floor", "1",
          "--ordering", "random", "--seed", "3"),
         0,
-        "323f7c13b087b4c0c05c4d95446d8fe291e05927a2ceac1c6aff0ea6649085fe",
+        "5f18265831eccb172d34f3135f30b5ebdd5fb4a0c7423b629af5196dbb4739df",
     ),
     "vershik-binomial-70": (
         ("vershik", "--poly", "x1 + x2", "--level", "70"),

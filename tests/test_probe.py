@@ -1,6 +1,5 @@
 """Depth-i conflict search: the diagonal kernel vs the pair scan and odometer replay."""
 
-import dataclasses
 import json
 import math
 import random
@@ -159,14 +158,25 @@ def kernel_and_scan(ordering, i, horizon, floor=0, chunk=_PAIR_CHUNK):
     return (set(zip(*runs.tolist())), max_killed_window), scan_runs(ids[i], sizes, chunk)
 
 
-def report_survivors(report):
+def row_window(diagram, row):
+    """The steps from the row's pair to its towers' nearer ends, backward and forward."""
+    (ra, da), (rb, db) = (
+        (ref["rank"], diagram.dimension(diagram.vertex(ref["terminal"])))
+        for ref in (row["x"], row["x_prime"])
+    )
+    return min(ra, rb), min(da - 1 - ra, db - 1 - rb)
+
+
+def report_survivors(ordering, report):
+    """The report's survivors as `replay_report` keys them, each window
+    worked out from the row's two path references."""
     return {
         frozenset(
             {
                 (tuple(row["x"]["terminal"]), row["x"]["rank"]),
                 (tuple(row["x_prime"]["terminal"]), row["x_prime"]["rank"]),
             }
-        ): ((-row["window"][0], row["window"][1]), tuple(row["conflict_times"]))
+        ): (row_window(ordering.diagram, row), tuple(row["conflict_times"]))
         for row in report.survivors
     }
 
@@ -181,10 +191,6 @@ def path_fields(ordering, row):
         k for k, (ea, eb) in enumerate(zip(xa.edges, xb.edges)) if ea != eb
     )
     return first_differing_edge + 1, [list(dense_orbit_trace(xa)), list(dense_orbit_trace(xb))]
-
-
-def censored_both_ways(row):
-    return row["censored"] == {"forward": True, "backward": True}
 
 
 REPLAY_CASES = [
@@ -203,7 +209,7 @@ def test_array_simulation_matches_replay(all_diagrams, system, i, horizon, prese
     assert report.candidates == candidates
     assert report.coding_killed == killed
     assert report.censored == len(survivors)
-    assert report_survivors(report) == survivors
+    assert report_survivors(ordering, report) == survivors
     assert report.max_killed_window == max_killed_window
 
 
@@ -254,7 +260,7 @@ def test_floor_filter_matches_replay(pascal_lex):
     report = probe_depth_pairs(pascal_lex, 1, 5, min_coord_floor=1)
     candidates, killed, survivors, max_killed_window = replay_report(pascal_lex, 1, 5, floor=1)
     assert (report.candidates, report.coding_killed) == (candidates, killed)
-    assert report_survivors(report) == survivors
+    assert report_survivors(pascal_lex, report) == survivors
     assert report.max_killed_window == max_killed_window
 
 
@@ -297,7 +303,7 @@ def test_report_matches_replay_on_random_diagrams(case):
     report = probe_depth_pairs(ordering, i, horizon, min_coord_floor=floor)
     candidates, killed, survivors, max_killed_window = replay_report(ordering, i, horizon, floor)
     assert (report.candidates, report.coding_killed) == (candidates, killed)
-    assert report_survivors(report) == survivors
+    assert report_survivors(ordering, report) == survivors
     assert report.max_killed_window == max_killed_window
     (runs, max_killed_window), (_, scanned, scanned_max) = kernel_and_scan(
         ordering, i, horizon, floor, chunk=5
@@ -330,7 +336,6 @@ def test_rows_match_candidate_views_on_random_diagrams(case):
     report = probe_depth_pairs(ordering, i, horizon, min_coord_floor=floor)
     doc = document(report)  # the rows the CLI writes, read back
     assert doc["genuine_conflicts"] == report.genuine_conflicts
-    assert doc["uncensored_genuine_conflicts"] == report.uncensored_genuine_conflicts
     rows = report.survivors
     assert doc["survivors_without_conflict"] == sum(not row["conflict_times"] for row in rows)
     assert doc["same_terminal_survivors"] == len(report.same_terminal_survivors) == sum(
@@ -338,26 +343,9 @@ def test_rows_match_candidate_views_on_random_diagrams(case):
     )
     # the survivor rows are the replay's survivors
     _, _, survivors, _ = replay_report(ordering, i, horizon, floor)
-    assert report_survivors(report) == survivors
+    assert report_survivors(ordering, report) == survivors
     for row in rows:
-        assert censored_both_ways(row)
         assert (row["divergence_level"], row["min_coord_trace"]) == path_fields(ordering, row)
-
-
-def test_censor_flags_are_read_off_the_window(pascal_lex):
-    # shrink every window by one step each way: no window then reaches a
-    # tower end, so every genuine conflict lands in the uncensored bucket
-    report = probe_depth_pairs(pascal_lex, 1, 6)
-    columns = report._columns
-    shrunk = dataclasses.replace(
-        report,
-        _columns=columns._replace(forward=columns.forward - 1, backward=columns.backward - 1),
-    )
-    assert report.genuine_conflicts and report.uncensored_genuine_conflicts == []
-    assert not any(row["censored"]["forward"] or row["censored"]["backward"] for row in shrunk.survivors)
-    assert len(shrunk.uncensored_genuine_conflicts) == len(report.genuine_conflicts)
-    doc = document(shrunk)
-    assert doc["uncensored_genuine_conflicts"] == doc["genuine_conflicts"]
 
 
 def test_survivor_rows_are_parsed_once(pascal_lex, monkeypatch, capsys):
@@ -375,19 +363,18 @@ def test_survivor_rows_are_parsed_once(pascal_lex, monkeypatch, capsys):
     monkeypatch.setattr(_diagonals, "_conflict_rows", counted_write)
     monkeypatch.setattr(json, "loads", counted_loads)
     report = probe_depth_pairs(pascal_lex, 1, 6)
-    assert report.uncensored_genuine_conflicts == []  # an empty selection parses nothing
+    assert report.same_terminal_survivors == []  # an empty selection parses nothing
     assert calls == {"_conflict_rows": 0, "loads": 0}
     rows = report.survivors
     assert calls == {"_conflict_rows": 1, "loads": 1}
     assert report.genuine_conflicts == [row for row in rows if row["conflict_times"]]
-    assert report.uncensored_genuine_conflicts == []
     assert report.same_terminal_survivors == []
     assert report.survivors == rows and report.survivors is not rows
     assert calls == {"_conflict_rows": 1, "loads": 1}
-    # the CLI writes the document's two lists and reads no row back
+    # the CLI writes the document's one list of rows and reads no row back
     calls.update({"_conflict_rows": 0, "loads": 0})
     assert main(["probe", "--poly", PASCAL_TEXT, "--i", "1", "--horizon", "6"]) == 0
-    assert calls == {"_conflict_rows": 2, "loads": 0}
+    assert calls == {"_conflict_rows": 1, "loads": 0}
     capsys.readouterr()
 
 
@@ -416,7 +403,6 @@ class TestPascalDepthOne:
         assert report.coding_killed == 259606
         assert report.censored == 2026
         assert len(report.genuine_conflicts) == 512
-        assert report.uncensored_genuine_conflicts == []
         assert report.same_terminal_survivors == []
         assert report.max_killed_window == 76
 
@@ -438,10 +424,19 @@ class TestPascalDepthOne:
         assert report.genuine_conflicts == []
 
     def test_all_survivors_censored_both_ways(self, pascal_lex):
+        # the raw machines carry every survivor to both tower ends unkilled,
+        # over the window its two references give
         report = probe_depth_pairs(pascal_lex, 1, 6)
         assert report.survivors
         for row in report.survivors:
-            assert censored_both_ways(row)
+            xa, xb = (
+                pascal_lex.path_unrank(pascal_lex.diagram.vertex(ref["terminal"]), ref["rank"])
+                for ref in (row["x"], row["x_prime"])
+            )
+            killed, window, conflicts = replay_pair(pascal_lex, 1, xa, xb)
+            assert not killed
+            assert window == row_window(pascal_lex.diagram, row)
+            assert conflicts == row["conflict_times"]
             assert row["divergence_level"] > 1
             assert len(row["min_coord_trace"][0]) == 7
 
@@ -464,17 +459,15 @@ class TestRandomDepthThree:
             assert report.coding_killed == killed
             assert report.censored == censored
             assert len(report.genuine_conflicts) == genuine
-            assert report.uncensored_genuine_conflicts == []
 
 
 class TestEdges:
     @staticmethod
     def assert_empty(report):
         assert (report.candidates, report.censored, report.max_killed_window) == (0, 0, 0)
-        assert report.survivors == report.genuine_conflicts == []
-        assert report.uncensored_genuine_conflicts == report.same_terminal_survivors == []
+        assert report.survivors == report.genuine_conflicts == report.same_terminal_survivors == []
         doc = document(report)
-        assert doc["genuine_conflicts"] == doc["uncensored_genuine_conflicts"] == []
+        assert doc["genuine_conflicts"] == []
         assert (doc["survivors_without_conflict"], doc["same_terminal_survivors"]) == (0, 0)
 
     def test_depth_at_horizon_is_empty(self, pascal_lex):
@@ -561,4 +554,16 @@ class TestEdges:
             "same_terminal_survivors",
         }
         assert doc["candidates"] == doc["coding_killed"] + doc["censored"]
+
+    def test_row_schema(self, all_diagrams):
+        # a row names its two paths and what the scan found between them; its
+        # window follows from the two references, so no row repeats it
+        for name, i, horizon in (("pascal", 1, 6), ("quartic", 0, 2), ("q3", 1, 3)):
+            rows = probe_depth_pairs(Ordering(all_diagrams[name]), i, horizon).survivors
+            assert rows
+            for row in rows:
+                assert set(row) == {
+                    "conflict_times", "divergence_level", "min_coord_trace", "x", "x_prime"
+                }
+                assert set(row["x"]) == set(row["x_prime"]) == {"rank", "terminal"}
 
