@@ -112,7 +112,7 @@ class EdgeRef(NamedTuple):
         }
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<plus>\+)|(?P<star>\*)|(?P<var>x(?P<idx>\d+)(?:\^(?P<exp>\d+))?)|(?P<int>\d+))")
+_TOKEN = re.compile(r"\s*(?:(?P<star>\*)|(?P<var>x(?P<idx>\d+)(?:\^(?P<exp>\d+))?)|(?P<int>\d+))")
 
 
 def _parse_text_terms(text: str) -> list[tuple[dict[int, int], int]]:

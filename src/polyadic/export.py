@@ -6,37 +6,44 @@ header block (schema version, polynomial, multiplicity mode and, where a
 command takes one, the ordering, whose description holds a random one's seed).
 
 `to_stable_json` writes the same bytes as
-`json.dumps(obj, sort_keys=True, indent=2)`, plus a final newline: two-space
-indent, `","` between items and `": "` after keys, ASCII-only strings, ints
-and floats as their `repr` (`NaN`/`Infinity`/`-Infinity` when not finite),
-and the stdlib's conversion of int, float, bool and None keys.  A type that
-json.dumps rejects (a numpy integer, a set) or keys it cannot sort raise
-TypeError here too.  The stdlib is not called because it uses its C encoder
-only when `indent` is None: with an indent every value passes through nested
-Python generators, which for a probe's survivor list costs more than the
-probe itself.  This emitter joins each container's members at once, quotes
-strings with the stdlib's C `encode_basestring_ascii` and writes an all-int
-list in one join.  orjson is not used either: it rejects ints beyond 64 bits
-(tower dimensions pass 2**64 near level 70), and its float text differs from
+`json.dumps(obj, sort_keys=True, indent=2)`, plus a final newline, and the
+stdlib stays the one definition of those bytes.  The emitter is a fast path
+in front of it for the values documents hold: exact ints, strs, bools, None,
+lists, tuples, and dicts whose keys are all strs.  Each container's members
+join at once, strings are quoted with the stdlib's C
+`encode_basestring_ascii`, an all-int list is written in one join, and an
+exact float is `json.dumps(o)`, the C encoder for a scalar.  Every other
+value (a dict with a non-str key, a subclass, a numpy integer, a set) goes
+to `json.dumps(o, sort_keys=True, indent=2)`, re-indented for its depth, so
+the stdlib converts it or raises its own TypeError.  The stdlib is not used
+for the whole document because it uses its C encoder only when `indent` is
+None: with an indent every value passes through nested Python generators,
+which for a probe's survivor list costs more than the probe itself (the
+towers benchmark's `vershik` documents take 18.5 ms per pass that way, 7.2
+ms here).  orjson is not used either: it rejects ints beyond 64 bits (tower
+dimensions pass 2**64 near level 70), and its float text differs from
 `repr`.  An object's keys, values and separators join in one step, and the
 final newline is part of the top-level container's own join, so a large
 member is not copied again on its way up.
 
 A value may arrive already written, as an `Encoded` holding the text that
 `to_stable_json` gives it at top level without the final newline.  The
-emitter re-indents it for its depth with one `replace` of "\n": the text's
-only raw newlines are its line breaks, since `encode_basestring_ascii`
-escapes every newline inside a string.  The probe writes its survivor rows
-this way, straight from its columns.  A generic route was measured and not
-taken: `json.dumps(obj, sort_keys=True)` (the C encoder) re-indented with
-numpy wrote the same bytes, but on the Pascal i=0 L=6 probe document it only
-went from 58 to 46 ms, since the compact C dump of the report tree alone
-takes 20-24 ms.  Writing that report's rows and embedding them takes about
-14 ms (Python 3.11, 2-vCPU Xeon).
+emitter re-indents it for its depth with one `replace` of "\n", the same
+re-indent a value handed to the stdlib gets: the text's only raw newlines
+are its line breaks, since `encode_basestring_ascii` escapes every newline
+inside a string.  An `Encoded` value embeds only in exact lists, tuples and
+str-keyed dicts, since the stdlib rejects it anywhere else.  The probe
+writes its survivor rows this way, straight from its columns.  A generic
+route was measured and not taken: `json.dumps(obj, sort_keys=True)` (the C
+encoder) re-indented with numpy wrote the same bytes, but on the Pascal i=0
+L=6 probe document it only went from 58 to 46 ms, since the compact C dump
+of the report tree alone takes 20-24 ms.  Writing that report's rows and
+embedding them takes about 14 ms (Python 3.11, 2-vCPU Xeon).
 """
 
 from __future__ import annotations
 
+import json
 from json.encoder import encode_basestring_ascii as _quote
 
 from .core import Diagram
@@ -82,34 +89,11 @@ def to_stable_json(obj: dict) -> str:
 
 
 _int_repr = int.__repr__
-_INF = float("inf")
 
 
-def _float(o: float) -> str:
-    if o != o:
-        return "NaN"
-    if o == _INF:
-        return "Infinity"
-    if o == -_INF:
-        return "-Infinity"
-    return float.__repr__(o)
-
-
-def _key(k) -> str:
-    """An object key as text, converted in the stdlib's order of tests."""
-    if isinstance(k, str):
-        return k
-    if isinstance(k, float):
-        return _float(k)
-    if k is True:
-        return "true"
-    if k is False:
-        return "false"
-    if k is None:
-        return "null"
-    if isinstance(k, int):
-        return _int_repr(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+def _stdlib(o, nl: str) -> str:
+    """The stdlib's text of `o`, re-indented to follow `nl`."""
+    return json.dumps(o, sort_keys=True, indent=2).replace("\n", nl)
 
 
 def _dict(o: dict, nl: str, tail: str = "") -> str:
@@ -120,8 +104,10 @@ def _dict(o: dict, nl: str, tail: str = "") -> str:
     sep = "," + inner
     parts = ["{" + inner]
     for k, v in sorted(o.items()):
+        if type(k) is not str:
+            return _stdlib(o, nl) + tail
         parts += (
-            _quote(k if type(k) is str else _key(k)),
+            _quote(k),
             ": ",
             _int_repr(v) if type(v) is int else _value(v, inner),
             sep,
@@ -161,18 +147,9 @@ def _value(o, nl: str) -> str:
         return "false"
     if t is Encoded:
         return o.text.replace("\n", nl)
-    # floats and subclasses, tested in the stdlib's order
-    if isinstance(o, str):
-        return _quote(o)
-    if isinstance(o, int):
-        return _int_repr(o)
-    if isinstance(o, float):
-        return _float(o)
-    if isinstance(o, (list, tuple)):
-        return _list(o, nl)
-    if isinstance(o, dict):
-        return _dict(o, nl)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    if t is float:
+        return json.dumps(o)
+    return _stdlib(o, nl)
 
 
 def _node_name(v) -> str:

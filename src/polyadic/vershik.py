@@ -235,6 +235,14 @@ class Ordering:
             table = tables[level] = _LevelTable(start, source, copy, sums, below)
         return table
 
+    def _tables_to(self, level: int) -> list[_LevelTable]:
+        """The tables of levels 1 to `level`, the missing ones built bottom-up,
+        so each dimension row is stepped from the row just below it."""
+        tables = self._tables[1 : level + 1]
+        if len(tables) < level or None in tables:
+            tables = [self._level(n) for n in range(1, level + 1)]
+        return tables
+
     def _view(self, w: Vertex) -> tuple[EdgeRef, ...]:
         """The incoming edges of w in label order, built from its level's
         table on first use; building them fills their slots."""
@@ -278,7 +286,10 @@ class Ordering:
     def _extreme_path(self, v: Vertex, end: int) -> FinitePath:
         """The path into v through the edge at `end` of each vertex's label
         order, 0 or -1.  Its edges are the views' own, the keys of their
-        slots, so the successor machine finds them by identity."""
+        slots, so the successor machine finds them by identity.  The tables
+        below v are built first, bottom-up: a view built cold, top-down,
+        would step its level's dimension row up from the root again."""
+        self._tables_to(v.level)
         edges = []
         w = v
         while w.level:
@@ -346,9 +357,7 @@ class Ordering:
         dim = d._row(level)[r]
         if not 0 <= rank < dim:
             raise RankOutOfRange(f"rank {rank} outside 0..{dim - 1} for {v}")
-        tables = self._tables[1 : level + 1]
-        if len(tables) < level or None in tables:
-            tables = [self._level(n) for n in range(1, level + 1)]  # bottom-up, row by row
+        tables = self._tables_to(level)
         path, copies = [d._issued[level, r]], []  # top down
         for start, source, copy, sums, below in reversed(tables):
             j = bisect_right(sums, rank, start[r], start[r + 1]) - 1

@@ -2,10 +2,11 @@
 
 import gc
 import weakref
+from math import comb
 
 import pytest
 
-from polyadic import Diagram, parse_polynomial
+from polyadic import Diagram, PolynomialSpec, compositions_desc, parse_polynomial
 from polyadic.coverage import (
     check_cov2,
     coverage_report,
@@ -76,6 +77,28 @@ class TestFormula:
                     assert is_covered_formula(diagram, w) == is_covered_oracle(
                         diagram, w
                     )
+
+
+# every shape with q <= 4 variables and degree d <= 4, one and two levels
+# above q, where a level has at most 300 vertices
+SMALL_SHAPES = [
+    (q, d, level)
+    for q in (2, 3, 4)
+    for d in (1, 2, 3, 4)
+    for level in (q + 1, q + 2)
+    if comb(level * d + q - 1, q - 1) <= 300
+]
+
+
+@pytest.mark.parametrize("q, d, level", SMALL_SHAPES)
+def test_formula_matches_oracle_on_every_small_shape(q, d, level):
+    vectors = compositions_desc(d, q)
+    spec = PolynomialSpec.from_coefficients(q, {s: 1 + i % 3 for i, s in enumerate(vectors)})
+    diagram = Diagram(spec)
+    plain = Diagram(spec, multiplicity="all-ones")
+    for w in diagram.vertices(level):
+        assert is_covered_formula(diagram, w) == is_covered_oracle(diagram, w), w
+        assert covering_vertices(diagram, w) == covering_vertices(plain, plain.vertex(w.coords))
 
 
 class TestCoverageReport:

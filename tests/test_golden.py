@@ -21,7 +21,9 @@ from pathlib import Path
 
 import pytest
 
+import polyadic.cli
 from polyadic.cli import main
+from polyadic.export import Encoded
 
 from conftest import PASCAL_TEXT, Q3_TEXT, QUARTIC_TEXT
 
@@ -133,6 +135,38 @@ def run_digest(capsys, argv):
 def test_document_is_byte_identical(capsys, name):
     argv, code, digest = GOLDEN[name]
     assert run_digest(capsys, argv) == (code, digest)
+
+
+# the exact types a document may hold: the emitter's fast paths, never its indented json.dumps
+DOCUMENT_TYPES = {int, str, bool, type(None), float, list, dict, Encoded}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name, (argv, _, _) in GOLDEN.items() if "dot" not in argv)
+)
+def test_documents_hold_only_the_emitters_fast_path_types(capsys, monkeypatch, name):
+    handed = []
+    emit = polyadic.cli.to_stable_json
+
+    def capture(obj):
+        handed.append(obj)
+        return emit(obj)
+
+    monkeypatch.setattr(polyadic.cli, "to_stable_json", capture)
+    argv, code, _ = GOLDEN[name]
+    assert main(list(argv)) == code
+    capsys.readouterr()
+    values, stack = 0, list(handed)
+    while stack:
+        value = stack.pop()
+        values += 1
+        assert type(value) in DOCUMENT_TYPES, type(value)
+        if type(value) is dict:
+            assert all(type(key) is str for key in value), list(value)
+            stack += value.values()
+        elif type(value) is list:
+            stack += value
+    assert len(handed) == 1 and values > 1
 
 
 def readme_section(title):

@@ -238,6 +238,24 @@ class TestExtremePaths:
         assert tower[0] == ordering.minimal_path(v)
         assert tower[len(tower) - 1] == ordering.maximal_path(v)
 
+    def test_deep_extremes_step_each_level_once(self, monkeypatch):
+        # top-down, every level's table would step its dimension row up from
+        # row 0 again: 45,451 `_shifts` calls at this vertex, not 2 per level
+        pascal = Diagram(parse_polynomial("x1 + x2"))
+        calls = []
+        shifts = Diagram._shifts
+
+        def counted(diagram, level):
+            calls.append(level)
+            return shifts(diagram, level)
+
+        monkeypatch.setattr(Diagram, "_shifts", counted)
+        ordering = Ordering(pascal)
+        v = pascal.vertex((300, 1))
+        assert visited(ordering.minimal_path(v))[-2:] == [(299, 1), (300, 1)]
+        assert visited(ordering.maximal_path(v))[-3:] == [(299, 0), (300, 0), (300, 1)]
+        assert len(calls) <= 2 * 301 + 4
+
 
 class TestSuccessor:
     def test_two_path_tower(self, pascal, pascal_lex):
