@@ -9,6 +9,15 @@ deterministic JSON document (DOT for the exporter) to stdout or to a fixed
 file name under `--out`.  Exit codes: 0 success, 1 completed but a
 discrepancy was found (`covered`, `measure`, `verify-all`), 2 usage or
 input errors.
+
+`describe`, `vershik`, `export` and `probe` need only the modules
+`import polyadic` loads.  The handlers of `covered`, `chain`, `measure` and
+`verify-all` import `coverage`, `chains`, `measure` and `verify` in their own
+bodies, so those modules (and `fractions`, which `measure` needs) load only
+with the first such command.  `probe` is imported at the top although only
+one command uses it: it costs about 1.7 ms, numpy loads later with the first
+probe, and perfbench's tracer wraps only the package modules loaded before it
+starts, so a deferred `probe` would lose its per-layer spans.
 """
 
 from __future__ import annotations
@@ -17,20 +26,10 @@ import argparse
 import os
 import sys
 
-from .chains import build_distinguished_chain, find_chain_start
 from .core import Diagram, PolynomialSpec, parse_polynomial
-from .coverage import coverage_report
 from .errors import PolyadicError
 from .export import document_header, export_dot, export_json, to_stable_json
-from .measure import (
-    MASS_TOLERANCE,
-    dim_lower_bound_check,
-    level_mass,
-    minimal_mass_bound,
-    solve_symmetric_weight,
-)
 from .probe import probe_depth_pairs
-from .verify import verify_all
 from .vershik import DEFAULT_TOWER_BUDGET, make_ordering
 
 
@@ -68,6 +67,8 @@ def _cmd_describe(args, diagram, ordering):
 
 
 def _cmd_covered(args, diagram, ordering):
+    from .coverage import coverage_report
+
     report = coverage_report(diagram, args.level)
     return 1 if report.discrepancies else 0, {
         "report": report.to_json(),
@@ -77,6 +78,8 @@ def _cmd_covered(args, diagram, ordering):
 
 
 def _cmd_chain(args, diagram, ordering):
+    from .chains import build_distinguished_chain, find_chain_start
+
     starts = find_chain_start(diagram, args.level)
     body = {
         "level": args.level,
@@ -110,6 +113,14 @@ def _cmd_probe(args, diagram, ordering):
 
 
 def _cmd_measure(args, diagram, ordering):
+    from .measure import (
+        MASS_TOLERANCE,
+        dim_lower_bound_check,
+        level_mass,
+        minimal_mass_bound,
+        solve_symmetric_weight,
+    )
+
     weight = solve_symmetric_weight(diagram)
     rows = []
     for level in range(1, args.levels + 1):
@@ -151,6 +162,8 @@ def _cmd_export(args, diagram, ordering):
 
 
 def _cmd_verify_all(args, diagram, ordering):
+    from .verify import verify_all
+
     result = verify_all(diagram, args.levels)
     return 0 if result.passed else 1, {"result": result.to_json()}
 

@@ -354,10 +354,10 @@ class Ordering:
         d = self.diagram
         r = d._index(v)
         level = v[0]
+        tables = self._tables_to(level)  # first: then the row steps from level - 1, not the root
         dim = d._row(level)[r]
         if not 0 <= rank < dim:
             raise RankOutOfRange(f"rank {rank} outside 0..{dim - 1} for {v}")
-        tables = self._tables_to(level)
         path, copies = [d._issued[level, r]], []  # top down
         for start, source, copy, sums, below in reversed(tables):
             j = bisect_right(sums, rank, start[r], start[r + 1]) - 1

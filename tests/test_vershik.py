@@ -256,6 +256,25 @@ class TestExtremePaths:
         assert visited(ordering.maximal_path(v))[-3:] == [(299, 0), (300, 0), (300, 1)]
         assert len(calls) <= 2 * 301 + 4
 
+    def test_cold_unrank_steps_each_level_once(self, monkeypatch):
+        # reading the row before the tables stepped it up from the root on its
+        # own, then every row below it again: 902 `_shifts` calls here
+        pascal = Diagram(parse_polynomial("x1 + x2"))
+        calls = []
+        shifts = Diagram._shifts
+
+        def counted(diagram, level):
+            calls.append(level)
+            return shifts(diagram, level)
+
+        monkeypatch.setattr(Diagram, "_shifts", counted)
+        ordering = Ordering(pascal)
+        v = pascal.vertex((300, 1))
+        assert visited(ordering.path_unrank(v, 5))[-2:] == [(299, 1), (300, 1)]
+        assert len(calls) <= 2 * 301 + 4
+        with pytest.raises(RankOutOfRange):
+            ordering.path_unrank(v, 301)
+
 
 class TestSuccessor:
     def test_two_path_tower(self, pascal, pascal_lex):
