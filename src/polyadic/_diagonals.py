@@ -1,4 +1,4 @@
-"""The probe's numpy kernel: prefix blocks, window ranks, diagonal runs, survivor columns.
+"""The probe's numpy kernel: place maps, window ranks, diagonal runs, survivor columns.
 
 `polyadic.probe` holds the design (its module docstring) and the public
 `ProbeReport` and `probe_depth_pairs`; this module holds all of the probe's
@@ -27,17 +27,17 @@ _REPORT_CAP = 1 << 24
 class _Columns(NamedTuple):
     """Surviving pairs as columns, one entry per pair in enumeration order.
 
-    Pairs name their paths by position on the scan's axis of admitted tower
-    paths (tower after tower); `tower`, `rank` and `mins` are indexed by
-    position.  The masks select survivors for `write_rows`.
+    Pairs name their paths by column, the survivors' paths in axis order (tower
+    after tower); `tower`, `rank` and `mins` are indexed by column.  The masks
+    select survivors for `write_rows`.
     """
 
     terminals: tuple[Vertex, ...] = ()  # admitted towers
-    tower: np.ndarray = np.zeros(0, dtype=np.int64)  # per position: its tower
-    rank: np.ndarray = np.zeros(0, dtype=np.int64)  # per position: its tower rank
-    mins: np.ndarray = np.zeros((1, 0), dtype=np.int64)  # level x position: min coordinate
-    x: np.ndarray = np.zeros(0, dtype=np.int64)  # per pair: position of x
-    x_prime: np.ndarray = np.zeros(0, dtype=np.int64)  # per pair: position of x'
+    tower: np.ndarray = np.zeros(0, dtype=np.int64)  # per column: its tower
+    rank: np.ndarray = np.zeros(0, dtype=np.int64)  # per column: its tower rank
+    mins: np.ndarray = np.zeros((1, 0), dtype=np.int64)  # level x column: min coordinate
+    x: np.ndarray = np.zeros(0, dtype=np.int64)  # per pair: column of x
+    x_prime: np.ndarray = np.zeros(0, dtype=np.int64)  # per pair: column of x'
     divergence: np.ndarray = np.zeros(0, dtype=np.int64)
     times: np.ndarray = np.zeros(0, dtype=np.int64)  # conflict times, pair after pair
     cuts: np.ndarray = np.zeros(0, dtype=np.int64)  # per pair: end of its times
@@ -60,8 +60,8 @@ def _conflict_rows(c: _Columns, selected: np.ndarray) -> str:
 
     Written as `to_stable_json` writes the list at top level, without the
     final newline: one template per row in sorted key order.  A path's
-    reference and min-coordinate trace are written once per position, and a
-    terminal once per tower, since survivors share them.
+    reference and min-coordinate trace are written once per column, and a
+    terminal once per admitted tower.
     """
     rows = np.flatnonzero(selected)
     if not rows.size:
@@ -71,13 +71,11 @@ def _conflict_rows(c: _Columns, selected: np.ndarray) -> str:
     used[x] = used[x_prime] = True
     used = np.flatnonzero(used)
     field_nl, item_nl = "\n    ", "\n      "  # a row's fields, a field's items
-    terminals: dict[int, str] = {}
+    terminals = [_list(v.coords, item_nl) for v in c.terminals]
     refs, traces = {}, {}
     for p, k, r, trace in zip(
         used.tolist(), c.tower[used].tolist(), c.rank[used].tolist(), c.mins[:, used].T.tolist()
     ):
-        if k not in terminals:
-            terminals[k] = _list(c.terminals[k].coords, item_nl)
         refs[p] = f'{{\n      "rank": {r},\n      "terminal": {terminals[k]}\n    }}'
         traces[p] = _list(trace, item_nl)
     times = c.times.tolist()
@@ -95,41 +93,29 @@ def _conflict_rows(c: _Columns, selected: np.ndarray) -> str:
     return "[\n  " + ",\n  ".join(out) + "\n]"
 
 
-def _prefix_blocks(
-    ordering: Ordering, horizon: int, admitted: list[Vertex], budget: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The admitted towers' 2 x (horizon + 1) x dim blocks side by side, and their dims.
+def _place_maps(
+    ordering: Ordering, horizon: int, budget: int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per level n up to the horizon, each place's parent and each vertex's first place.
 
-    In a tower's block, column m describes the rank-m path and row k its level-k prefix:
-    plane 0 holds the prefix's symbol id (one id per distinct level-k path,
-    increasing in canonical vertex order, then tower rank), plane 1 the
-    minimum coordinate of its level-k vertex.  Built level by level from the
-    ordering's level tables: a block is the label-order concatenation of its
-    sources' blocks plus its own row.  A tower over the budget has no block,
-    and no block needs it: dimensions only grow going up, so every tower it
-    feeds is over the budget too.
+    A path's place is its index on its level, where towers lie in canonical
+    vertex order, each in rank order; a tower over the budget, and so every
+    tower it feeds, gets none.  `parent[n]` maps a place to its level-(n - 1)
+    prefix's: a tower is its sources' towers in label order.  `first[n]`
+    holds each vertex's first place by rank, then the level's count.
     """
     diagram = ordering.diagram
-    blocks = [np.zeros((2, horizon + 1, 1), dtype=np.int64)]  # by rank within the level
+    parent, first = [np.zeros(1, dtype=np.int64)], [np.array([0, 1])]
     for level in range(1, horizon + 1):
         start, source, *_ = ordering._level(level)
-        nxt: list[np.ndarray | None] = []
-        offset = 0
-        for r, (v, dim) in enumerate(zip(diagram.vertices(level), diagram._row(level))):
-            if dim > budget:
-                nxt.append(None)
-                continue
-            block = np.concatenate([blocks[u] for u in source[start[r] : start[r + 1]]], axis=2)
-            block[0, level] = np.arange(offset, offset + dim)
-            block[1, level] = v.min_coord
-            nxt.append(block)
-            offset += dim
-        blocks = nxt
-    admitted_blocks = [blocks[diagram._index(v)] for v in admitted]
-    return (
-        np.concatenate(admitted_blocks, axis=2),
-        np.array([block.shape[2] for block in admitted_blocks]),
-    )
+        size = np.array([dim if dim <= budget else 0 for dim in diagram._row(level)])
+        source = np.array(source, dtype=np.int64)
+        # per edge, its source's run of places; none into a tower without places
+        length = np.diff(first[-1])[source] * np.repeat(size > 0, np.diff(start))
+        runs = np.repeat(first[-1][source] + length - np.cumsum(length), length)
+        parent.append(runs + np.arange(len(runs)))
+        first.append(np.concatenate(([0], np.cumsum(size))))
+    return parent, first
 
 
 def _dense_ranks(key: np.ndarray) -> np.ndarray:
@@ -240,11 +226,17 @@ def _search(
     if i >= horizon or not admitted:
         return 0, 0, _Columns()
 
+    parent, first = _place_maps(ordering, horizon, budget)
     # one global position axis: every admitted tower's paths, tower after tower
-    (ids, mins), sizes = _prefix_blocks(ordering, horizon, admitted, budget)
+    index = np.array([ordering.diagram._index(v) for v in admitted])
+    sizes = np.diff(first[horizon])[index]
     tower = np.repeat(np.arange(len(sizes)), sizes)
-    first = (np.cumsum(sizes) - sizes)[tower]
-    sym, sym1 = ids[i], ids[i + 1]
+    rank = np.arange(len(tower)) - (np.cumsum(sizes) - sizes)[tower]
+    place = first[horizon][index][tower] + rank  # each path's place on the horizon
+    sym1 = place  # a path's k-symbol is its level-k prefix's place
+    for level in range(horizon, i + 1, -1):
+        sym1 = parent[level][sym1]
+    sym = parent[i + 1][sym1]
     # pairs live inside i-symbol groups, so a group of g paths holds C(g, 2)
     group = np.bincount(sym)
     candidates = int((group * (group - 1) // 2).sum())
@@ -282,15 +274,23 @@ def _search(
     n = run_hits[run]
     ends = np.cumsum(n)
     flat = np.repeat(np.cumsum(run_hits)[run] - ends, n) + np.arange(times)
-    # paths share their level-k prefix for each k below their divergence level
+    # the survivors' paths become the columns; one descent reads their traces and divergences
+    used = np.zeros(len(tower), dtype=bool)
+    used[a] = used[b] = True
+    column = np.cumsum(used) - 1
+    a, b, place = column[a], column[b], place[used]
+    mins = np.empty((horizon + 1, len(place)), dtype=np.int64)
     divergence = np.zeros(len(a), dtype=np.int64)
-    for row in ids:
-        divergence += row[a] == row[b]
+    for level in range(horizon, -1, -1):
+        vertex_mins = np.array([v.min_coord for v in ordering.diagram.vertices(level)])
+        mins[level] = vertex_mins[np.searchsorted(first[level], place, side="right") - 1]
+        divergence += place[a] == place[b]
+        place = parent[level][place]
     return candidates, max_killed_window, _Columns(
         terminals=tuple(admitted),
-        tower=tower,
-        rank=np.arange(len(tower)) - first,
-        mins=mins.copy(),  # not a view, which would keep the symbol ids alive
+        tower=tower[used],
+        rank=rank[used],
+        mins=mins,
         x=a,
         x_prime=b,
         # survivors read every field off the per-level arrays; no path is built

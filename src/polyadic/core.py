@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from operator import add, sub
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     AritySmallerThanTwo,
@@ -60,6 +60,16 @@ def _rank_desc(coords: Coords, total: int) -> int:
         rank += math.comb(total + parts - 2, parts - 1)
         parts -= 1
     return rank
+
+
+def _greedy_fill(room: Iterable[int], degree: int) -> list[int]:
+    """`degree` units filled into the entries of `room` from the left, each up to
+    its value; the fill falls short of `degree` only when `room` sums to less."""
+    take = []
+    for r in room:
+        take.append(min(r, degree))
+        degree -= take[-1]
+    return take
 
 
 class Vertex(NamedTuple):
@@ -518,31 +528,23 @@ class Diagram:
         """The source of w obtained by removing d from coordinate j, if any.
 
         Exists if and only if w(j) >= d; it is then the unique source of w
-        whose j-th coordinate is w(j) - d.
+        whose j-th coordinate is w(j) - d, read off the cached `source_set`.
         """
         if not 1 <= j <= self.arity:
             raise ValueError(f"direction {j} out of range 1..{self.arity}")
-        w = self._checked(w)
-        if w.coord(j) < self.degree:
-            return None
-        coords = list(w.coords)
-        coords[j - 1] -= self.degree
-        return self._vertex(tuple(coords))
+        sources = self.source_set(w)  # validates a vertex the diagram did not issue
+        drop = w[1][j - 1] - self.degree
+        for u in sources:
+            if u.coords[j - 1] == drop:
+                return u
+        return None
 
     def _greedy_source_steps(self, frm: Vertex, to: Vertex) -> tuple[EdgeRef, ...]:
         """A concrete descending path from `frm` to `to >= frm`, greedy per step."""
         steps = []
         current = frm
         for _ in range(to.level - frm.level):
-            remaining = [b - a for a, b in zip(current.coords, to.coords)]
-            take = [0] * self.arity
-            need = self.degree
-            for idx in range(self.arity):
-                grab = min(remaining[idx], need)
-                take[idx] = grab
-                need -= grab
-                if need == 0:
-                    break
+            take = _greedy_fill(map(sub, to.coords, current.coords), self.degree)
             nxt = Vertex(current.level + 1, tuple(a + t for a, t in zip(current.coords, take)))
             steps.append(EdgeRef(current, nxt, 1))
             current = nxt

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Diagram, Vertex, compositions_desc
+from .core import Diagram, Vertex, _greedy_fill, compositions_desc
 from .errors import LadderPreconditionViolated, PreconditionNotMet
 
 
@@ -249,17 +249,8 @@ def source_ladder(diagram: Diagram, z: Vertex, j: int) -> tuple[Vertex, ...]:
             f"need {d} <= z({j}) <= {(z.level - 1) * d}, got {z.coord(j)}"
         )
     # fill a degree-d subtrahend from the coordinates other than j, left to right
-    take = [0] * diagram.arity
-    need = d
-    for idx in range(diagram.arity):
-        if idx == j - 1:
-            continue
-        grab = min(z.coords[idx], need)
-        take[idx] = grab
-        need -= grab
-        if need == 0:
-            break
-    assert need == 0, "off-j coordinates sum to at least d under the precondition"
+    take = _greedy_fill([*z.coords[: j - 1], 0, *z.coords[j:]], d)
+    assert sum(take) == d, "off-j coordinates sum to at least d under the precondition"
     rungs = [Vertex(z.level - 1, tuple(a - t for a, t in zip(z.coords, take)))]
     for _ in range(d):
         donor = next(idx for idx in range(diagram.arity) if idx != j - 1 and take[idx] > 0)

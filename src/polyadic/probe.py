@@ -24,9 +24,13 @@ horizon: evidence neither for nor against the paper's claim that such
 pairs are exceptional.  The exceptional-mass report planned as item 1 of
 ROADMAP.md is what measures that claim.
 
-The simulation never builds paths.  One bottom-up pass gives each admitted
-tower per-level arrays: row k, column m holds an id of the rank-m path's
-first k edges and the min-coordinate of its level-k vertex.  A pair is
+The simulation never builds paths.  A path's first k edges are named by
+their place on level k, where the level's paths lie vertex by vertex in
+canonical order, each tower in rank order.  A tower is its sources' towers
+in label order, so one bottom-up pass over the ordering's level tables maps
+each place to its prefix's place one level down; a path's k-symbol is its
+place on the horizon carried down to level k, and only the i- and
+(i+1)-symbols are formed for every path.  A pair is
 rank p of one tower against rank p + s of another, and each (towers, s) is
 a diagonal; a pair's window is the run of equal i-symbols around it on its
 diagonal, so a pair survives exactly when its whole diagonal has equal
@@ -46,9 +50,11 @@ The cost follows the diagonals and the axis length, not the c^{2L} pairs.
 The test suite keeps the pair scan the kernel replaced and replays pairs
 with the raw successor machine to pin the equivalence.
 
-Survivors are kept as columns, as the run expansion leaves them: the
-positions of x and x', divergence level, and conflict times as one flat
-array with cuts, beside per-position tower, rank and min-coordinate rows.
+Survivors are kept as columns, as the run expansion leaves them: x and x'
+as columns, the survivors' paths in axis order, divergence level, and
+conflict times as one flat array with cuts, beside each column's tower,
+rank and min-coordinate trace.  One descent over the columns' places alone
+reads their traces and where each pair's prefixes part.
 A survivor's window, its whole diagonal, follows from its two (rank,
 terminal) references, so no row repeats it.  `_conflict_rows` writes
 selected survivors as the JSON rows of the CLI document.  The report's

@@ -227,14 +227,14 @@ def probe_problems(pascal):
 
 def test_criterion_09_probe(pascal, monkeypatch):
     problems = probe_problems(pascal)
-    blocks = _diagonals._prefix_blocks
+    place_maps = _diagonals._place_maps
 
-    def one_symbol_off(ordering, horizon, admitted, budget):
-        (ids, mins), sizes = blocks(ordering, horizon, admitted, budget)
-        ids[1, 0] = ids[1].max() + 1  # the first path's 1-symbol, shared with no path
-        return (ids, mins), sizes
+    def one_symbol_off(ordering, horizon, budget):
+        parent, first = place_maps(ordering, horizon, budget)
+        parent[2][0] = parent[2][-1]  # the first level-2 place gets the last one's 1-symbol
+        return parent, first
 
-    monkeypatch.setattr(_diagonals, "_prefix_blocks", one_symbol_off)
+    monkeypatch.setattr(_diagonals, "_place_maps", one_symbol_off)
     if not probe_problems(pascal):
         problems.append(("a changed 1-symbol still passes",))
     check(9, "pinned probe counts and replayed survivors", problems)

@@ -148,12 +148,45 @@ def scan_runs(sym, sizes, chunk=_PAIR_CHUNK):
     return candidates, runs, max_killed_window
 
 
+def prefix_blocks(ordering, horizon, admitted, budget):
+    """The admitted towers' 2 x (horizon + 1) x dim blocks side by side, and their dims,
+    as the oracle of the kernel's place maps.
+
+    In a tower's block, column m describes the rank-m path and row k its
+    level-k prefix: plane 0 holds the prefix's place on level k, plane 1 the
+    minimum coordinate of its level-k vertex.  A block is the label-order
+    concatenation of its sources' blocks plus its own row, and a tower over
+    the budget has none.
+    """
+    diagram = ordering.diagram
+    blocks = [np.zeros((2, horizon + 1, 1), dtype=np.int64)]  # by rank within the level
+    for level in range(1, horizon + 1):
+        start, source, *_ = ordering._level(level)
+        nxt = []
+        offset = 0
+        for r, (v, dim) in enumerate(zip(diagram.vertices(level), diagram._row(level))):
+            if dim > budget:
+                nxt.append(None)
+                continue
+            block = np.concatenate([blocks[u] for u in source[start[r] : start[r + 1]]], axis=2)
+            block[0, level] = np.arange(offset, offset + dim)
+            block[1, level] = v.min_coord
+            nxt.append(block)
+            offset += dim
+        blocks = nxt
+    admitted_blocks = [blocks[diagram._index(v)] for v in admitted]
+    return (
+        np.concatenate(admitted_blocks, axis=2),
+        np.array([block.shape[2] for block in admitted_blocks]),
+    )
+
+
 def kernel_and_scan(ordering, i, horizon, floor=0, chunk=_PAIR_CHUNK):
     """The kernel's runs and longest killed run on one probe's axis, then the scan's result."""
     admitted = [v for v in ordering.diagram.vertices(horizon) if v.min_coord >= floor]
     if not admitted:
         return (set(), 0), (0, set(), 0)
-    (ids, _), sizes = _diagonals._prefix_blocks(ordering, horizon, admitted, DEFAULT_TOWER_BUDGET)
+    (ids, _), sizes = prefix_blocks(ordering, horizon, admitted, DEFAULT_TOWER_BUDGET)
     runs, max_killed_window = _diagonals._diagonal_runs(ids[i], sizes)
     return (set(zip(*runs.tolist())), max_killed_window), scan_runs(ids[i], sizes, chunk)
 
@@ -283,9 +316,15 @@ def test_scans_without_survivors(pascal_lex, horizon, floor, counts):
 def random_ordering(draw):
     """A random diagram's random ordering, and its number of level-1 paths."""
     spec = draw(polynomial_specs(max_degree=2))
-    preset = draw(st.sampled_from(["source-lex", "source-revlex", "random"]))
+    diagram = Diagram(spec)
+    preset = draw(st.sampled_from(["source-lex", "source-revlex", "random", "explicit"]))
     seed = draw(st.integers(0, 2**32)) if preset == "random" else None
-    return Ordering(Diagram(spec), preset=preset, seed=seed), sum(n for _, n in spec.terms)
+    table = None
+    if preset == "explicit":  # one vertex of the first three levels relabelled
+        w = draw(st.sampled_from([w for n in (1, 2, 3) for w in diagram.vertices(n)]))
+        labels = draw(st.permutations(range(1, diagram.indegree(w) + 1)))
+        table = {f"{w.level}:{','.join(map(str, w.coords))}": list(labels)}
+    return Ordering(diagram, preset, seed, table), sum(n for _, n in spec.terms)
 
 
 @st.composite
@@ -327,6 +366,50 @@ def test_kernel_matches_pair_scan_past_the_replay(case):
     # has millions of survivors, each with hundreds of conflict times
     (runs, max_killed_window), (_, scanned, scanned_max) = kernel_and_scan(*case, chunk=1 << 16)
     assert (runs, max_killed_window) == (scanned, scanned_max)
+
+
+@st.composite
+def place_cases(draw):
+    """As `probe_cases`, up to 100 paths, with a budget that may skip towers."""
+    ordering, level_one = random_ordering(draw)
+    horizon = draw(st.integers(1, max(h for h in (1, 2, 3, 4) if level_one**h <= 100)))
+    diagram = ordering.diagram
+    budget = draw(st.integers(1, max(map(diagram.dimension, diagram.vertices(horizon)))))
+    return ordering, draw(st.integers(0, horizon - 1)), horizon, draw(st.integers(0, 1)), budget
+
+
+@given(case=place_cases())
+@settings(max_examples=60, deadline=None)
+def test_place_maps_match_the_prefix_blocks(case):
+    # the kernel's rows are the blocks' ids exactly, not just in the same
+    # order, and its columns hold the blocks' min coordinates and shared
+    # prefixes of the survivors' paths
+    ordering, i, horizon, floor, budget = case
+    diagram = ordering.diagram
+    report = probe_depth_pairs(ordering, i, horizon, floor, budget)
+    admitted = [
+        v
+        for v in diagram.vertices(horizon)
+        if v.min_coord >= floor and diagram.dimension(v) <= budget
+    ]
+    if not admitted:
+        assert report.censored == 0
+        return
+    (ids, mins), sizes = prefix_blocks(ordering, horizon, admitted, budget)
+    parent, first = _diagonals._place_maps(ordering, horizon, budget)
+    top = first[horizon]
+    places = [np.arange(top[r], top[r + 1]) for r in map(diagram._index, admitted)]
+    assert np.array_equal(np.concatenate(places), ids[horizon])
+    row = ids[horizon]
+    for k in range(horizon, 0, -1):  # composed down the parent maps
+        row = parent[k][row]
+        assert np.array_equal(row, ids[k - 1])
+    c = report._columns
+    position = (np.cumsum(sizes) - sizes)[c.tower] + c.rank
+    x, y = position[c.x], position[c.x_prime]
+    assert position.tolist() == sorted({*x.tolist(), *y.tolist()})
+    assert np.array_equal(c.mins, mins[:, position])
+    assert np.array_equal(c.divergence, (ids[:, x] == ids[:, y]).sum(axis=0))
 
 
 @given(case=probe_cases())
@@ -415,6 +498,22 @@ class TestPascalDepthOne:
         assert report.candidates == 2 * math.comb(2 ** (horizon - 1), 2)
         assert report.censored == survivors
         assert report.max_killed_window == max_killed_window
+
+    def test_deep_horizon_memory(self):
+        # the place maps hold a parent per path and level; the dense prefix
+        # blocks they replaced held L + 1 ids and min coordinates per path,
+        # and peaked at 208 MB here
+        peak = peak_rss_mb(
+            """
+            from polyadic import Diagram, Ordering, parse_polynomial
+            from polyadic.probe import probe_depth_pairs
+
+            report = probe_depth_pairs(Ordering(Diagram(parse_polynomial("x1 + x2"))), 1, 18)
+            counts = (report.candidates, report.censored, report.max_killed_window)
+            assert counts == (17_179_738_112, 524_250, 12_884), counts
+            """
+        )
+        assert peak < 180, peak
 
     def test_conflicts_cling_to_corners(self, pascal_lex):
         # raising the floor by one removes every genuine conflict
