@@ -6,6 +6,9 @@ numpy code.  `probe_depth_pairs` imports it in its body, so numpy loads
 with the first probe and never with `import polyadic`: every other
 subcommand runs in pure Python.  Every name here is private, the entry
 point `_search` included, so the kernel's time is `probe_depth_pairs`'s own.
+`_conflict_rows`, the survivors' one writer, runs when its caller asks for
+the rows: for the CLI document that is `export.to_stable_json`, which
+calls it once at the depth where the rows land.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from .core import Vertex
 from .errors import ReportTooLarge
-from .export import _list
+from .export import _int_repr, _list
 from .vershik import Ordering
 
 _DIAGONAL_BATCH = 4096  # diagonals tested together; bounds the kernel's working arrays
@@ -51,15 +54,19 @@ class _Columns(NamedTuple):
     def same_terminal(self) -> np.ndarray:
         return self.tower[self.x] == self.tower[self.x_prime]
 
-    def write_rows(self, selected: np.ndarray) -> str:
-        return _conflict_rows(self, selected)
+    def write_rows(self, selected: np.ndarray, nl: str) -> str:
+        return _conflict_rows(self, selected, nl)
 
 
-def _conflict_rows(c: _Columns, selected: np.ndarray) -> str:
+def _conflict_rows(c: _Columns, selected: np.ndarray, nl: str) -> str:
     """The `selected` survivors as the stable JSON list of their rows.
 
-    Written as `to_stable_json` writes the list at top level, without the
-    final newline: one template per row in sorted key order.  A path's
+    Written as `to_stable_json` writes the list where its closing bracket
+    follows `nl` (newline plus indent), so the text lands in a document as
+    it is, and joined once from one list of pieces, 13 to a row: extended
+    slices fill in the constant ones, and C-level maps look up the rest.
+    Every conflict time is written in one join, each distinct value's text
+    made once, and a row's times are a slice of that text.  A path's
     reference and min-coordinate trace are written once per column, and a
     terminal once per admitted tower.
     """
@@ -70,27 +77,52 @@ def _conflict_rows(c: _Columns, selected: np.ndarray) -> str:
     used = np.zeros(len(c.tower), dtype=bool)
     used[x] = used[x_prime] = True
     used = np.flatnonzero(used)
-    field_nl, item_nl = "\n    ", "\n      "  # a row's fields, a field's items
+    # a row's braces, its fields, a field's items, an item's items
+    row_nl, field_nl, item_nl = nl + "  ", nl + "    ", nl + "      "
     terminals = [_list(v.coords, item_nl) for v in c.terminals]
     refs, traces = {}, {}
     for p, k, r, trace in zip(
         used.tolist(), c.tower[used].tolist(), c.rank[used].tolist(), c.mins[:, used].T.tolist()
     ):
-        refs[p] = f'{{\n      "rank": {r},\n      "terminal": {terminals[k]}\n    }}'
+        refs[p] = f'{{{item_nl}"rank": {r},{item_nl}"terminal": {terminals[k]}{field_nl}}}'
         traces[p] = _list(trace, item_nl)
-    times = c.times.tolist()
-    ends = c.cuts.tolist()
-    starts = [0, *ends]
-    out = [
-        f'{{\n    "conflict_times": {_list(times[starts[k]:ends[k]], field_nl)},'
-        f'\n    "divergence_level": {div},'
-        f'\n    "min_coord_trace": [\n      {traces[a]},\n      {traces[b]}\n    ],'
-        f'\n    "x": {refs[a]},\n    "x_prime": {refs[b]}\n  }}'
-        for k, a, b, div in zip(
-            rows.tolist(), x.tolist(), x_prime.tolist(), c.divergence[rows].tolist()
-        )
-    ]
-    return "[\n  " + ",\n  ".join(out) + "\n]"
+
+    # a time lies within its diagonal, so the values between the least and
+    # the greatest time are fewer than twice the longest tower
+    sep = "," + item_nl
+    low = int(c.times.min(initial=0))
+    values = list(map(_int_repr, range(low, int(c.times.max(initial=0)) + 1)))
+    value = (c.times - low).tolist()
+    text = sep.join(map(values.__getitem__, value))
+    at = np.zeros(len(value) + 1, dtype=np.int64)  # each time's offset in the text
+    widths = np.fromiter(map(len, values), np.int64, len(values)) + len(sep)
+    np.cumsum(widths[value], out=at[1:])
+    count = np.diff(c.cuts, prepend=0)[rows]
+    lo = at[c.cuts[rows] - count]
+    # a row without times at offset 0 would end below 0 and slice from the back
+    hi = np.maximum(lo, at[c.cuts[rows]] - len(sep))
+    has_times = (count > 0).tolist()
+
+    out = [""] * (13 * len(rows) + 1)
+    out[0] = "[" + row_nl
+    opening = f'{{{field_nl}"conflict_times": ['
+    out[1::13] = map((opening, opening + item_nl).__getitem__, has_times)
+    out[2::13] = map(text.__getitem__, map(slice, lo.tolist(), hi.tolist()))
+    closing = f'],{field_nl}"divergence_level": '
+    out[3::13] = map((closing, field_nl + closing).__getitem__, has_times)
+    out[4::13] = map(_int_repr, c.divergence[rows].tolist())
+    out[5::13] = [f',{field_nl}"min_coord_trace": [{item_nl}'] * len(rows)
+    x, x_prime = x.tolist(), x_prime.tolist()
+    out[6::13] = map(traces.__getitem__, x)
+    out[7::13] = [sep] * len(rows)
+    out[8::13] = map(traces.__getitem__, x_prime)
+    out[9::13] = [f'{field_nl}],{field_nl}"x": '] * len(rows)
+    out[10::13] = map(refs.__getitem__, x)
+    out[11::13] = [f',{field_nl}"x_prime": '] * len(rows)
+    out[12::13] = map(refs.__getitem__, x_prime)
+    out[13::13] = [f"{row_nl}}},{row_nl}"] * len(rows)
+    out[-1] = f"{row_nl}}}{nl}]"
+    return "".join(out)
 
 
 def _place_maps(

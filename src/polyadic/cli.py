@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_probe, file="probe")
 
     p = sub.add_parser("measure", parents=[common], help="weights and mass bounds")
-    p.add_argument("--levels", type=_NON_NEGATIVE, default=6)
+    p.add_argument("--levels", type=_POSITIVE, default=6)
     p.set_defaults(fn=_cmd_measure, file="measure")
 
     p = sub.add_parser("vershik", parents=[ordered], help="towers at one level")
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_export, file="diagram")
 
     p = sub.add_parser("verify-all", parents=[common], help="run every invariant suite")
-    p.add_argument("--levels", type=_NON_NEGATIVE, default=6)
+    p.add_argument("--levels", type=_POSITIVE, default=6)
     p.set_defaults(fn=_cmd_verify_all, file="verify")
 
     for p in sub.choices.values():

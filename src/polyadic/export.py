@@ -26,29 +26,33 @@ dimensions pass 2**64 near level 70), and its float text differs from
 final newline is part of the top-level container's own join, so a large
 member is not copied again on its way up.
 
-A value may arrive already written, as an `Encoded` holding the text that
-`to_stable_json` gives it at top level without the final newline.  The
-emitter re-indents it for its depth with one `replace` of "\n", the same
-re-indent a value handed to the stdlib gets: the text's only raw newlines
-are its line breaks, since `encode_basestring_ascii` escapes every newline
-inside a string.  An `Encoded` value embeds only in exact lists, tuples and
-str-keyed dicts, since the stdlib rejects it anywhere else.  The probe
-writes its survivor rows this way, straight from its columns.  A generic
-route was measured and not taken: `json.dumps(obj, sort_keys=True)` (the C
-encoder) re-indented with numpy wrote the same bytes, but on the Pascal i=0
-L=6 probe document it only went from 58 to 46 ms, since the compact C dump
-of the report tree alone takes 20-24 ms.  Writing that report's rows and
-embedding them takes about 14 ms (Python 3.11, 2-vCPU Xeon).
+A value may write itself, as an `Encoded` holding a writer: the emitter
+calls it once with the `nl` (newline plus indent) that the value's last
+line follows where it lands, and embeds the text it returns as it is, so
+no copy of a large value is made to re-indent it.  An `Encoded` value
+embeds only in exact lists, tuples and str-keyed dicts, since the stdlib
+rejects it anywhere else.  The probe writes its survivor rows this way,
+straight from its columns: on a 2-vCPU Xeon (Python 3.11) the Pascal i=0
+L=6 random:5 document takes about 3 ms, where writing the rows at top
+level and re-indenting them took 7-9 ms, and the Pascal i=1 L=16
+document (30 MB) about 0.18 s instead of 0.25-0.28 s.  A generic route was
+measured and not taken: `json.dumps(obj, sort_keys=True)` (the C encoder)
+re-indented with numpy wrote the same bytes, but the compact C dump of
+that L=6 report tree alone takes 20-24 ms.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
+from typing import TYPE_CHECKING
 
 from .core import Diagram
 from .vershik import Ordering
 from .version import __version__
+
+if TYPE_CHECKING:
+    from collections.abc import Callable
 
 SCHEMA_VERSION = 1
 
@@ -66,17 +70,18 @@ def document_header(diagram: Diagram, ordering: Ordering | None = None) -> dict:
 
 
 class Encoded:
-    """A value's stable JSON written in advance: `to_stable_json`'s text
-    without the final newline.
+    """A value that writes its own stable JSON: `write(nl)` returns the text
+    `to_stable_json` gives the value where it lands, its last line
+    following `nl` (newline plus indent), without a final newline.
 
     A plain class, not a `str` subclass, so `json.dumps` rejects it instead
     of writing it as a quoted string.
     """
 
-    __slots__ = ("text",)
+    __slots__ = ("write",)
 
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, write: Callable[[str], str]):
+        self.write = write
 
 
 def to_stable_json(obj: dict) -> str:
@@ -146,7 +151,7 @@ def _value(o, nl: str) -> str:
     if o is False:
         return "false"
     if t is Encoded:
-        return o.text.replace("\n", nl)
+        return o.write(nl)
     if t is float:
         return json.dumps(o)
     return _stdlib(o, nl)

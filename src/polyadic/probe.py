@@ -57,9 +57,11 @@ rank and min-coordinate trace.  One descent over the columns' places alone
 reads their traces and where each pair's prefixes part.
 A survivor's window, its whole diagonal, follows from its two (rank,
 terminal) references, so no row repeats it.  `_conflict_rows` writes
-selected survivors as the JSON rows of the CLI document.  The report's
-survivor views are those rows read back, parsed once per report and
-selected by mask, so a survivor has one writer and one reader.  A report
+selected survivors as the JSON rows of the CLI document, in bulk and at
+the depth where they land, so the document embeds them without another
+copy.  The report's survivor views are those rows, written at top level
+and read back, parsed once per report and selected by mask, so a
+survivor has one writer and one reader.  A report
 past a fixed cap of survivors or of conflict times is refused with
 `ReportTooLarge` before it is allocated.
 
@@ -86,9 +88,10 @@ if TYPE_CHECKING:
 class ProbeReport:
     """Outcome counts plus every surviving pair, for one (i, L, floor) run.
 
-    Survivors stay in the kernel's columns.  `to_document` writes the
-    conflict lists straight from them; the survivor views select from one
-    parse of every survivor's row, made when a view first selects a row.
+    Survivors stay in the kernel's columns.  `to_document` hands the
+    emitter a writer of the conflict list, which writes it straight from
+    them at the depth it lands; the survivor views select from one parse of
+    every survivor's row, made when a view first selects a row.
     """
 
     i: int
@@ -110,7 +113,7 @@ class ProbeReport:
 
     @cached_property
     def _all_rows(self) -> list[dict]:
-        return json.loads(self._columns.write_rows(self._columns.every_row()))
+        return json.loads(self._columns.write_rows(self._columns.every_row(), "\n"))
 
     def _rows(self, selected) -> list[dict]:  # selected: a boolean mask over survivors
         if not selected.any():
@@ -132,7 +135,7 @@ class ProbeReport:
         return self._rows(self._columns.same_terminal())
 
     def to_document(self) -> dict:
-        """The report as the CLI writes it, its conflict lists pre-written from the columns."""
+        """The report as the CLI writes it, its conflict list written from the columns."""
         c = self._columns
         genuine = c.genuine()
         return {
@@ -145,7 +148,7 @@ class ProbeReport:
             "censored": self.censored,
             "skipped_towers": self.skipped_towers,
             "max_killed_window": self.max_killed_window,
-            "genuine_conflicts": Encoded(c.write_rows(genuine)),
+            "genuine_conflicts": Encoded(lambda nl: c.write_rows(genuine, nl)),
             "uncensored_genuine_conflicts": [],  # always empty; perfbench's probe check reads it
             "survivors_without_conflict": len(genuine) - int(genuine.sum()),
             "same_terminal_survivors": int(c.same_terminal().sum()),

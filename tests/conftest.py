@@ -3,7 +3,8 @@
 Three standing systems exercise every code path: the Pascal diagram (two
 variables, degree one), a degree-four polynomial with mixed coefficients,
 and a three-variable all-ones quadratic.  `polynomial_specs` draws random
-polynomials for the hypothesis properties of several modules, and
+polynomials for the hypothesis properties of several modules,
+`parallel_edge_specs` linear ones with parallel edges, and
 `k_coding_symbol` is the oracle for the library's integer k-symbols.
 """
 
@@ -39,12 +40,23 @@ def k_coding_symbol(x, k):
 
 
 @st.composite
-def polynomial_specs(draw, max_degree, max_arity=3):
+def polynomial_specs(draw, max_degree, max_arity=4):
     """A random valid polynomial: 2 to `max_arity` variables, every monomial of one degree."""
     arity = draw(st.integers(min_value=2, max_value=max_arity))
     degree = draw(st.integers(min_value=1, max_value=max_degree))
     vectors = list(compositions_desc(degree, arity))
     return PolynomialSpec.from_coefficients(arity, {s: draw(COEFFICIENTS) for s in vectors})
+
+
+@st.composite
+def parallel_edge_specs(draw, max_arity=4):
+    """A linear polynomial like `2 x1 + x2`: 2 to `max_arity` variables, at
+    least one coefficient above 1, so some vertex has parallel edges."""
+    arity = draw(st.integers(min_value=2, max_value=max_arity))
+    coefficients = draw(st.lists(COEFFICIENTS, min_size=arity, max_size=arity))
+    coefficients[draw(st.integers(0, arity - 1))] = draw(st.integers(min_value=2, max_value=3))
+    vectors = compositions_desc(1, arity)
+    return PolynomialSpec.from_coefficients(arity, dict(zip(vectors, coefficients)))
 
 
 # a Pascal vertex of the wrong arity, whose down-set search once never ended,

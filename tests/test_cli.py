@@ -294,6 +294,10 @@ class TestFailures:
             ("describe", "--poly", PASCAL_TEXT, "--levels", "-3"),
             ("probe", "--poly", PASCAL_TEXT, "--i", "1", "--horizon", "0"),
             ("probe", "--poly", PASCAL_TEXT, "--i", "1", "--horizon", "4", "--budget", "0"),
+            # no level to check: measure wrote no rows and verify-all passed
+            # with most of its suites over an empty level range
+            ("measure", "--poly", PASCAL_TEXT, "--levels", "0"),
+            ("verify-all", "--poly", PASCAL_TEXT, "--levels", "0"),
         ],
     )
     def test_out_of_range_integer_is_a_usage_error(self, capsys, argv):

@@ -110,8 +110,8 @@ def test_compositions_complete_and_descending(total, parts):
 
 
 @given(
-    arity=st.integers(min_value=2, max_value=3),
-    degree=st.integers(min_value=1, max_value=3),
+    arity=st.integers(min_value=2, max_value=4),
+    degree=st.integers(min_value=1, max_value=4),
     data=st.data(),
 )
 @settings(max_examples=40, deadline=None)

@@ -107,12 +107,20 @@ def nest(leaf, path):
 @given(trees, paths)
 @settings(max_examples=300, deadline=None)
 def test_encoded_value_embeds_at_any_depth(obj, path):
-    encoded = Encoded(to_stable_json(obj)[:-1])
-    assert to_stable_json(nest(encoded, path)) == to_stable_json(nest(obj, path))
+    # the writer is called once, with the newline and indent its value's
+    # last line follows: one step deeper per key or index on the path
+    calls = []
+
+    def write(nl):
+        calls.append(nl)
+        return to_stable_json(obj)[:-1].replace("\n", nl)
+
+    assert to_stable_json(nest(Encoded(write), path)) == to_stable_json(nest(obj, path))
+    assert calls == ["\n" + "  " * len(path)]
 
 
 def test_encoded_is_not_a_string_to_the_stdlib():
     with pytest.raises(TypeError):
-        json.dumps(Encoded('"text"'))
+        json.dumps(Encoded(lambda nl: '"text"'))
     with pytest.raises(TypeError):
-        json.dumps({"k": [Encoded("1")]})
+        json.dumps({"k": [Encoded(lambda nl: "1")]})

@@ -3,17 +3,24 @@
 import json
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PASCAL_TEXT, k_coding_symbol, peak_rss_mb, polynomial_specs
+from conftest import (
+    PASCAL_TEXT,
+    k_coding_symbol,
+    parallel_edge_specs,
+    peak_rss_mb,
+    polynomial_specs,
+)
 from polyadic import Diagram, Ordering, _diagonals, parse_polynomial
 from polyadic.cli import main
 from polyadic.errors import MaximalAtHorizon, MinimalAtHorizon, ReportTooLarge
-from polyadic.export import to_stable_json
+from polyadic.export import _list, to_stable_json
 from polyadic.measure import dense_orbit_trace
 from polyadic.probe import probe_depth_pairs
 from polyadic.vershik import DEFAULT_TOWER_BUDGET
@@ -315,7 +322,7 @@ def test_scans_without_survivors(pascal_lex, horizon, floor, counts):
 
 def random_ordering(draw):
     """A random diagram's random ordering, and its number of level-1 paths."""
-    spec = draw(polynomial_specs(max_degree=2))
+    spec = draw(polynomial_specs(max_degree=4) | parallel_edge_specs())
     diagram = Diagram(spec)
     preset = draw(st.sampled_from(["source-lex", "source-revlex", "random", "explicit"]))
     seed = draw(st.integers(0, 2**32)) if preset == "random" else None
@@ -331,7 +338,8 @@ def random_ordering(draw):
 def probe_cases(draw):
     """A random small diagram, ordering, horizon (at most 60 paths), depth and floor."""
     ordering, level_one = random_ordering(draw)  # level-L paths: level_one**L
-    horizon = draw(st.integers(1, max(h for h in (1, 2, 3) if level_one**h <= 60)))
+    # a quartic in four variables has up to 105 level-1 paths
+    horizon = draw(st.integers(1, max((h for h in (1, 2, 3) if level_one**h <= 60), default=1)))
     return ordering, draw(st.integers(0, horizon - 1)), horizon, draw(st.integers(0, 1))
 
 
@@ -372,7 +380,7 @@ def test_kernel_matches_pair_scan_past_the_replay(case):
 def place_cases(draw):
     """As `probe_cases`, up to 100 paths, with a budget that may skip towers."""
     ordering, level_one = random_ordering(draw)
-    horizon = draw(st.integers(1, max(h for h in (1, 2, 3, 4) if level_one**h <= 100)))
+    horizon = draw(st.integers(1, max((h for h in (1, 2, 3, 4) if level_one**h <= 100), default=1)))
     diagram = ordering.diagram
     budget = draw(st.integers(1, max(map(diagram.dimension, diagram.vertices(horizon)))))
     return ordering, draw(st.integers(0, horizon - 1)), horizon, draw(st.integers(0, 1)), budget
@@ -431,13 +439,100 @@ def test_rows_match_candidate_views_on_random_diagrams(case):
         assert (row["divergence_level"], row["min_coord_trace"]) == path_fields(ordering, row)
 
 
+def oracle_rows(c, selected):
+    """The per-row writer the bulk `_diagonals._conflict_rows` replaced: one
+    template per row, the list written at top level."""
+    rows = np.flatnonzero(selected)
+    if not rows.size:
+        return "[]"
+    x, x_prime = c.x[rows], c.x_prime[rows]
+    used = np.zeros(len(c.tower), dtype=bool)
+    used[x] = used[x_prime] = True
+    used = np.flatnonzero(used)
+    field_nl, item_nl = "\n    ", "\n      "  # a row's fields, a field's items
+    terminals = [_list(v.coords, item_nl) for v in c.terminals]
+    refs, traces = {}, {}
+    for p, k, r, trace in zip(
+        used.tolist(), c.tower[used].tolist(), c.rank[used].tolist(), c.mins[:, used].T.tolist()
+    ):
+        refs[p] = f'{{\n      "rank": {r},\n      "terminal": {terminals[k]}\n    }}'
+        traces[p] = _list(trace, item_nl)
+    times = c.times.tolist()
+    ends = c.cuts.tolist()
+    starts = [0, *ends]
+    out = [
+        f'{{\n    "conflict_times": {_list(times[starts[k]:ends[k]], field_nl)},'
+        f'\n    "divergence_level": {div},'
+        f'\n    "min_coord_trace": [\n      {traces[a]},\n      {traces[b]}\n    ],'
+        f'\n    "x": {refs[a]},\n    "x_prime": {refs[b]}\n  }}'
+        for k, a, b, div in zip(
+            rows.tolist(), x.tolist(), x_prime.tolist(), c.divergence[rows].tolist()
+        )
+    ]
+    return "[\n  " + ",\n  ".join(out) + "\n]"
+
+
+SELECTIONS = {
+    "every_row": lambda c: c.every_row(),
+    "genuine": lambda c: c.genuine(),
+    "~genuine": lambda c: ~c.genuine(),
+    "none": lambda c: np.zeros(len(c.x), dtype=bool),
+}
+
+
+def assert_writer_matches_oracle(c, selection, depth):
+    selected = SELECTIONS[selection](c)
+    nl = "\n" + "  " * depth
+    assert c.write_rows(selected, nl) == oracle_rows(c, selected).replace("\n", nl)
+
+
+@st.composite
+def writer_cases(draw):
+    """A random probe of at most 2,048 paths and a few thousand survivors, a
+    selection of its rows and the depth they land at."""
+    ordering, level_one = random_ordering(draw)
+    horizon = draw(st.integers(1, max(h for h in range(1, 12) if level_one**h <= 2048)))
+    i, floor = draw(st.integers(0, horizon - 1)), draw(st.integers(0, 1))
+    # an i=0 probe pairs every path with every other: step back until the
+    # kernel's own cap, lowered, admits the report (at horizon 1 it always does)
+    with mock.patch.object(_diagonals, "_REPORT_CAP", 20_000):
+        while True:
+            try:
+                report = probe_depth_pairs(ordering, i, horizon, min_coord_floor=floor)
+                break
+            except ReportTooLarge:
+                horizon -= 1
+                i = min(i, horizon - 1)
+    return report._columns, draw(st.sampled_from(sorted(SELECTIONS))), draw(st.integers(0, 3))
+
+
+@given(case=writer_cases())
+@settings(max_examples=100, deadline=None)
+def test_bulk_writer_matches_the_per_row_oracle(case):
+    assert_writer_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+@pytest.mark.parametrize("selection", sorted(SELECTIONS))
+def test_bulk_writer_matches_the_per_row_oracle_on_pascal_depth_zero(selection, depth):
+    # the first survivor here has no conflict time and its times start at
+    # offset 0, so under ~genuine the first row's slice of the times would
+    # end below 0 unless its end is clamped to its start
+    ordering = Ordering(Diagram(parse_polynomial(PASCAL_TEXT)), "random", 5)
+    c = probe_depth_pairs(ordering, 0, 6)._columns
+    assert c.cuts[0] == 0 and not c.genuine()[0]
+    assert_writer_matches_oracle(c, selection, depth)
+
+
 def test_survivor_rows_are_parsed_once(pascal_lex, monkeypatch, capsys):
     calls = {"_conflict_rows": 0, "loads": 0}
+    depths = []
     write, loads = _diagonals._conflict_rows, json.loads
 
-    def counted_write(*args):
+    def counted_write(c, selected, nl):
         calls["_conflict_rows"] += 1
-        return write(*args)
+        depths.append(nl)
+        return write(c, selected, nl)
 
     def counted_loads(*args, **kwargs):
         calls["loads"] += 1
@@ -454,10 +549,13 @@ def test_survivor_rows_are_parsed_once(pascal_lex, monkeypatch, capsys):
     assert report.same_terminal_survivors == []
     assert report.survivors == rows and report.survivors is not rows
     assert calls == {"_conflict_rows": 1, "loads": 1}
-    # the CLI writes the document's one list of rows and reads no row back
+    # the CLI writes the document's one list of rows, at the depth of
+    # report.genuine_conflicts, and reads no row back
     calls.update({"_conflict_rows": 0, "loads": 0})
+    depths.clear()
     assert main(["probe", "--poly", PASCAL_TEXT, "--i", "1", "--horizon", "6"]) == 0
     assert calls == {"_conflict_rows": 1, "loads": 0}
+    assert depths == ["\n    "]
     capsys.readouterr()
 
 
@@ -514,6 +612,23 @@ class TestPascalDepthOne:
             """
         )
         assert peak < 180, peak
+
+    def test_cli_document_memory(self):
+        # the survivor rows are written once, at the depth they land in the
+        # document; written at top level and then re-indented for it, a copy
+        # of the rows stood beside them, and the run peaked at 269 MB on a
+        # 2-vCPU Xeon (now about 208 MB)
+        peak = peak_rss_mb(
+            """
+            import contextlib, os
+            from polyadic.cli import main
+
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                code = main(["probe", "--poly", "x1 + x2", "--i", "1", "--horizon", "17"])
+            assert code == 0, code
+            """
+        )
+        assert peak < 240, peak
 
     def test_conflicts_cling_to_corners(self, pascal_lex):
         # raising the floor by one removes every genuine conflict
