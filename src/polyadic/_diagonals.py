@@ -150,17 +150,6 @@ def _place_maps(
     return parent, first
 
 
-def _dense_ranks(key: np.ndarray) -> np.ndarray:
-    """Each entry's rank among the distinct values of `key`, counted from 0."""
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    step = np.zeros(len(key), dtype=np.int64)
-    np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
-    rank = np.empty_like(step)
-    rank[order] = np.cumsum(step, out=step)
-    return rank
-
-
 def _window_ranks(axis: np.ndarray, rows: int) -> np.ndarray:
     """Row j, column p: the dense rank of the length-2^j window of `axis` at p.
 
@@ -172,13 +161,13 @@ def _window_ranks(axis: np.ndarray, rows: int) -> np.ndarray:
     """
     n = len(axis)
     ranks = np.empty((rows, n), dtype=np.int64)
-    ranks[0] = _dense_ranks(axis)
+    ranks[0] = np.unique(axis, return_inverse=True)[1]
     j = 0
     while ranks[j].max() < n - 1:
         half = 1 << j
         key = ranks[j] * (n + 1)
         key[: n - half] += ranks[j, half:] + 1  # 0 past the end
-        ranks[j + 1] = _dense_ranks(key)
+        ranks[j + 1] = np.unique(key, return_inverse=True)[1]
         j += 1
     return ranks[: j + 1]
 

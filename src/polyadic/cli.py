@@ -96,7 +96,7 @@ def _cmd_chain(args, diagram, ordering):
     }
     if starts:
         s = starts[0]
-        target = args.target_len or 2 * diagram.degree + 3
+        target = 2 * diagram.degree + 3 if args.target_len is None else args.target_len
         try:
             chain = build_distinguished_chain(diagram, s.v, s.v_prime, s.shared, s.direction, target)
             body["chain"] = chain.to_json()
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chain", parents=[common], help="chain starts and one extension")
     p.add_argument("--level", type=_NON_NEGATIVE, required=True)
     p.add_argument(
-        "--target-len", type=_NON_NEGATIVE, default=None, help="splitting vertices to reach"
+        "--target-len", type=_int_at_least(2), default=None, help="splitting vertices to reach"
     )
     p.set_defaults(fn=_cmd_chain, file="chain")
 

@@ -10,15 +10,17 @@ comparison; rank and unrank convert between a path and its tower position.
 An ordering keeps one integer table per level, built a whole level at a
 time from the diagram's shifted runs and dimension rows: per vertex in
 label order, each incoming edge's source rank and copy, and the prefix
-sums of the source dimensions.  `path_unrank` descends these tables on
-integers and builds only the edges of the path it returns.  The edge views
-behind `edges_in`, labels, successor, predecessor and `path_rank` are built
-from the tables per vertex on first use; a label index gives each view edge
-its label, its target's edges and its rank offset.  Every cache keys on the
-vertex or edge value and stores only valid ones, so a hit needs no check.
-Successor and predecessor splice a cached extreme path, one view edge and
-a suffix of x, checking only the seams.  A vertex coding word is built per
-call, one level at a time, and not kept.
+sums of the source dimensions.  The edge views behind `edges_in`, labels,
+successor, predecessor and `path_rank` are built from the tables per vertex
+on first use; a label index gives each view edge its label, its target's
+edges and its rank offset.  One descent builds every path an ordering hands
+out: it walks the tables on integers and takes each edge from its target's
+view, so a path is made of the label index's own keys.  `path_unrank` is
+that descent, and the extreme paths are its two ends, rank 0 and dim - 1,
+cached.  Every cache keys on the vertex or edge value and stores only valid
+ones, so a hit needs no check.  Successor and predecessor splice a cached
+extreme path, one view edge and a suffix of x, checking only the seams.
+A vertex coding word is built per call, one level at a time, and not kept.
 
 All of this is finite-horizon: a path maximal up to its terminal vertex has
 no successor here, because the infinite-diagram successor would depend on
@@ -36,7 +38,7 @@ from itertools import chain, count, repeat
 from operator import le, sub
 from typing import Iterator, Mapping, NamedTuple
 
-from .core import Coords, Diagram, EdgeRef, Vertex
+from .core import Diagram, EdgeRef, Vertex
 from .errors import (
     MaximalAtHorizon,
     MinimalAtHorizon,
@@ -283,36 +285,20 @@ class Ordering:
     def indegree(self, w: Vertex) -> int:
         return len(self._view(w))
 
-    def _extreme_path(self, v: Vertex, end: int) -> FinitePath:
-        """The path into v through the edge at `end` of each vertex's label
-        order, 0 or -1.  Its edges are the views' own, the keys of their
-        slots, so the successor machine finds them by identity.  The tables
-        below v are built first, bottom-up: a view built cold, top-down,
-        would step its level's dimension row up from the root again."""
-        self._tables_to(v.level)
-        edges = []
-        w = v
-        while w.level:
-            edge = (self._views.get(w) or self._view(w))[end]
-            edges.append(edge)
-            w = edge.source
-        edges.reverse()
-        return _contiguous(v, tuple(edges))
-
     def minimal_path(self, v: Vertex) -> FinitePath:
         """The all-label-1 path into v: rank 0 of its tower."""
         found = self._minimal.get(v)
         if found is None:
-            v = self.diagram._checked(v)
-            found = self._minimal.setdefault(v, self._extreme_path(v, 0))
+            found = self._descent(v, 0)
+            self._minimal[found.terminal] = found
         return found
 
     def maximal_path(self, v: Vertex) -> FinitePath:
         """The all-maximal-label path into v: rank dim - 1 of its tower."""
         found = self._maximal.get(v)
         if found is None:
-            v = self.diagram._checked(v)
-            found = self._maximal.setdefault(v, self._extreme_path(v, -1))
+            found = self._descent(v, None)
+            self._maximal[found.terminal] = found
         return found
 
     def successor(self, x: FinitePath) -> FinitePath:
@@ -347,29 +333,39 @@ class Ordering:
         return sum([(slots.get(e) or self._slot(e))[2] for e in x.edges])
 
     def path_unrank(self, v: Vertex, rank: int) -> FinitePath:
-        """The rank-th path of v's tower; inverse of path_rank.
+        """The rank-th path of v's tower; inverse of path_rank."""
+        return self._descent(v, rank)
 
-        Descends the level tables on integers, then builds the path's edges.
+    def _descent(self, v: Vertex, rank: int | None) -> FinitePath:
+        """The rank-th path of v's tower, or its last when rank is None.
+
+        Descends the level tables on integers and takes each edge from its
+        target's view, so the path is made of the views' own edges, the keys
+        of their slots.  The tables are built before the dimension row is
+        read: then the row steps from the level below, not from the root.
         """
         d = self.diagram
         r = d._index(v)
         level = v[0]
-        tables = self._tables_to(level)  # first: then the row steps from level - 1, not the root
+        tables = self._tables_to(level)
         dim = d._row(level)[r]
-        if not 0 <= rank < dim:
+        if rank is None:
+            rank = dim - 1
+        elif not 0 <= rank < dim:
             raise RankOutOfRange(f"rank {rank} outside 0..{dim - 1} for {v}")
-        path, copies = [d._issued[level, r]], []  # top down
-        for start, source, copy, sums, below in reversed(tables):
-            j = bisect_right(sums, rank, start[r], start[r + 1]) - 1
+        views = self._views
+        w = v = d._issued[level, r]
+        edges = []  # top down
+        for start, source, _, sums, _ in reversed(tables):
+            a = start[r]
+            j = bisect_right(sums, rank, a, start[r + 1]) - 1
             rank -= sums[j]
+            edge = (views.get(w) or self._view(w))[j - a]
+            edges.append(edge)
             r = source[j]
-            path.append(below[r])
-            copies.append(copy[j])
-        path.reverse()
-        copies.reverse()
-        # EdgeRef's own constructor, minus a Python frame per edge
-        edges = tuple(map(tuple.__new__, repeat(EdgeRef), zip(path, path[1:], copies)))
-        return _contiguous(path[-1], edges)
+            w = edge.source
+        edges.reverse()
+        return _contiguous(v, tuple(edges))
 
     def iter_tower(self, v: Vertex) -> Iterator[FinitePath]:
         """Yield the tower of v in successor order without materializing it."""
@@ -418,20 +414,6 @@ class Ordering:
                 for v in layer
             }
         return words[w]
-
-    def basic_block(self, v: Vertex, k: int) -> tuple[tuple[Coords, int], ...]:
-        """k-symbols of the tower of v, rank by rank.
-
-        A path's first k edges end at a level-k vertex u and are its rank-r
-        path; the symbol is (u.coords, r).  The tower runs through the
-        level-k word of v, one block of dim(u) ranks per letter u.
-        """
-        v = self.diagram._checked(v)
-        dim = self.diagram.dimension(v)
-        if dim > DEFAULT_TOWER_BUDGET:
-            raise TowerTooLarge(f"dimension {dim} of {v} exceeds budget {DEFAULT_TOWER_BUDGET}")
-        word = (v,) if k == v.level else self.vertex_coding(v, k)
-        return tuple((u.coords, r) for u in word for r in range(self.diagram.dimension(u)))
 
 
 def make_ordering(

@@ -4,8 +4,9 @@ Three standing systems exercise every code path: the Pascal diagram (two
 variables, degree one), a degree-four polynomial with mixed coefficients,
 and a three-variable all-ones quadratic.  `polynomial_specs` draws random
 polynomials for the hypothesis properties of several modules,
-`parallel_edge_specs` linear ones with parallel edges, and
-`k_coding_symbol` is the oracle for the library's integer k-symbols.
+`parallel_edge_specs` linear ones with parallel edges, `k_coding_symbol`
+is the oracle for the library's integer k-symbols, and `basic_block` the
+oracle for the probe's place ids.
 """
 
 import os
@@ -37,6 +38,19 @@ def k_coding_symbol(x, k):
     if not 0 <= k <= x.level:
         raise ValueError(f"k must lie in 0..{x.level}, got {k}")
     return tuple((e.target.coords, e.copy) for e in x.edges[:k])
+
+
+def basic_block(ordering, v, k):
+    """The k-symbols of the tower of v, rank by rank, as (coords, rank) pairs.
+
+    A path's first k edges end at a level-k vertex u and are its rank-r
+    path; the symbol is (u.coords, r).  The tower runs through the level-k
+    word of v, one block of dim(u) ranks per letter u.  The word comes from
+    `vertex_coding`, which orders each vertex's sources without the level
+    tables the probe's place maps are read from.
+    """
+    word = (v,) if k == v.level else ordering.vertex_coding(v, k)
+    return tuple((u.coords, r) for u in word for r in range(ordering.diagram.dimension(u)))
 
 
 @st.composite

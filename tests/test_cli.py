@@ -298,6 +298,10 @@ class TestFailures:
             # with most of its suites over an empty level range
             ("measure", "--poly", PASCAL_TEXT, "--levels", "0"),
             ("verify-all", "--poly", PASCAL_TEXT, "--levels", "0"),
+            # a chain has at least two splitting vertices: 0 built the default
+            # chain and exited 0, and 1 failed only inside the library
+            ("chain", "--poly", PASCAL_TEXT, "--level", "4", "--target-len", "0"),
+            ("chain", "--poly", PASCAL_TEXT, "--level", "4", "--target-len", "1"),
         ],
     )
     def test_out_of_range_integer_is_a_usage_error(self, capsys, argv):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     PASCAL_TEXT,
+    basic_block,
     k_coding_symbol,
     parallel_edge_specs,
     peak_rss_mb,
@@ -418,6 +419,29 @@ def test_place_maps_match_the_prefix_blocks(case):
     assert position.tolist() == sorted({*x.tolist(), *y.tolist()})
     assert np.array_equal(c.mins, mins[:, position])
     assert np.array_equal(c.divergence, (ids[:, x] == ids[:, y]).sum(axis=0))
+
+
+@given(case=place_cases())
+@settings(max_examples=60, deadline=None)
+def test_place_maps_name_the_basic_block_symbols(case):
+    # a level-k place is a path's first k edges: its vertex found by
+    # searchsorted on first[k], its rank the offset from that vertex's first
+    # place; read down the parent maps, they spell each admitted tower's
+    # block, and a tower over the budget has no places to read
+    ordering, _, horizon, _, budget = case
+    diagram = ordering.diagram
+    parent, first = _diagonals._place_maps(ordering, horizon, budget)
+    for r, v in enumerate(diagram.vertices(horizon)):
+        if diagram.dimension(v) > budget:
+            assert first[horizon][r] == first[horizon][r + 1]
+            continue
+        places = np.arange(first[horizon][r], first[horizon][r + 1])
+        for k in range(horizon, -1, -1):
+            u = np.searchsorted(first[k], places, side="right") - 1
+            below = diagram.vertices(k)
+            block = [(below[a].coords, p - first[k][a]) for a, p in zip(u.tolist(), places.tolist())]
+            assert block == list(basic_block(ordering, v, k)), (v, k)
+            places = parent[k][places]
 
 
 @given(case=probe_cases())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COEFFICIENTS, k_coding_symbol, polynomial_specs
+from conftest import COEFFICIENTS, basic_block, k_coding_symbol, polynomial_specs
 from conftest import OFF_LATTICE, raised_within
 from polyadic import Diagram, EdgeRef, Ordering, Vertex, parse_polynomial
 from polyadic.errors import (
@@ -70,6 +70,17 @@ def random_table(diagram, rng, max_level):
                 rng.shuffle(labels)
                 table[f"{level}:{','.join(map(str, w.coords))}"] = labels
     return table
+
+
+# every preset, and an explicit table from a seeded generator
+PRESETS = [("source-lex", None), ("source-revlex", None), ("random", 0), ("random", 5), ("explicit", 3)]
+
+
+def preset_ordering(diagram, preset, seed):
+    """The ordering of a `PRESETS` entry; the explicit one relabels up to level 3."""
+    if preset == "explicit":
+        return Ordering(diagram, preset, table=random_table(diagram, random.Random(seed), 3))
+    return Ordering(diagram, preset, seed)
 
 
 def advanced_edge(x, y):
@@ -145,18 +156,12 @@ class TestOrderings:
                         )
                         assert len(edges) == diagram.indegree(w)
 
-    @pytest.mark.parametrize(
-        "preset, seed",
-        [("source-lex", None), ("source-revlex", None), ("random", 0), ("random", 5), ("explicit", 3)],
-    )
+    @pytest.mark.parametrize("preset, seed", PRESETS)
     def test_labels_match_the_per_vertex_oracle(self, all_diagrams, preset, seed):
         # in order, not only as a set, at every vertex of the first levels
         for name, max_level in (("pascal", 6), ("quartic", 3), ("q3", 4)):
             diagram = all_diagrams[name]
-            if preset == "explicit":
-                ordering = Ordering(diagram, preset, table=random_table(diagram, random.Random(seed), 3))
-            else:
-                ordering = Ordering(diagram, preset, seed)
+            ordering = preset_ordering(diagram, preset, seed)
             for level in range(max_level + 1):
                 for w in diagram.vertices(level):
                     assert ordering.edges_in(w) == label_order_oracle(ordering, w), (name, w)
@@ -234,9 +239,45 @@ class TestExtremePaths:
     def test_extremes_bound_the_tower(self, quartic):
         ordering = Ordering(quartic)
         v = quartic.vertex((8, 4))
-        tower = ordering.tower(v)
-        assert tower[0] == ordering.minimal_path(v)
+        tower = ordering.tower(v)  # a successor walk from minimal_path
+        with pytest.raises(MinimalAtHorizon):
+            ordering.predecessor(tower[0])
         assert tower[len(tower) - 1] == ordering.maximal_path(v)
+
+    @pytest.mark.parametrize("preset, seed", PRESETS)
+    def test_extremes_are_all_first_and_all_last_labels(self, all_diagrams, preset, seed):
+        # read off the labels, not compared with the ranks the same descent unranks
+        for name, max_level in (("pascal", 6), ("quartic", 3), ("q3", 4)):
+            diagram = all_diagrams[name]
+            ordering = preset_ordering(diagram, preset, seed)
+            for level in range(max_level + 1):
+                for v in diagram.vertices(level):
+                    low, high = ordering.minimal_path(v), ordering.maximal_path(v)
+                    assert FinitePath(v, low.edges) == low and FinitePath(v, high.edges) == high
+                    assert labels_of(ordering, low) == [1] * level
+                    assert labels_of(ordering, high) == [diagram.indegree(e.target) for e in high.edges]
+
+    @pytest.mark.parametrize("preset, seed", PRESETS)
+    def test_every_path_is_made_of_view_edges(self, all_diagrams, preset, seed):
+        # the successor machine and path_rank find an edge's slot by identity
+        # first; a path of equal but new edges pays a hash and a compare per lookup
+        for name, max_level in (("pascal", 5), ("quartic", 2), ("q3", 3)):
+            diagram = all_diagrams[name]
+            ordering = preset_ordering(diagram, preset, seed)  # cold: unranks come first
+            for level in range(max_level + 1):
+                for v in diagram.vertices(level):
+                    dim = diagram.dimension(v)
+                    unranked = [ordering.path_unrank(v, rank) for rank in range(dim)]
+                    paths = unranked + list(ordering.iter_tower(v))  # successors from minimal_path
+                    x = ordering.maximal_path(v)
+                    paths.append(x)
+                    for _ in range(dim - 1):
+                        paths.append(x := ordering.predecessor(x))
+                    paths += map(ordering.successor, unranked[:-1])
+                    paths += map(ordering.predecessor, unranked[1:])
+                    for x in paths:
+                        for e in x.edges:
+                            assert e is ordering.edges_in(e.target)[ordering.label_of(e) - 1]
 
     def test_deep_extremes_step_each_level_once(self, monkeypatch):
         # top-down, every level's table would step its dimension row up from
@@ -366,8 +407,6 @@ class TestSuccessor:
     def test_budget_guard(self, pascal, pascal_lex):
         with pytest.raises(TowerTooLarge):
             pascal_lex.tower(pascal.vertex((2, 2)), budget=5)
-        with pytest.raises(TowerTooLarge):
-            pascal_lex.basic_block(pascal.vertex((12, 12)), 1)  # 2,704,156 paths
 
     def test_iter_tower_matches(self, pascal, pascal_lex):
         v = pascal.vertex((3, 1))
@@ -453,10 +492,9 @@ class TestCallerVertices:
             lambda o, v: o.maximal_path(v),
             lambda o, v: o.path_unrank(v, 1),
             lambda o, v: o.vertex_coding(v, 1),
-            lambda o, v: o.basic_block(v, 1),
         ],
         ids=["source_set", "targets", "edges_in", "minimal_path", "maximal_path", "path_unrank",
-             "vertex_coding", "basic_block"],
+             "vertex_coding"],
     )
     def test_a_plain_pair_gets_one_answer_cold_or_warm(self, call):
         cold, warm = (Ordering(Diagram(parse_polynomial("x1 + x2"))) for _ in range(2))
@@ -551,14 +589,14 @@ class TestCoding:
     def test_basic_block_examples(self, pascal, pascal_lex):
         a = ((0, 1), 0)
         b = ((1, 0), 0)
-        assert pascal_lex.basic_block(pascal.vertex((1, 1)), 1) == (a, b)
-        assert pascal_lex.basic_block(pascal.vertex((2, 2)), 1) == (a, a, b, a, b, b)
+        assert basic_block(pascal_lex, pascal.vertex((1, 1)), 1) == (a, b)
+        assert basic_block(pascal_lex, pascal.vertex((2, 2)), 1) == (a, a, b, a, b, b)
 
     def test_basic_block_lengths(self, pascal, pascal_lex):
         for level in range(1, 7):
             for v in pascal.vertices(level):
                 for k in (0, 1, level):
-                    block = pascal_lex.basic_block(v, k)
+                    block = basic_block(pascal_lex, v, k)
                     assert len(block) == pascal.dimension(v)
                     if k == level:
                         assert len(set(block)) == len(block)
@@ -573,7 +611,8 @@ class TestCoding:
                 for v in diagram.vertices(level):
                     tower = ordering.tower(v)
                     for k in range(level + 1):
-                        pairs = set(zip(ordering.basic_block(v, k), (k_coding_symbol(x, k) for x in tower)))
+                        symbols = (k_coding_symbol(x, k) for x in tower)
+                        pairs = set(zip(basic_block(ordering, v, k), symbols))
                         assert len({a for a, _ in pairs}) == len({b for _, b in pairs}) == len(pairs)
 
 
