@@ -13,6 +13,8 @@ depth-i coding conflicts.
 names of `chains`, `coverage`, `measure` and `verify` are resolved by the
 module `__getattr__` (PEP 562) through `_DEFERRED`, which imports their
 module on first access; `fractions` and `decimal` come in with `measure`.
+The value types are named tuples and `ProbeReport` a plain class, so
+`inspect` stays unloaded until numpy loads it.
 `probe` stays eager although only the probe uses it: it is small (numpy
 loads with the first probe, from `_diagonals`), and perfbench's tracer wraps
 only the package modules loaded before it starts, so a deferred `probe`

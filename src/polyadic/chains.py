@@ -12,28 +12,38 @@ until the chain collides with its own start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Diagram, Vertex
 from .coverage import is_covered_oracle
 from .errors import DsvAbsent, HypothesisNotMet, LengthMismatch, NoExtension
 
 
-@dataclass(frozen=True)
-class Chain:
-    """Splitting vertices with the shared sources between consecutive ones."""
-
+class _ChainFields(NamedTuple):
     level: int
     splitting: tuple[Vertex, ...]
     shared: tuple[Vertex, ...]
     direction: int | None = None
 
-    def __post_init__(self) -> None:
-        if not self.splitting or len(self.shared) != len(self.splitting) - 1:
+
+class Chain(_ChainFields):
+    """Splitting vertices with the shared sources between consecutive ones."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, level: int, splitting: tuple[Vertex, ...], shared: tuple[Vertex, ...],
+        direction: int | None = None,
+    ) -> Chain:
+        if not splitting or len(shared) != len(splitting) - 1:
             raise LengthMismatch(
-                f"{len(self.splitting)} splitting vertices need "
-                f"{max(len(self.splitting) - 1, 0)} shared, got {len(self.shared)}"
+                f"{len(splitting)} splitting vertices need "
+                f"{max(len(splitting) - 1, 0)} shared, got {len(shared)}"
             )
+        return super().__new__(cls, level, splitting, shared, direction)
+
+    def _replace(self, **changes) -> Chain:  # checked, unlike `_make`
+        return type(self)(**{**self._asdict(), **changes})
 
     @property
     def length(self) -> int:
@@ -49,8 +59,7 @@ class Chain:
         }
 
 
-@dataclass(frozen=True)
-class ChainCheck:
+class ChainCheck(NamedTuple):
     is_chain: bool
     is_straight: bool
     is_link: bool
@@ -137,8 +146,7 @@ def build_distinguished_chain(
     return Chain(w0.level, tuple(splitting), tuple(shared), direction=j)
 
 
-@dataclass(frozen=True)
-class ChainStart:
+class ChainStart(NamedTuple):
     v: Vertex
     v_prime: Vertex
     direction: int
@@ -174,8 +182,7 @@ def find_chain_start(diagram: Diagram, level: int) -> tuple[ChainStart, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LinkReport:
+class LinkReport(NamedTuple):
     """Static consequences of one link (w0, w1) in direction j.
 
     Each status is "pass", "fail", or "not applicable" when its hypothesis

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -159,8 +158,13 @@ def _parse_text_terms(text: str) -> list[tuple[dict[int, int], int]]:
     return terms
 
 
-@dataclass(frozen=True)
-class PolynomialSpec:
+class _PolynomialFields(NamedTuple):
+    arity: int
+    degree: int
+    terms: tuple[tuple[Coords, int], ...]
+
+
+class PolynomialSpec(_PolynomialFields):
     """A homogeneous positive integer polynomial with full monomial support.
 
     `terms` pairs each exponent vector with its coefficient, in canonical
@@ -168,31 +172,32 @@ class PolynomialSpec:
     homogeneity, positivity, and that every degree-d exponent vector appears.
     """
 
-    arity: int
-    degree: int
-    terms: tuple[tuple[Coords, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.arity < 2:
-            raise AritySmallerThanTwo(f"need at least two variables, got {self.arity}")
+    def __new__(cls, arity: int, degree: int, terms: tuple[tuple[Coords, int], ...]) -> PolynomialSpec:
+        if arity < 2:
+            raise AritySmallerThanTwo(f"need at least two variables, got {arity}")
         seen: dict[Coords, int] = {}
-        for exp, coef in self.terms:
-            if len(exp) != self.arity or any(e < 0 for e in exp):
+        for exp, coef in terms:
+            if len(exp) != arity or any(e < 0 for e in exp):
                 raise PolynomialSyntaxError(f"bad exponent vector {exp}")
-            if sum(exp) != self.degree:
+            if sum(exp) != degree:
                 raise NotHomogeneous(
-                    f"term {exp} has degree {sum(exp)}, expected {self.degree}"
+                    f"term {exp} has degree {sum(exp)}, expected {degree}"
                 )
             if coef <= 0:
                 raise NonPositiveCoefficient(f"coefficient {coef} for {exp}")
             if exp in seen:
                 raise PolynomialSyntaxError(f"duplicate exponent vector {exp}")
             seen[exp] = coef
-        expected = math.comb(self.degree + self.arity - 1, self.arity - 1)
-        if len(self.terms) != expected:
-            missing = [s for s in compositions_desc(self.degree, self.arity) if s not in seen]
-            raise MissingMonomial(f"absent degree-{self.degree} exponent vectors: {missing}")
-        object.__setattr__(self, "terms", tuple(sorted(self.terms, reverse=True)))
+        expected = math.comb(degree + arity - 1, arity - 1)
+        if len(terms) != expected:
+            missing = [s for s in compositions_desc(degree, arity) if s not in seen]
+            raise MissingMonomial(f"absent degree-{degree} exponent vectors: {missing}")
+        return super().__new__(cls, arity, degree, tuple(sorted(terms, reverse=True)))
+
+    def _replace(self, **changes) -> PolynomialSpec:  # checked, unlike `_make`
+        return type(self)(**{**self._asdict(), **changes})
 
     @classmethod
     def from_coefficients(cls, arity: int, coeffs: Mapping[Coords, int]) -> "PolynomialSpec":

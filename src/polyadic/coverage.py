@@ -14,7 +14,7 @@ Coverage depends only on the diagram shape, never on edge multiplicities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Diagram, Vertex, _greedy_fill, compositions_desc
 from .errors import LadderPreconditionViolated, PreconditionNotMet
@@ -54,16 +54,14 @@ def is_covered_formula(diagram: Diagram, w: Vertex) -> bool | None:
     return any(c > bound for c in w.coords)
 
 
-@dataclass(frozen=True)
-class VertexCoverage:
+class VertexCoverage(NamedTuple):
     vertex: Vertex
     formula: bool | None
     oracle: bool
     covered_by: tuple[Vertex, ...]
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     """Per-vertex coverage at one level, with formula-vs-oracle discrepancies."""
 
     level: int
@@ -137,8 +135,7 @@ def _predicted_cover(diagram: Diagram, w: Vertex, j: int, sign: int, most: int) 
     return out
 
 
-@dataclass(frozen=True)
-class Cov2Report:
+class Cov2Report(NamedTuple):
     """Both sign conventions of the covering-set description against the oracle.
 
     The description fixes the direction j with w(j) > (level - 1) * d and
@@ -185,8 +182,7 @@ def check_cov2(diagram: Diagram, level: int) -> Cov2Report:
     return Cov2Report(level, checked, tuple(fwd_rows), tuple(rev_rows))
 
 
-@dataclass(frozen=True)
-class SourceUncoveredReport:
+class SourceUncoveredReport(NamedTuple):
     """Whether every source of one vertex is uncovered, with the witnesses."""
 
     vertex: Vertex

@@ -14,9 +14,9 @@ edge tables the products no longer telescope against p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from typing import NamedTuple
 
 from .core import Diagram, Vertex
 from .errors import InvalidWeight, MeasureModeUnsupported
@@ -28,8 +28,7 @@ RESIDUAL_TOLERANCE = 1e-12  # largest |p(theta) - 1| a float weight may leave
 MASS_TOLERANCE = 1e-9  # largest |level mass - 1| a float weight may leave
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(NamedTuple):
     """Per-variable weights theta with the achieved residual of p(theta) - 1."""
 
     theta: tuple[Number, ...]
@@ -150,8 +149,7 @@ def level_mass(diagram: Diagram, level: int, weight: WeightVector) -> Number:
     return total
 
 
-@dataclass(frozen=True)
-class MassBound:
+class MassBound(NamedTuple):
     level: int
     mass: Number
     bound: Number

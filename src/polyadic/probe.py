@@ -73,7 +73,6 @@ numpy loads with the first probe and not with `import polyadic`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -84,24 +83,29 @@ if TYPE_CHECKING:
     from ._diagonals import _Columns
 
 
-@dataclass(frozen=True, eq=False)
 class ProbeReport:
     """Outcome counts plus every surviving pair, for one (i, L, floor) run.
 
     Survivors stay in the kernel's columns.  `to_document` hands the
     emitter a writer of the conflict list, which writes it straight from
     them at the depth it lands; the survivor views select from one parse of
-    every survivor's row, made when a view first selects a row.
+    every survivor's row, made when a view first selects a row.  Not a
+    named tuple like the package's other values: two reports compare by
+    identity, as tuple equality would compare the columns' arrays.
     """
 
-    i: int
-    horizon: int
-    floor: int
-    budget: int
-    candidates: int
-    skipped_towers: int
-    max_killed_window: int
-    _columns: _Columns
+    def __init__(
+        self, i: int, horizon: int, floor: int, budget: int, candidates: int,
+        skipped_towers: int, max_killed_window: int, _columns: _Columns,
+    ) -> None:
+        self.i = i
+        self.horizon = horizon
+        self.floor = floor
+        self.budget = budget
+        self.candidates = candidates
+        self.skipped_towers = skipped_towers
+        self.max_killed_window = max_killed_window
+        self._columns = _columns
 
     @property
     def censored(self) -> int:  # every survivor is censored; see the module docstring

@@ -7,13 +7,13 @@ CLI's verify-all command: any finding flips the exit code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from . import coverage
 from .chains import check_link_consequences
 from .core import Diagram
-from .errors import InvalidWeight
+from .errors import InvalidWeight, PreconditionNotMet
 from .measure import (
     MASS_TOLERANCE,
     dim_lower_bound_check,
@@ -257,8 +257,7 @@ _SUITES = (
 )
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     max_level: int
     findings: dict[str, tuple[str, ...]]
 
@@ -275,6 +274,17 @@ class VerifyResult:
 
 
 def verify_all(diagram: Diagram, max_level: int) -> VerifyResult:
-    """Run every suite up to max_level and collect the discrepancies."""
+    """Run every suite up to max_level and collect the discrepancies.
+
+    Five suites start above level q, so below q + 2 some would check nothing:
+    that raises PreconditionNotMet, not a pass.
+    """
+    q = diagram.arity
+    if max_level < q + 2:
+        raise PreconditionNotMet(
+            f"--levels {max_level} leaves suites with no level to check: coverage_agreement, "
+            f"cov2_convention and source_uncovered start at q + 1 = {q + 1}, target_uncovered "
+            f"and link_consequences at q + 2 = {q + 2}; verify-all needs --levels {q + 2} or more"
+        )
     findings = {name: tuple(fn(diagram, max_level)) for name, fn in _SUITES}
     return VerifyResult(max_level, findings)

@@ -20,6 +20,8 @@ that descent, and the extreme paths are its two ends, rank 0 and dim - 1,
 cached.  Every cache keys on the vertex or edge value and stores only valid
 ones, so a hit needs no check.  Successor and predecessor splice a cached
 extreme path, one view edge and a suffix of x, checking only the seams.
+The descent and the splice make their paths with the named tuple's
+`_make`, which skips the checks of `FinitePath.__new__`.
 A vertex coding word is built per call, one level at a time, and not kept.
 
 All of this is finite-horizon: a path maximal up to its terminal vertex has
@@ -33,7 +35,6 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import chain, count, repeat
 from operator import le, sub
 from typing import Iterator, Mapping, NamedTuple
@@ -50,24 +51,34 @@ from .errors import (
 DEFAULT_TOWER_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class FinitePath:
-    """A root-to-`terminal` edge path; empty exactly at the root itself."""
-
+class _PathFields(NamedTuple):
     terminal: Vertex
     edges: tuple[EdgeRef, ...]
 
-    def __post_init__(self) -> None:
-        if self.edges:
-            if self.edges[0].source.level != 0:
+
+class FinitePath(_PathFields):
+    """A root-to-`terminal` edge path; empty exactly at the root itself.
+
+    An ordering makes its paths with `_make`, which skips these checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, terminal: Vertex, edges: tuple[EdgeRef, ...]) -> FinitePath:
+        if edges:
+            if edges[0].source.level != 0:
                 raise ValueError("path must start at the root")
-            if self.edges[-1].target != self.terminal:
+            if edges[-1].target != terminal:
                 raise ValueError("path does not end at its terminal vertex")
-            for a, b in zip(self.edges, self.edges[1:]):
+            for a, b in zip(edges, edges[1:]):
                 if a.target != b.source:
                     raise ValueError("path edges are not contiguous")
-        elif self.terminal.level != 0:
+        elif terminal.level != 0:
             raise ValueError("empty path must sit at the root")
+        return super().__new__(cls, terminal, edges)
+
+    def _replace(self, **changes) -> FinitePath:  # checked, unlike `_make`
+        return type(self)(**{**self._asdict(), **changes})
 
     @property
     def level(self) -> int:
@@ -83,13 +94,6 @@ class FinitePath:
         return [e.to_json() for e in self.edges]
 
 
-def _contiguous(terminal: Vertex, edges: tuple[EdgeRef, ...]) -> FinitePath:
-    """A path its maker knows to be contiguous, built without the checks."""
-    path = object.__new__(FinitePath)
-    vars(path).update(terminal=terminal, edges=edges)
-    return path
-
-
 def _splice(head: FinitePath, edge: EdgeRef, x: FinitePath, k: int) -> FinitePath:
     """head, `edge`, then x after its edge k; head and x are validated paths,
     so only the seams at either end of `edge` need checking."""
@@ -97,7 +101,7 @@ def _splice(head: FinitePath, edge: EdgeRef, x: FinitePath, k: int) -> FinitePat
         raise ValueError(f"{head.terminal} does not meet {edge}")
     if edge.target != (end := x.edges[k].target):
         raise ValueError(f"{edge} does not meet {end}")
-    return _contiguous(x.terminal, head.edges + (edge,) + x.edges[k + 1 :])
+    return FinitePath._make((x.terminal, head.edges + (edge,) + x.edges[k + 1 :]))
 
 
 def _mix(seed: int, v: Vertex) -> int:
@@ -365,7 +369,7 @@ class Ordering:
             r = source[j]
             w = edge.source
         edges.reverse()
-        return _contiguous(v, tuple(edges))
+        return FinitePath._make((v, tuple(edges)))
 
     def iter_tower(self, v: Vertex) -> Iterator[FinitePath]:
         """Yield the tower of v in successor order without materializing it."""

@@ -227,7 +227,7 @@ class TestVerifyAll:
     def test_weight_residual_is_a_finding(self, capsys, monkeypatch):
         # a weight that misses p(theta) = 1 is a failed check, not bad input
         monkeypatch.setattr(measure, "evaluate_polynomial", lambda diagram, theta: 1 + 1e-9)
-        code, doc, _ = run_json(capsys, "verify-all", "--poly", PASCAL_TEXT, "--levels", "3")
+        code, doc, _ = run_json(capsys, "verify-all", "--poly", PASCAL_TEXT, "--levels", "4")
         assert code == 1
         findings = doc["result"]["findings"]
         assert len(findings["measure_bounds"]) == 1
@@ -313,6 +313,22 @@ class TestFailures:
         assert "usage:" in captured.err
         assert f"argument {argv[-2]}:" in captured.err
 
+    @pytest.mark.parametrize(
+        "poly, levels, smallest",
+        [(Q3_TEXT, "3", 5), (Q3_TEXT, "4", 5), (PASCAL_TEXT, "3", 4)],
+        ids=["q3-3", "q3-4", "pascal-3"],
+    )
+    def test_verify_all_below_the_coverage_suites_is_an_input_error(
+        self, capsys, poly, levels, smallest
+    ):
+        # below level q + 2 the uncovered and link suites ran over no level and
+        # verify-all passed with nothing checked
+        code, out, err = run(capsys, "verify-all", "--poly", poly, "--levels", levels)
+        assert code == 2
+        assert out == ""
+        assert "target_uncovered and link_consequences" in err
+        assert f"verify-all needs --levels {smallest} or more" in err
+
     @pytest.mark.parametrize("i, horizon", [("5", "3"), ("3", "3")])
     def test_depth_not_below_horizon_is_an_input_error(self, capsys, i, horizon):
         code, out, err = run(capsys, "probe", "--poly", PASCAL_TEXT, "--i", i, "--horizon", horizon)
@@ -368,7 +384,7 @@ SHAPE_ONLY = ("describe", "covered", "chain", "measure", "export", "verify-all")
         ("probe", (), "probe.json"),
         ("measure", ("--levels", "3"), "measure.json"),
         ("vershik", (), "vershik.json"),
-        ("verify-all", ("--levels", "3"), "verify.json"),
+        ("verify-all", ("--levels", "4"), "verify.json"),
         ("export", (), "diagram.json"),
         ("export", ("--format", "dot"), "diagram.dot"),
     ],

@@ -1,6 +1,7 @@
 """What `import polyadic` and its CLI load, and what loads on first use.
 
 numpy loads with the first probe: every other subcommand runs without it.
+No run loads `dataclasses`, and none but the probe loads `inspect`.
 `chains`, `coverage`, `measure` and `verify` load with the first command, or
 the first package name, that needs them.
 """
@@ -42,9 +43,13 @@ CHILD = textwrap.dedent(
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0, argv
     assert "numpy" not in sys.modules, "numpy was loaded without a probe"
+    # the value types are named tuples, so nothing loads `dataclasses` or `inspect`
+    unwanted = {"dataclasses", "inspect"} & set(sys.modules)
+    assert not unwanted, unwanted
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["probe", *pascal, "--i", "1", "--horizon", "4"]) == 0
     assert "numpy" in sys.modules, "the probe ran without its kernel"
+    assert "dataclasses" not in sys.modules, "the probe loaded dataclasses"  # numpy loads inspect
     for name in polyadic.__all__:
         getattr(polyadic, name)
     """
