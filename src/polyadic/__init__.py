@@ -13,6 +13,8 @@ depth-i coding conflicts.
 names of `chains`, `coverage`, `measure` and `verify` are resolved by the
 module `__getattr__` (PEP 562) through `_DEFERRED`, which imports their
 module on first access; `fractions` and `decimal` come in with `measure`.
+`__all__` is the eager names, one per line, and then `_DEFERRED`'s keys,
+so each deferred name is written once.
 The value types are named tuples and `ProbeReport` a plain class, so
 `inspect` stays unloaded until numpy loads it.
 `probe` stays eager although only the probe uses it: it is small (numpy
@@ -93,55 +95,24 @@ def __getattr__(name: str):
     return getattr(importlib.import_module(f".{module}", __name__), name)
 
 __all__ = [
-    "Chain",
-    "ChainCheck",
-    "ChainStart",
     "Coords",
-    "CoverageReport",
-    "Cov2Report",
     "DEFAULT_TOWER_BUDGET",
     "Diagram",
     "EdgeRef",
     "FinitePath",
-    "LinkReport",
-    "MassBound",
     "Ordering",
     "PolyadicError",
     "PolynomialSpec",
     "ProbeReport",
-    "SourceUncoveredReport",
-    "VerifyResult",
     "Vertex",
-    "WeightVector",
     "__version__",
-    "build_distinguished_chain",
-    "check_cov2",
-    "check_link_consequences",
     "compositions_desc",
-    "coverage_report",
-    "covering_vertices",
-    "cylinder_measure",
-    "dense_orbit_trace",
-    "dim_lower_bound_check",
     "document_header",
-    "evaluate_polynomial",
     "export_dot",
     "export_json",
-    "find_chain_start",
-    "is_covered_formula",
-    "is_covered_oracle",
-    "level_mass",
     "make_ordering",
-    "minimal_mass_bound",
     "parse_polynomial",
     "probe_depth_pairs",
-    "solve_symmetric_weight",
-    "source_all_uncovered",
-    "source_ladder",
-    "target_uncovered_check",
     "to_stable_json",
-    "validate_chain",
-    "vertex_measure",
-    "verify_all",
-    "weight_from_theta",
+    *_DEFERRED,
 ]

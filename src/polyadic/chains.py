@@ -67,26 +67,32 @@ class ChainCheck(NamedTuple):
 
 
 def validate_chain(diagram: Diagram, chain: Chain) -> ChainCheck:
-    """Check the chain conditions and find the distinguished direction, if any."""
-    ok = all(v.level == chain.level for v in chain.splitting) and all(
-        u.level == chain.level - 1 for u in chain.shared
+    """Check the chain conditions and find the distinguished direction, if any.
+
+    Every vertex of the chain is validated first, so one off the lattice
+    raises ValueError.
+    """
+    splitting = tuple(map(diagram._checked, chain.splitting))
+    shared = tuple(map(diagram._checked, chain.shared))
+    ok = all(v.level == chain.level for v in splitting) and all(
+        u.level == chain.level - 1 for u in shared
     )
     if ok:
-        for l, u in enumerate(chain.shared):
-            srcs = diagram.source_set(chain.splitting[l])
-            nxt = diagram.source_set(chain.splitting[l + 1])
+        for l, u in enumerate(shared):
+            srcs = diagram.source_set(splitting[l])
+            nxt = diagram.source_set(splitting[l + 1])
             if u not in srcs or u not in nxt:
                 ok = False
                 break
     straight = ok and (
-        len(set(chain.splitting)) == len(chain.splitting)
-        and len(set(chain.shared)) == len(chain.shared)
+        len(set(splitting)) == len(splitting)
+        and len(set(shared)) == len(shared)
     )
     direction = None
     if straight and chain.length >= 2:
         for j in range(1, diagram.arity + 1):
             if all(
-                diagram.dsv(chain.splitting[l], j) == chain.shared[l]
+                diagram.dsv(splitting[l], j) == shared[l]
                 for l in range(1, chain.length)
             ):
                 direction = j
@@ -117,6 +123,7 @@ def build_distinguished_chain(
     """
     if target_len < 2:
         raise ValueError("target_len counts splitting vertices and must be >= 2")
+    w0, w1, u0 = map(diagram._checked, (w0, w1, u0))
     if w0.level != w1.level or w0 == w1:
         raise HypothesisNotMet("w0 and w1 must be distinct vertices on one level")
     if u0 not in diagram.source_set(w0) or u0 not in diagram.source_set(w1):
@@ -228,8 +235,7 @@ def check_link_consequences(diagram: Diagram, w0: Vertex, w1: Vertex, j: int) ->
     Claim (c) needs its window: at a corner pair such as (5,0), (4,1) with
     d = 1 the drop source (4,0) feeds only those two vertices.
     """
-    diagram._index(w0)  # validates each vertex the diagram did not issue
-    diagram._index(w1)
+    w0, w1 = diagram._checked(w0), diagram._checked(w1)
     if w0.level != w1.level or w0 == w1:
         raise HypothesisNotMet("w0 and w1 must be distinct vertices on one level")
     d = diagram.degree

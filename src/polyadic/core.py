@@ -319,6 +319,11 @@ class Diagram:
     rows, not its down-set.  The `Ordering` tables read the same rows and
     the shifted runs of `_shifts`.
 
+    `_mult` holds each source vector's edge count in canonical order, the
+    order a custom table came in notwithstanding, so `_lower` lists a
+    vertex's sources ascending, `source_set` is that list reversed, and
+    `targets` (adding each vector in turn) needs no sort.
+
     Neighbours are cached per vertex value: `source_set` and `targets` store
     only valid vertices, so a hit needs no validation, and `coverage` keeps
     each level's cover map in `_covers`, beside which `chains` keeps each
@@ -346,7 +351,7 @@ class Diagram:
             if any(count <= 0 for count in table.values()):
                 raise NonPositiveCoefficient("multiplicity table entries must be positive")
             self.mode = next((name for name, known in named.items() if table == known), "custom")
-        self._mult = table
+        self._mult = {s: table[s] for s in spec.source_vectors}  # in canonical order
         self._levels: dict[int, tuple[Vertex, ...]] = {}
         self._issued: dict[tuple[int, int], Vertex] = {}
         self._rank: dict[Vertex, int] = {}
@@ -396,7 +401,8 @@ class Diagram:
         return self.vertex(v[1], v[0]) if rank is None else self._issued[v[0], rank]
 
     def _lower(self, coords: Coords) -> list[tuple[Coords, int]]:
-        """(u, edge count) for each source vector s with u = coords - s >= 0."""
+        """(u, edge count) for each source vector s with u = coords - s >= 0,
+        the u ascending, as the source vectors run in canonical order."""
         return [(u, n) for s, n in self._mult.items() if min(u := tuple(map(sub, coords, s))) >= 0]
 
     def vertex_count(self, level: int) -> int:
@@ -437,7 +443,7 @@ class Diagram:
         found = self._sources.get(w)
         if found is None:
             w = self._checked(w)
-            lower = sorted((u for u, _ in self._lower(w.coords)), reverse=True)
+            lower = [u for u, _ in reversed(self._lower(w.coords))]
             found = self._sources.setdefault(w, tuple(map(self._vertex, lower)))
         return found
 
@@ -446,7 +452,7 @@ class Diagram:
         found = self._targets.get(u)
         if found is None:
             u = self._checked(u)
-            upper = sorted((tuple(map(add, u.coords, s)) for s in self._mult), reverse=True)
+            upper = (tuple(map(add, u.coords, s)) for s in self._mult)
             found = self._targets.setdefault(u, tuple(map(self._vertex, upper)))
         return found
 
@@ -501,9 +507,9 @@ class Diagram:
                 rank += rest + 1
             runs.append(starts)
         below, above = runs
-        for s in self.spec.source_vectors:
+        for s, mult in self._mult.items():
             head = s[:-2]
-            yield self._mult[s], [
+            yield mult, [
                 (src, above[tuple(map(add, h, head))][0] + s[-1], size)
                 for h, (src, size) in below.items()
             ]
@@ -515,7 +521,6 @@ class Diagram:
         vertex, which the test suite checks level by level.
         """
         if level not in self._expansion:
-            base = dict(self._mult)
             poly = {(0,) * self.arity: 1}
             n = 0
             # reuse the largest cached power below the request
@@ -523,7 +528,7 @@ class Diagram:
                 if k <= level:
                     n, poly = k, self._expansion[k]
             while n < level:
-                poly = _multiply(poly, base)
+                poly = _multiply(poly, self._mult)
                 n += 1
                 self._expansion[n] = poly
             self._expansion[level] = poly

@@ -34,13 +34,21 @@ def _covering_map(diagram: Diagram, level: int) -> dict[Vertex, tuple[Vertex, ..
 
 
 def covering_vertices(diagram: Diagram, w: Vertex) -> tuple[Vertex, ...]:
-    """All same-level vertices whose source set contains S(w), canonical order."""
-    return _covering_map(diagram, w.level)[w]
+    """All same-level vertices whose source set contains S(w), canonical order.
+
+    A vertex missing from its level's kept map is validated, so one off the
+    lattice raises ValueError before any map is built for it.
+    """
+    try:
+        return diagram._covers[w[0]][w]
+    except KeyError:
+        w = diagram._checked(w)
+        return _covering_map(diagram, w.level)[w]
 
 
 def is_covered_oracle(diagram: Diagram, w: Vertex) -> bool:
     """Exhaustive covered test by direct source-set comparison."""
-    return bool(_covering_map(diagram, w.level)[w])
+    return bool(covering_vertices(diagram, w))
 
 
 def is_covered_formula(diagram: Diagram, w: Vertex) -> bool | None:
@@ -48,10 +56,10 @@ def is_covered_formula(diagram: Diagram, w: Vertex) -> bool | None:
 
     Valid for level > q: covered iff some coordinate exceeds (level - 1) * d.
     """
+    w = diagram._checked(w)
     if w.level <= diagram.arity:
         return None
-    bound = (w.level - 1) * diagram.degree
-    return any(c > bound for c in w.coords)
+    return _excess_direction(diagram, w) is not None
 
 
 class VertexCoverage(NamedTuple):
@@ -105,7 +113,8 @@ def coverage_report(diagram: Diagram, level: int) -> CoverageReport:
 
 
 def _excess_direction(diagram: Diagram, w: Vertex) -> int | None:
-    """The unique direction with w(j) > (level - 1) * d, if one exists."""
+    """The unique direction with w(j) > (level - 1) * d, if one exists; w is
+    a vertex the diagram issued."""
     bound = (w.level - 1) * diagram.degree
     for j in range(1, diagram.arity + 1):
         if w.coord(j) > bound:
@@ -115,6 +124,7 @@ def _excess_direction(diagram: Diagram, w: Vertex) -> int | None:
 
 def slack(diagram: Diagram, w: Vertex, j: int) -> int:
     """d minus the off-j coordinate sum; in 1..d when w(j) > (level - 1) * d."""
+    w = diagram._checked(w)
     return diagram.degree - (sum(w.coords) - w.coord(j))
 
 
@@ -196,6 +206,7 @@ class SourceUncoveredReport(NamedTuple):
 
 def source_all_uncovered(diagram: Diagram, w: Vertex) -> SourceUncoveredReport:
     """Check each source of w against the coverage oracle, plus both sufficient conditions."""
+    w = diagram._checked(w)
     if w.level <= diagram.arity:
         raise PreconditionNotMet(f"need level > q = {diagram.arity}, got {w.level}")
     d = diagram.degree
@@ -237,6 +248,7 @@ def source_ladder(diagram: Diagram, z: Vertex, j: int) -> tuple[Vertex, ...]:
     direction j; the intermediate subtrahends stay within z, so every rung is
     a genuine source of z.
     """
+    z = diagram._checked(z)
     if not 1 <= j <= diagram.arity:
         raise ValueError(f"direction {j} out of range 1..{diagram.arity}")
     d = diagram.degree

@@ -171,22 +171,29 @@ def probe_depth_pairs(
     Pairs are enumerated over terminal vertices whose minimum coordinate is
     at least `min_coord_floor` (a finite stand-in for restricting to dense
     orbits) and whose towers fit the `budget`; oversized towers are counted
-    as skipped, not errors.  See the module docstring for kill and censor
-    semantics.  Raises `ReportTooLarge` when the survivors or their conflict
-    times would pass the kernel's cap.
+    as skipped, not errors.  A floor above floor(L * d / q), the largest
+    minimum coordinate at level L, admits no vertex and raises ValueError.
+    See the module docstring for kill and censor semantics.  Raises
+    `ReportTooLarge` when the survivors or their conflict times would pass
+    the kernel's cap.
     """
     if i < 0 or horizon < 1:
         raise ValueError("need i >= 0 and horizon >= 1")
+    diagram = ordering.diagram
+    top = horizon * diagram.degree // diagram.arity
+    if min_coord_floor > top:
+        raise ValueError(
+            f"floor {min_coord_floor} admits no level-{horizon} vertex: the largest "
+            f"minimum coordinate there is floor(L*d/q) = {top}"
+        )
     from ._diagonals import _search  # numpy loads here, with the first probe
 
-    diagram = ordering.diagram
-    all_terminals = diagram.vertices(horizon)
-    skipped = sum(1 for v in all_terminals if diagram.dimension(v) > budget)
-    admitted = [
-        v
-        for v in all_terminals
-        if v.min_coord >= min_coord_floor and diagram.dimension(v) <= budget
-    ]
+    admitted, skipped = [], 0
+    for v, dim in zip(diagram.vertices(horizon), diagram._row(horizon)):
+        if dim > budget:
+            skipped += 1
+        elif v.min_coord >= min_coord_floor:
+            admitted.append(v)
     candidates, max_killed_window, survivors = _search(ordering, i, horizon, admitted, budget)
     return ProbeReport(
         i=i,

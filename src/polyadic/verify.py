@@ -136,11 +136,10 @@ def check_coverage_agreement(diagram: Diagram, max_level: int) -> list[str]:
     """Closed-form covered test equals the exhaustive one wherever it applies."""
     out = []
     for level in range(diagram.arity + 1, max_level + 1):
-        for w in diagram.vertices(level):
-            formula = coverage.is_covered_formula(diagram, w)
-            oracle = coverage.is_covered_oracle(diagram, w)
-            if formula is not None and formula != oracle:
-                out.append(f"level {level}: {w} formula {formula} != oracle {oracle}")
+        report = coverage.coverage_report(diagram, level)
+        for e in report.entries:
+            if e.vertex in report.discrepancies:
+                out.append(f"level {level}: {e.vertex} formula {e.formula} != oracle {e.oracle}")
     return out
 
 

@@ -13,15 +13,18 @@ label order, each incoming edge's source rank and copy, and the prefix
 sums of the source dimensions.  The edge views behind `edges_in`, labels,
 successor, predecessor and `path_rank` are built from the tables per vertex
 on first use; a label index gives each view edge its label, its target's
-edges and its rank offset.  One descent builds every path an ordering hands
-out: it walks the tables on integers and takes each edge from its target's
-view, so a path is made of the label index's own keys.  `path_unrank` is
-that descent, and the extreme paths are its two ends, rank 0 and dim - 1,
-cached.  Every cache keys on the vertex or edge value and stores only valid
-ones, so a hit needs no check.  Successor and predecessor splice a cached
-extreme path, one view edge and a suffix of x, checking only the seams.
-The descent and the splice make their paths with the named tuple's
-`_make`, which skips the checks of `FinitePath.__new__`.
+edges between two Nones (so the edge at label + 1 or label - 1 is None
+past either end) and its rank offset.  One descent builds every path an
+ordering hands out: it walks the tables on integers and takes each edge
+from its target's view, so a path is made of the label index's own keys.
+`path_unrank` is that descent, and the extreme paths are its two ends,
+rank 0 and dim - 1, kept in a pair of caches, `_minimal` and `_maximal`.
+Every cache keys on the vertex or edge value and stores only valid ones, so
+a hit needs no check.  Successor and predecessor are one step, a carry or a
+borrow of one label: it joins the cached minimal or maximal path, one view
+edge and a suffix of x, checking only the two seams.  The descent and the
+step make their paths with the named tuple's `_make`, which skips the
+checks of `FinitePath.__new__`.
 A vertex coding word is built per call, one level at a time, and not kept.
 
 All of this is finite-horizon: a path maximal up to its terminal vertex has
@@ -36,7 +39,6 @@ import json
 import random
 from bisect import bisect_right
 from itertools import chain, count, repeat
-from operator import le, sub
 from typing import Iterator, Mapping, NamedTuple
 
 from .core import Diagram, EdgeRef, Vertex
@@ -92,16 +94,6 @@ class FinitePath(_PathFields):
 
     def to_json(self) -> list:
         return [e.to_json() for e in self.edges]
-
-
-def _splice(head: FinitePath, edge: EdgeRef, x: FinitePath, k: int) -> FinitePath:
-    """head, `edge`, then x after its edge k; head and x are validated paths,
-    so only the seams at either end of `edge` need checking."""
-    if head.terminal != edge.source:
-        raise ValueError(f"{head.terminal} does not meet {edge}")
-    if edge.target != (end := x.edges[k].target):
-        raise ValueError(f"{edge} does not meet {end}")
-    return FinitePath._make((x.terminal, head.edges + (edge,) + x.edges[k + 1 :]))
 
 
 def _mix(seed: int, v: Vertex) -> int:
@@ -181,11 +173,10 @@ class Ordering:
         self.seed = 0 if preset == "random" and seed is None else seed
         self.table = dict(table or {})  # as given, for `describe`
         self._labels = _explicit_labels(diagram, self.table)
-        self._vectors = [(s, diagram._mult[s]) for s in diagram.spec.source_vectors]
         self._tables: list[_LevelTable | None] = [_LevelTable([0, 0], [], [], [], ())]
         self._views: dict[Vertex, tuple[EdgeRef, ...]] = {}
-        # view edge -> (0-based label, its target's edges, its sums entry)
-        self._slots: dict[EdgeRef, tuple[int, tuple[EdgeRef, ...], int]] = {}
+        # view edge -> (label, its target's edges between two Nones, its sums entry)
+        self._slots: dict[EdgeRef, tuple[int, tuple[EdgeRef | None, ...], int]] = {}
         self._minimal: dict[Vertex, FinitePath] = {}
         self._maximal: dict[Vertex, FinitePath] = {}
 
@@ -259,13 +250,14 @@ class Ordering:
             w = d._issued[w[0], rank]
             start, source, copy, sums, below = self._level(w.level)
             a, b = start[rank], start[rank + 1]
-            sources = [below[u] for u in source[a:b]]
+            sources = map(below.__getitem__, source[a:b])
             edges = self._views[w] = tuple(map(EdgeRef._make, zip(sources, repeat(w), copy[a:b])))
-            self._slots.update(zip(edges, zip(count(), repeat(edges), sums[a:b])))
+            self._slots.update(zip(edges, zip(count(1), repeat((None, *edges, None)), sums[a:b])))
         return edges
 
-    def _slot(self, edge: EdgeRef) -> tuple[int, tuple[EdgeRef, ...], int]:
-        """(0-based label, the target's edges in label order, rank offset).
+    def _slot(self, edge: EdgeRef) -> tuple[int, tuple[EdgeRef | None, ...], int]:
+        """(label, the target's edges in label order between two Nones, rank
+        offset): the padded edges hold label k at position k.
 
         On a miss the target's edges are built and looked up again; an edge
         of no vertex's edges raises ValueError.
@@ -284,25 +276,26 @@ class Ordering:
         return self._view(w)
 
     def label_of(self, edge: EdgeRef) -> int:
-        return self._slot(edge)[0] + 1
+        return self._slot(edge)[0]
 
     def indegree(self, w: Vertex) -> int:
         return len(self._view(w))
 
     def minimal_path(self, v: Vertex) -> FinitePath:
         """The all-label-1 path into v: rank 0 of its tower."""
-        found = self._minimal.get(v)
-        if found is None:
-            found = self._descent(v, 0)
-            self._minimal[found.terminal] = found
-        return found
+        return self._extreme(v, 0, self._minimal)
 
     def maximal_path(self, v: Vertex) -> FinitePath:
         """The all-maximal-label path into v: rank dim - 1 of its tower."""
-        found = self._maximal.get(v)
+        return self._extreme(v, None, self._maximal)
+
+    def _extreme(self, v: Vertex, rank: int | None, cache: dict) -> FinitePath:
+        """The descent to rank 0 or, for None, the last rank of v's tower,
+        kept in `cache`."""
+        found = cache.get(v)
         if found is None:
-            found = self._descent(v, None)
-            self._maximal[found.terminal] = found
+            found = self._descent(v, rank)
+            cache[found.terminal] = found
         return found
 
     def successor(self, x: FinitePath) -> FinitePath:
@@ -311,24 +304,34 @@ class Ordering:
         Finds the lowest edge with a higher-labeled sibling, advances it, and
         prepends the minimal path into the advanced edge's source.
         """
-        slots = self._slots
-        for k, edge in enumerate(x.edges):
-            label, edges, _ = slots.get(edge) or self._slot(edge)
-            if label + 1 < len(edges):
-                nxt = edges[label + 1]
-                head = self._minimal.get(nxt.source) or self.minimal_path(nxt.source)
-                return _splice(head, nxt, x, k)
-        raise MaximalAtHorizon(f"no successor within the tower of {x.terminal}")
+        return self._step(x, 1, self._minimal)
 
     def predecessor(self, x: FinitePath) -> FinitePath:
         """Inverse of successor; the advanced edge's source gets a maximal prefix."""
+        return self._step(x, -1, self._maximal)
+
+    def _step(self, x: FinitePath, step: int, heads: dict) -> FinitePath:
+        """Carry (step 1) or borrow (step -1): x's lowest label that can move
+        by `step` moves, and the extreme path from `heads` into the moved
+        edge's source, minimal after a carry and maximal after a borrow,
+        replaces the edges below it.  A label cannot move past either end of
+        its padded edges, which hold None there.  The head and x are valid
+        paths, so only the seams at either end of the moved edge are checked.
+        """
         slots = self._slots
         for k, edge in enumerate(x.edges):
-            label, edges, _ = slots.get(edge) or self._slot(edge)
-            if label > 0:
-                prv = edges[label - 1]
-                head = self._maximal.get(prv.source) or self.maximal_path(prv.source)
-                return _splice(head, prv, x, k)
+            label, padded, _ = slots.get(edge) or self._slot(edge)
+            moved = padded[label + step]
+            if moved is not None:
+                rank = 0 if step > 0 else None
+                head = heads.get(moved.source) or self._extreme(moved.source, rank, heads)
+                if head.terminal != moved.source:
+                    raise ValueError(f"{head.terminal} does not meet {moved}")
+                if moved.target != edge.target:
+                    raise ValueError(f"{moved} does not meet {edge.target}")
+                return FinitePath._make((x.terminal, head.edges + (moved,) + x.edges[k + 1 :]))
+        if step > 0:
+            raise MaximalAtHorizon(f"no successor within the tower of {x.terminal}")
         raise MinimalAtHorizon(f"no predecessor within the tower of {x.terminal}")
 
     def path_rank(self, x: FinitePath) -> int:
@@ -403,10 +406,8 @@ class Ordering:
             raise ValueError(f"need 0 <= j < level {w.level}, got {j}")
 
         def sources(v: Vertex) -> list[Vertex]:  # in label order, one per edge
-            edges = [
-                s for s, mult in self._vectors if all(map(le, s, v.coords)) for _ in range(mult)
-            ]
-            return [d._vertex(tuple(map(sub, v.coords, s))) for s in self._permuted(v, edges)]
+            edges = [u for u, mult in d._lower(v.coords) for _ in range(mult)]
+            return list(map(d._vertex, self._permuted(v, edges)))
 
         layers = [{w}]
         for _ in range(w.level - j - 1):

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from polyadic import measure
+from polyadic import Diagram, coverage, measure, verify
 from polyadic.cli import main
 
 from conftest import PASCAL_TEXT, Q3_TEXT, QUARTIC_TEXT
@@ -233,6 +233,60 @@ class TestVerifyAll:
         assert len(findings["measure_bounds"]) == 1
         assert "residual" in findings["measure_bounds"][0]
         assert not any(rows for name, rows in findings.items() if name != "measure_bounds")
+
+
+def _one_coefficient_off(expansion):
+    def faulty(diagram, level):
+        table = dict(expansion(diagram, level))  # a copy: the diagram keeps the original
+        table[next(iter(table))] += 1
+        return table
+
+    return faulty
+
+
+# suite -> (owner, name, fault): the library call a suite checks, and a wrong
+# version of it made from the original
+FAULTS = {
+    "vertex_enumeration": (Diagram, "vertex_count", lambda f: lambda d, level: f(d, level) + 1),
+    "edge_duality": (Diagram, "targets", lambda f: lambda d, u: f(d, u)[1:]),
+    "dimension_oracle": (Diagram, "expansion_coefficients", _one_coefficient_off),
+    "dsv_rules": (Diagram, "dsv", lambda f: lambda d, w, j: None),
+    "coverage_agreement": (
+        coverage,
+        "is_covered_formula",
+        lambda f: lambda d, w: None if f(d, w) is None else not f(d, w),
+    ),
+    "cov2_convention": (coverage, "slack", lambda f: lambda d, w, j: f(d, w, j) + 1),
+    "source_uncovered": (
+        coverage,
+        "source_all_uncovered",
+        lambda f: lambda d, w: f(d, w)._replace(all_uncovered=False, covered_sources=(w,)),
+    ),
+    "target_uncovered": (
+        coverage,
+        "target_uncovered_check",
+        lambda f: lambda d, level: f(d, level) + ((d.vertices(level)[0], d.root),),
+    ),
+    "ladder": (coverage, "source_ladder", lambda f: lambda d, z, j: f(d, z, j)[1:]),
+    "link_consequences": (
+        verify,
+        "check_link_consequences",
+        lambda f: lambda d, a, b, j: f(d, a, b, j)._replace(candidates_status="fail"),
+    ),
+    "measure_bounds": (verify, "level_mass", lambda f: lambda d, level, w: f(d, level, w) + 1e-6),
+}
+
+
+@pytest.mark.parametrize("suite", list(FAULTS))
+def test_every_verify_suite_can_fail(suite, capsys, monkeypatch):
+    # each suite reports the fault in the library call it checks, so no
+    # suite passes by construction
+    assert [name for name, _ in verify._SUITES] == list(FAULTS)
+    owner, name, fault = FAULTS[suite]
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    code, doc, _ = run_json(capsys, "verify-all", "--poly", PASCAL_TEXT, "--levels", "5")
+    assert code == 1
+    assert doc["result"]["findings"][suite]
 
 
 class TestFailures:

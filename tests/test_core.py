@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyadic import Diagram, PolynomialSpec, Vertex, parse_polynomial
+from polyadic import Diagram, PolynomialSpec, Vertex, coverage, parse_polynomial
 from polyadic.core import compositions_desc
 from polyadic.export import document_header, to_stable_json
 from polyadic.errors import (
@@ -406,6 +406,12 @@ class TestCallerVertices:
             sum(v.coords) == v.level == level and len(v.coords) == 2 and v.coords[1] == rank
             for (level, rank), v in diagram._issued.items()
         )
+
+    def test_source_all_uncovered_takes_a_plain_pair(self, pascal):
+        # it needs a level above q, which the plain-pair tests of
+        # tests/test_vershik.py (at level 2) do not reach
+        expected = coverage.source_all_uncovered(pascal, pascal.vertex((2, 1)))
+        assert coverage.source_all_uncovered(pascal, (3, (2, 1))) == expected
 
     def test_equal_vertex_is_the_interned_one(self, pascal):
         v = Vertex(2, (1, 1))

@@ -2,11 +2,13 @@
 
 The deterministic JSON/DOT documents are the package's contract, so a
 refactor must leave every byte of them unchanged.  The digests pin the nine
-README examples plus nine larger documents, among them two i=0 probes whose
+README examples plus eleven other documents, among them two i=0 probes whose
 every pair survives, probes with every pair killed, with skipped towers and
-with a floor, and a binomial tower whose dimensions pass 2**64; the
-documents themselves are not stored (the probe examples run to hundreds of
-kilobytes, the quartic i=0 probe to 1.4 MB).  After an intended output change, run this file as a script with `src` and
+with a floor, a binomial tower whose dimensions pass 2**64, a `vershik`
+document under an explicit ordering table, and a chain whose extension
+stops (`chain_error`); the documents themselves are not stored (the probe
+examples run to hundreds of kilobytes, the quartic i=0 probe to 1.4 MB).
+After an intended output change, run this file as a script with `src` and
 `tests` on PYTHONPATH and copy each printed exit code and digest into
 GOLDEN.
 
@@ -121,6 +123,17 @@ GOLDEN = {
         ("vershik", "--poly", "x1 + x2", "--level", "70"),
         0,
         "4555cbb4f3f84fba6086b34eb13b2119bf3ddd258947101dae5dcc77ea28150b",
+    ),
+    "vershik-pascal-explicit": (
+        ("vershik", "--poly", PASCAL_TEXT, "--level", "3",
+         "--ordering", '{"explicit": {"2:1,1": [2, 1]}}'),
+        0,
+        "9962861f91d1db3384e1513c6a31f370829efa648496c23cb14522cf04718f34",
+    ),
+    "chain-pascal-error": (
+        ("chain", "--poly", PASCAL_TEXT, "--level", "18", "--target-len", "60"),
+        0,
+        "051adf1ad283672556697e9b72aeeb06b830b18901db67f6360f1639ec006927",
     ),
 }
 

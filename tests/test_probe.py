@@ -335,13 +335,20 @@ def random_ordering(draw):
     return Ordering(diagram, preset, seed, table), sum(n for _, n in spec.terms)
 
 
+def floors(diagram, horizon):
+    """The floors that admit some level-`horizon` vertex: 0 to floor(L*d/q),
+    the largest minimum coordinate there; a higher one raises ValueError."""
+    return st.integers(0, horizon * diagram.degree // diagram.arity)
+
+
 @st.composite
 def probe_cases(draw):
     """A random small diagram, ordering, horizon (at most 60 paths), depth and floor."""
     ordering, level_one = random_ordering(draw)  # level-L paths: level_one**L
     # a quartic in four variables has up to 105 level-1 paths
     horizon = draw(st.integers(1, max((h for h in (1, 2, 3) if level_one**h <= 60), default=1)))
-    return ordering, draw(st.integers(0, horizon - 1)), horizon, draw(st.integers(0, 1))
+    i = draw(st.integers(0, horizon - 1))
+    return ordering, i, horizon, draw(floors(ordering.diagram, horizon))
 
 
 @given(case=probe_cases())
@@ -365,7 +372,8 @@ def larger_probe_cases(draw):
     ordering, level_one = random_ordering(draw)
     deepest = max(h for h in range(1, 13) if level_one**h <= 4096)
     horizon = draw(st.integers(max(deepest - 1, 1), deepest))  # past the replay's 60 paths
-    return ordering, draw(st.integers(0, horizon - 1)), horizon, draw(st.integers(0, 1))
+    i = draw(st.integers(0, horizon - 1))
+    return ordering, i, horizon, draw(floors(ordering.diagram, horizon))
 
 
 @given(case=larger_probe_cases())
@@ -384,7 +392,8 @@ def place_cases(draw):
     horizon = draw(st.integers(1, max((h for h in (1, 2, 3, 4) if level_one**h <= 100), default=1)))
     diagram = ordering.diagram
     budget = draw(st.integers(1, max(map(diagram.dimension, diagram.vertices(horizon)))))
-    return ordering, draw(st.integers(0, horizon - 1)), horizon, draw(st.integers(0, 1)), budget
+    floor = draw(floors(diagram, horizon))
+    return ordering, draw(st.integers(0, horizon - 1)), horizon, floor, budget
 
 
 @given(case=place_cases())
@@ -516,7 +525,8 @@ def writer_cases(draw):
     selection of its rows and the depth they land at."""
     ordering, level_one = random_ordering(draw)
     horizon = draw(st.integers(1, max(h for h in range(1, 12) if level_one**h <= 2048)))
-    i, floor = draw(st.integers(0, horizon - 1)), draw(st.integers(0, 1))
+    diagram = ordering.diagram
+    i, floor = draw(st.integers(0, horizon - 1)), draw(floors(diagram, horizon))
     # an i=0 probe pairs every path with every other: step back until the
     # kernel's own cap, lowered, admits the report (at horizon 1 it always does)
     with mock.patch.object(_diagonals, "_REPORT_CAP", 20_000):
@@ -527,6 +537,7 @@ def writer_cases(draw):
             except ReportTooLarge:
                 horizon -= 1
                 i = min(i, horizon - 1)
+                floor = min(floor, horizon * diagram.degree // diagram.arity)
     return report._columns, draw(st.sampled_from(sorted(SELECTIONS))), draw(st.integers(0, 3))
 
 
@@ -711,8 +722,22 @@ class TestEdges:
     def test_depth_at_horizon_is_empty(self, pascal_lex):
         self.assert_empty(probe_depth_pairs(pascal_lex, 6, 6))
 
-    def test_floor_above_every_terminal_is_empty(self, pascal_lex):
-        self.assert_empty(probe_depth_pairs(pascal_lex, 1, 4, min_coord_floor=100))
+    def test_floor_above_every_terminal_raises(self, all_diagrams, pascal_lex, capsys):
+        # floor(L*d/q) is the largest minimum coordinate at level L, so one
+        # more admits no terminal: an error, not an all-zero report
+        for diagram in all_diagrams.values():
+            ordering = Ordering(diagram)
+            for horizon in (1, 2, 3):
+                top = horizon * diagram.degree // diagram.arity
+                assert max(v.min_coord for v in diagram.vertices(horizon)) == top
+                with pytest.raises(ValueError, match=f"floor\\(L\\*d/q\\) = {top}$"):
+                    probe_depth_pairs(ordering, 0, horizon, min_coord_floor=top + 1)
+        with pytest.raises(ValueError, match="^floor 100 admits no level-4 vertex"):
+            probe_depth_pairs(pascal_lex, 1, 4, min_coord_floor=100)
+        argv = ["probe", "--poly", PASCAL_TEXT, "--i", "1", "--horizon", "5", "--floor", "9"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "floor 9 admits no level-5 vertex" in err
 
     def test_budget_skips_towers(self, pascal, pascal_lex):
         report = probe_depth_pairs(pascal_lex, 1, 4, budget=5)

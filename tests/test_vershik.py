@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import COEFFICIENTS, basic_block, k_coding_symbol, polynomial_specs
 from conftest import OFF_LATTICE, raised_within
-from polyadic import Diagram, EdgeRef, Ordering, Vertex, parse_polynomial
+from polyadic import Diagram, EdgeRef, Ordering, Vertex, chains, coverage, parse_polynomial
 from polyadic.errors import (
     MaximalAtHorizon,
     MinimalAtHorizon,
@@ -381,7 +381,8 @@ class TestSuccessor:
         ordering = Ordering(pascal)
         x = ordering.minimal_path(pascal.vertex((2, 2)))
         label, _, offset = ordering._slots[x.edges[0]]
-        ordering._slots[x.edges[0]] = (label, ordering.edges_in(pascal.vertex((1, 1))), offset)
+        other = ordering.edges_in(pascal.vertex((1, 1)))
+        ordering._slots[x.edges[0]] = (label, (None, *other, None), offset)
         with pytest.raises(ValueError, match="does not meet"):
             ordering.successor(x)
 
@@ -465,18 +466,30 @@ class TestCallerVertices:
             lambda o, v: o.diagram.multiplicity(v, o.diagram.vertex((1, 1))),
             lambda o, v: o.diagram.edges_between(o.diagram.vertex((0, 1)), v),
             lambda o, v: o.diagram.connect(v, v),
+            lambda o, v: coverage.covering_vertices(o.diagram, v),
+            lambda o, v: coverage.is_covered_oracle(o.diagram, v),
+            lambda o, v: coverage.is_covered_formula(o.diagram, v),
+            lambda o, v: coverage.slack(o.diagram, v, 1),
+            lambda o, v: coverage.source_ladder(o.diagram, v, 1),
+            lambda o, v: chains.validate_chain(o.diagram, chains.Chain(v[0], (v,), ())),
+            lambda o, v: chains.build_distinguished_chain(
+                o.diagram, v, o.diagram.vertex((1, 1)), o.diagram.vertex((0, 1)), 1, 3
+            ),
         ],
         ids=["edges_in", "indegree", "minimal_path", "maximal_path", "path_unrank", "label_of",
              "vertex_coding", "source_set", "targets", "dimension", "dsv", "diagram_indegree",
-             "multiplicity", "edges_between", "connect"],
+             "multiplicity", "edges_between", "connect", "covering_vertices", "is_covered_oracle",
+             "is_covered_formula", "slack", "source_ladder", "validate_chain",
+             "build_distinguished_chain"],
     )
     def test_off_the_lattice_raises(self, call, kind):
         # the caches key on vertex values and are warm through level 2, which
-        # holds (1, 1): Vertex(7, (1, 1)) of the level kind must still miss
+        # holds (1, 1): Vertex(7, (1, 1)) of the level kind must still miss,
+        # and Vertex(0, (-1, 1)) of the negative kind must miss level 0's cover map
         ordering = Ordering(Diagram(parse_polynomial("x1 + x2")))
         d = ordering.diagram
         for u in (u for level in range(3) for u in d.vertices(level)):
-            d.source_set(u), d.targets(u)
+            d.source_set(u), d.targets(u), coverage.covering_vertices(d, u)
             ordering.edges_in(u), ordering.minimal_path(u), ordering.maximal_path(u)
         assert Vertex(2, OFF_LATTICE["level"].coords) in ordering._minimal
         error = raised_within(lambda: call(ordering, OFF_LATTICE[kind]))
@@ -492,9 +505,24 @@ class TestCallerVertices:
             lambda o, v: o.maximal_path(v),
             lambda o, v: o.path_unrank(v, 1),
             lambda o, v: o.vertex_coding(v, 1),
+            lambda o, v: coverage.covering_vertices(o.diagram, v),
+            lambda o, v: coverage.is_covered_oracle(o.diagram, v),
+            lambda o, v: coverage.is_covered_formula(o.diagram, v),
+            lambda o, v: coverage.slack(o.diagram, v, 1),
+            lambda o, v: coverage.source_ladder(o.diagram, v, 1),
+            lambda o, v: chains.validate_chain(
+                o.diagram,
+                chains.Chain(2, (v, o.diagram.vertex((2, 0))), (o.diagram.vertex((1, 0)),)),
+            ),
+            lambda o, v: chains.build_distinguished_chain(
+                o.diagram, v, o.diagram.vertex((2, 0)), o.diagram.vertex((1, 0)), 1, 2
+            ),
+            lambda o, v: chains.check_link_consequences(o.diagram, v, o.diagram.vertex((2, 0)), 1),
         ],
         ids=["source_set", "targets", "edges_in", "minimal_path", "maximal_path", "path_unrank",
-             "vertex_coding"],
+             "vertex_coding", "covering_vertices", "is_covered_oracle", "is_covered_formula",
+             "slack", "source_ladder", "validate_chain", "build_distinguished_chain",
+             "check_link_consequences"],
     )
     def test_a_plain_pair_gets_one_answer_cold_or_warm(self, call):
         cold, warm = (Ordering(Diagram(parse_polynomial("x1 + x2"))) for _ in range(2))
