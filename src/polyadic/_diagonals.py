@@ -244,7 +244,7 @@ def _search(
     ordering: Ordering, i: int, horizon: int, admitted: list[Vertex], budget: int
 ) -> tuple[int, int, _Columns]:
     """Candidates, the longest killed run and the survivors' columns of one probe."""
-    if i >= horizon or not admitted:
+    if not admitted:
         return 0, 0, _Columns()
 
     parent, first = _place_maps(ordering, horizon, budget)

@@ -256,8 +256,6 @@ def main(argv=None) -> int:
     if unread:
         args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
-        if args.command == "probe" and args.i >= args.horizon:
-            raise ValueError(f"--i {args.i} must be below --horizon {args.horizon}")
         poly = _read(args.poly, parse_polynomial)
         diagram = _read(args.multiplicity, lambda text: _diagram(poly, text))
         ordering = None

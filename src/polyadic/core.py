@@ -304,8 +304,8 @@ class Diagram:
 
     `multiplicity` is "coefficients" (the polynomial diagram), "all-ones",
     or a mapping from each degree-d source vector to a positive edge count.
-    `mode` names the diagram: a mapping equal to the coefficients, or else to
-    all ones, takes that name, and any other is "custom".  Vertices the
+    `mode` only labels documents: a mapping equal to the coefficients, or
+    else to all ones, takes that name, and any other is "custom".  Vertices the
     diagram hands out are interned: one `Vertex` object per lattice point,
     so equal vertices from it are also identical.  Any other vertex is
     validated by `vertex` first, so one off the lattice raises.

@@ -69,12 +69,8 @@ class LengthMismatch(PolyadicError):
     """Chain lists have inconsistent lengths."""
 
 
-class MeasureModeUnsupported(PolyadicError):
-    """Measure computations require coefficient-mode multiplicities."""
-
-
 class InvalidWeight(PolyadicError):
-    """A supplied weight vector is not positive or does not satisfy p(theta) = 1."""
+    """A supplied weight vector is not positive or does not satisfy m(theta) = 1."""
 
 
 class ReportTooLarge(PolyadicError):

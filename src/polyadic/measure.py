@@ -1,14 +1,14 @@
-"""Product measures on the path space from weights with p(theta) = 1.
+"""Product measures on the path space from weights with m(theta) = 1.
 
-A positive weight vector theta solving p(theta) = 1 assigns every cylinder
-(finite path) the product of its edge displacements' weights, which collapses
-to theta raised to the terminal vertex.  The measure of a whole vertex is its
-dimension times that power; each level then carries total mass one.
+m is the diagram's own polynomial, its edge counts m_s as the coefficients
+of x^s: p itself in coefficient mode.  A positive weight theta solving
+m(theta) = 1 assigns every cylinder (finite path) the product of its edge
+displacements' weights, which collapses to theta raised to the terminal
+vertex.  The measure of a whole vertex is its dimension times that power;
+each level then carries total mass one.
 
-Weights are floats by default; passing Fractions keeps every computation in
-exact rational arithmetic (the symmetric Pascal weight 1/2 is the standard
-example).  All of this assumes coefficient-mode multiplicities - for other
-edge tables the products no longer telescope against p.
+Weights are floats by default; Fractions keep every computation exact (the
+symmetric Pascal weight 1/2 is the standard example).
 """
 
 from __future__ import annotations
@@ -19,17 +19,17 @@ from numbers import Rational
 from typing import NamedTuple
 
 from .core import Diagram, Vertex
-from .errors import InvalidWeight, MeasureModeUnsupported
+from .errors import InvalidWeight
 from .vershik import FinitePath
 
 Number = float | Fraction
 
-RESIDUAL_TOLERANCE = 1e-12  # largest |p(theta) - 1| a float weight may leave
+RESIDUAL_TOLERANCE = 1e-12  # largest |m(theta) - 1| a float weight may leave
 MASS_TOLERANCE = 1e-9  # largest |level mass - 1| a float weight may leave
 
 
 class WeightVector(NamedTuple):
-    """Per-variable weights theta with the achieved residual of p(theta) - 1."""
+    """Per-variable weights theta with the achieved residual of m(theta) - 1."""
 
     theta: tuple[Number, ...]
     residual: Number
@@ -46,16 +46,10 @@ class WeightVector(NamedTuple):
         }
 
 
-def _require_coefficient_mode(diagram: Diagram) -> None:
-    if diagram.mode != "coefficients":
-        raise MeasureModeUnsupported(
-            f"measures need coefficient-mode multiplicities, diagram is {diagram.mode!r}"
-        )
-
-
 def evaluate_polynomial(diagram: Diagram, theta: tuple[Number, ...]) -> Number:
+    """m(theta): the diagram's edge counts as coefficients, summed in canonical order."""
     total: Number = 0
-    for exp, coef in diagram.spec.terms:
+    for exp, coef in diagram._mult.items():
         term: Number = coef
         for t, e in zip(theta, exp):
             term *= t**e
@@ -64,13 +58,12 @@ def evaluate_polynomial(diagram: Diagram, theta: tuple[Number, ...]) -> Number:
 
 
 def solve_symmetric_weight(diagram: Diagram) -> WeightVector:
-    """The equal-coordinate weight: t with (sum of coefficients) * t^d = 1.
+    """The equal-coordinate weight: t with (sum of edge counts) * t^d = 1.
 
-    Found by bisection on [0, 1]; the residual of the full polynomial at the
-    returned point is at most RESIDUAL_TOLERANCE, else InvalidWeight.
+    Found by bisection on [0, 1]; the residual of m at the returned point
+    is at most RESIDUAL_TOLERANCE, else InvalidWeight.
     """
-    _require_coefficient_mode(diagram)
-    total = diagram.spec.coefficient_sum
+    total = sum(diagram._mult.values())
     d = diagram.degree
     lo, hi = 0.0, 1.0
     for _ in range(200):
@@ -90,8 +83,7 @@ def solve_symmetric_weight(diagram: Diagram) -> WeightVector:
 
 
 def weight_from_theta(diagram: Diagram, theta) -> WeightVector:
-    """Validate a user-supplied weight vector; exact when all entries are rational."""
-    _require_coefficient_mode(diagram)
+    """Validate a user-supplied weight against m(theta) = 1; exact when all entries are rational."""
     theta = tuple(theta)
     if len(theta) != diagram.arity:
         raise InvalidWeight(f"need {diagram.arity} weights, got {len(theta)}")
@@ -101,12 +93,12 @@ def weight_from_theta(diagram: Diagram, theta) -> WeightVector:
         theta = tuple(Fraction(t) for t in theta)
         residual = evaluate_polynomial(diagram, theta) - 1
         if residual != 0:
-            raise InvalidWeight(f"p(theta) - 1 = {residual} is not exactly zero")
+            raise InvalidWeight(f"m(theta) - 1 = {residual} is not exactly zero")
         return WeightVector(theta, Fraction(0))
     theta = tuple(float(t) for t in theta)
     residual = evaluate_polynomial(diagram, theta) - 1
     if abs(residual) > RESIDUAL_TOLERANCE:
-        raise InvalidWeight(f"p(theta) - 1 = {residual} exceeds {RESIDUAL_TOLERANCE}")
+        raise InvalidWeight(f"m(theta) - 1 = {residual} exceeds {RESIDUAL_TOLERANCE}")
     return WeightVector(theta, residual)
 
 
@@ -123,7 +115,6 @@ def cylinder_measure(diagram: Diagram, path: FinitePath, weight: WeightVector) -
     Equals theta raised to the terminal vertex, so any two paths into the
     same vertex get the same mass; computed edge by edge regardless.
     """
-    _require_coefficient_mode(diagram)
     out: Number = weight.theta[0] ** 0
     for e in path.edges:
         diff = tuple(b - a for a, b in zip(e.source.coords, e.target.coords))
@@ -133,7 +124,6 @@ def cylinder_measure(diagram: Diagram, path: FinitePath, weight: WeightVector) -
 
 def vertex_measure(diagram: Diagram, v: Vertex, weight: WeightVector) -> Number:
     """Total mass of all paths into v: dim(v) * theta^v."""
-    _require_coefficient_mode(diagram)
     dim = diagram.dimension(v)
     try:
         return dim * _power(weight.theta, v.coords)
@@ -171,7 +161,6 @@ def minimal_mass_bound(diagram: Diagram, level: int, weight: WeightVector) -> Ma
     minimal path of each carries at most 1/level of its vertex's mass; summed
     over the level this stays at or below 1/level.
     """
-    _require_coefficient_mode(diagram)
     if level < 1:
         raise ValueError("level must be at least 1")
     mass: Number = 0

@@ -171,14 +171,15 @@ def probe_depth_pairs(
     Pairs are enumerated over terminal vertices whose minimum coordinate is
     at least `min_coord_floor` (a finite stand-in for restricting to dense
     orbits) and whose towers fit the `budget`; oversized towers are counted
-    as skipped, not errors.  A floor above floor(L * d / q), the largest
-    minimum coordinate at level L, admits no vertex and raises ValueError.
+    as skipped, not errors.  ValueError is raised unless 0 <= i < L, and
+    for a floor above floor(L * d / q), the largest minimum coordinate at
+    level L, which admits no vertex.
     See the module docstring for kill and censor semantics.  Raises
     `ReportTooLarge` when the survivors or their conflict times would pass
     the kernel's cap.
     """
-    if i < 0 or horizon < 1:
-        raise ValueError("need i >= 0 and horizon >= 1")
+    if not 0 <= i < horizon:
+        raise ValueError(f"need 0 <= i < horizon, got i = {i} and horizon = {horizon}")
     diagram = ordering.diagram
     top = horizon * diagram.degree // diagram.arity
     if min_coord_floor > top:

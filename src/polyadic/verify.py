@@ -222,8 +222,6 @@ def check_link_consequences_suite(diagram: Diagram, max_level: int) -> list[str]
 
 def check_measure_bounds(diagram: Diagram, max_level: int) -> list[str]:
     """Weight solve, per-level normalization, minimal mass, dimension bound."""
-    if diagram.mode != "coefficients":
-        return []
     try:
         weight = solve_symmetric_weight(diagram)
     except InvalidWeight as exc:  # no weight to measure the levels with

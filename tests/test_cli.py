@@ -112,12 +112,16 @@ class TestMeasure:
         assert all(row["ok"] for row in doc["levels"])
         assert all(abs(row["total_mass"] - 1) < 1e-9 for row in doc["levels"])
 
-    def test_shape_mode_rejected(self, capsys):
-        code, _, err = run(
-            capsys, "measure", "--poly", PASCAL_TEXT, "--multiplicity", "all-ones"
+    def test_all_ones_quartic_is_measured(self, capsys):
+        # the weight solves the diagram's own edge counts: five unit counts
+        # at degree four give 5 t^4 = 1
+        code, doc, _ = run_json(
+            capsys, "measure", "--poly", QUARTIC_TEXT, "--multiplicity", "all-ones"
         )
-        assert code == 2
-        assert "coefficient" in err
+        assert code == 0 and doc["mode"] == "all-ones"
+        assert all(abs(t - 5 ** -0.25) < 1e-12 for t in doc["weight"]["theta"])
+        assert len(doc["levels"]) == 6
+        assert all(row["ok"] for row in doc["levels"])
 
     def test_table_equal_to_the_coefficients_is_measured(self, capsys):
         code, doc, _ = run_json(
@@ -277,14 +281,20 @@ FAULTS = {
 }
 
 
-@pytest.mark.parametrize("suite", list(FAULTS))
-def test_every_verify_suite_can_fail(suite, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "suite, table",
+    [(suite, "coefficients") for suite in FAULTS] + [("measure_bounds", "2 x1 + x2")],
+    ids=[*FAULTS, "measure_bounds-on-a-table"],
+)
+def test_every_verify_suite_can_fail(suite, table, capsys, monkeypatch):
     # each suite reports the fault in the library call it checks, so no
-    # suite passes by construction
+    # suite passes by construction; measure_bounds measures any edge table
     assert [name for name, _ in verify._SUITES] == list(FAULTS)
     owner, name, fault = FAULTS[suite]
     monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
-    code, doc, _ = run_json(capsys, "verify-all", "--poly", PASCAL_TEXT, "--levels", "5")
+    code, doc, _ = run_json(
+        capsys, "verify-all", "--poly", PASCAL_TEXT, "--multiplicity", table, "--levels", "5"
+    )
     assert code == 1
     assert doc["result"]["findings"][suite]
 
@@ -388,7 +398,7 @@ class TestFailures:
         code, out, err = run(capsys, "probe", "--poly", PASCAL_TEXT, "--i", i, "--horizon", horizon)
         assert code == 2
         assert out == ""
-        assert err.startswith("error:") and "--horizon" in err
+        assert err == f"error: need 0 <= i < horizon, got i = {i} and horizon = {horizon}\n"
 
     def test_multiplicity_file_missing(self, capsys):
         code, _, err = run(
@@ -500,3 +510,42 @@ class TestOptions:
         code, out, err = run(capsys, "describe", "--poly", PASCAL_TEXT, "--multiplicity", multiplicity)
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+
+
+# (p, m): a shape and an edge table on it other than p's coefficients
+EDGE_TABLES = {
+    "pascal": (PASCAL_TEXT, "2 x1 + x2"),
+    "quadratic": ("x1^2 + x1 x2 + x2^2", "3 x1^2 + x1 x2 + 2 x2^2"),
+    "q3": (Q3_TEXT, "3 x1^2 + x1 x2 + 2 x1 x3 + x2^2 + x2 x3 + x3^2"),
+}
+DOCUMENTS = {
+    "describe": ("describe", "--levels", "4"),
+    "covered": ("covered", "--level", "3"),
+    "chain": ("chain", "--level", "11"),
+    "probe": ("probe", "--i", "1", "--horizon", "3", "--ordering", "random", "--seed", "3"),
+    "measure": ("measure", "--levels", "4"),
+    "vershik": ("vershik", "--level", "3", "--ordering", "random", "--seed", "3"),
+    "export-json": ("export", "--levels", "3"),
+    "export-dot": ("export", "--levels", "3", "--format", "dot"),
+    "verify-all": ("verify-all", "--levels", "5"),
+}
+
+
+@pytest.mark.parametrize("kind", list(DOCUMENTS))
+@pytest.mark.parametrize("table", list(EDGE_TABLES))
+def test_edge_table_is_only_a_label(capsys, table, kind):
+    # a table m of edge counts on p's shape is the diagram of m itself, so
+    # every document of the pair is that of --poly m but for its header's
+    # polynomial and mode
+    p, m = EDGE_TABLES[table]
+    command, *options = DOCUMENTS[kind]
+    code, out, _ = run(capsys, command, "--poly", p, "--multiplicity", m, *options)
+    own_code, own_out, _ = run(capsys, command, "--poly", m, *options)
+    assert code == own_code
+    if kind == "export-dot":
+        assert out == own_out
+        return
+    doc, own = json.loads(out), json.loads(own_out)
+    assert (doc.pop("mode"), own.pop("mode")) == ("custom", "coefficients")
+    del doc["polynomial"], own["polynomial"]
+    assert doc == own

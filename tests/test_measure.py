@@ -22,7 +22,7 @@ from polyadic import (
     vertex_measure,
     weight_from_theta,
 )
-from polyadic.errors import InvalidWeight, MeasureModeUnsupported
+from polyadic.errors import InvalidWeight
 
 HALF = Fraction(1, 2)
 
@@ -207,15 +207,23 @@ class TestTrace:
                 assert all(0 <= b - a <= 4 for a, b in zip(trace, trace[1:]))
 
 
-class TestModeGuard:
-    def test_all_ones_rejected_everywhere(self, pascal):
-        flat = Diagram(parse_polynomial("x1^2 + x1 x2 + x2^2"), multiplicity="all-ones")
-        with pytest.raises(MeasureModeUnsupported):
-            solve_symmetric_weight(flat)
-        with pytest.raises(MeasureModeUnsupported):
-            weight_from_theta(flat, (HALF, HALF))
-        w = weight_from_theta(pascal, (HALF, HALF))
-        with pytest.raises(MeasureModeUnsupported):
-            vertex_measure(flat, flat.vertex((2, 2)), w)
-        with pytest.raises(MeasureModeUnsupported):
-            minimal_mass_bound(flat, 2, w)
+class TestEdgeCounts:
+    """Weights solve the diagram's own edge counts, which are p only in
+    coefficient mode."""
+
+    def test_all_ones_quartic_is_measured(self, quartic):
+        flat = Diagram(quartic.spec, multiplicity="all-ones")
+        w = solve_symmetric_weight(flat)  # five unit counts: 5 t^4 = 1
+        assert all(abs(t - 5 ** -0.25) < 1e-12 for t in w.theta)
+        for level in range(1, 7):
+            assert abs(level_mass(flat, level, w) - 1) < 1e-9
+            assert minimal_mass_bound(flat, level, w).ok
+            assert dim_lower_bound_check(flat, level) == ()
+
+    def test_weight_solves_the_counts_not_p(self, pascal):
+        doubled = Diagram(pascal.spec, multiplicity={(1, 0): 2, (0, 1): 1})
+        w = weight_from_theta(doubled, (Fraction(1, 3), Fraction(1, 3)))
+        assert w.exact and w.residual == 0
+        assert level_mass(doubled, 5, w) == 1
+        with pytest.raises(InvalidWeight, match="^m\\(theta\\) - 1 = 1/2 is not exactly zero$"):
+            weight_from_theta(doubled, (HALF, HALF))  # solves p, not 2 x1 + x2

@@ -719,8 +719,16 @@ class TestEdges:
         assert doc["genuine_conflicts"] == []
         assert (doc["survivors_without_conflict"], doc["same_terminal_survivors"]) == (0, 0)
 
-    def test_depth_at_horizon_is_empty(self, pascal_lex):
-        self.assert_empty(probe_depth_pairs(pascal_lex, 6, 6))
+    def test_depth_at_horizon_raises(self, pascal_lex):
+        # two level-L paths sharing L edges are one path: an error, not an
+        # all-zero report
+        for i in (6, 7, -1):
+            with pytest.raises(ValueError, match=f"^need 0 <= i < horizon, got i = {i} and "):
+                probe_depth_pairs(pascal_lex, i, 6)
+
+    def test_no_tower_within_budget_is_empty(self, pascal_lex):
+        # floor 1 leaves the towers of dimension 4, 6 and 4, each over budget 3
+        self.assert_empty(probe_depth_pairs(pascal_lex, 1, 4, min_coord_floor=1, budget=3))
 
     def test_floor_above_every_terminal_raises(self, all_diagrams, pascal_lex, capsys):
         # floor(L*d/q) is the largest minimum coordinate at level L, so one
