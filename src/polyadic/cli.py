@@ -1,14 +1,14 @@
 """Command-line interface.
 
-`main` reads the polynomial, the multiplicity and, for `probe` and
-`vershik`, the ordering, each given inline or as `@path` and read by
-`_read`; it builds the diagram and the ordering and hands them to the
-subcommand's handler.  A handler returns its exit code and the body of
-its document; `main` puts the common header on the body and writes one
-deterministic JSON document (DOT for the exporter) to stdout or to a fixed
-file name under `--out`.  Exit codes: 0 success, 1 completed but a
-discrepancy was found (`covered`, `measure`, `verify-all`), 2 usage or
-input errors.
+`main` reads the polynomial and, for `probe` and `vershik`, the ordering,
+each given inline or as `@path` and read by `_read`; it builds the diagram
+of the polynomial (whose coefficients are its edge counts) and the
+ordering and hands them to the subcommand's handler.  A handler returns
+its exit code and the body of its document; `main` puts the common header
+on the body and writes one deterministic JSON document (DOT for the
+exporter) to stdout or to a fixed file name under `--out`.  Exit codes: 0
+success, 1 completed but a discrepancy was found (`covered`, `measure`,
+`verify-all`), 2 usage or input errors.
 
 `describe`, `vershik`, `export` and `probe` need only the modules
 `import polyadic` loads.  The handlers of `covered`, `chain`, `measure` and
@@ -26,7 +26,7 @@ import argparse
 import os
 import sys
 
-from .core import Diagram, PolynomialSpec, parse_polynomial
+from .core import Diagram, parse_polynomial
 from .errors import PolyadicError
 from .export import document_header, export_dot, export_json, to_stable_json
 from .probe import probe_depth_pairs
@@ -44,15 +44,6 @@ def _read(arg: str, parse):
         return parse(text)
     except (PolyadicError, ValueError) as exc:
         raise ValueError(f"{arg[1:]}: {exc}") from exc
-
-
-def _diagram(poly: PolynomialSpec, multiplicity: str) -> Diagram:
-    """`--multiplicity`: "coefficients", "all-ones", or a polynomial with the
-    monomials of `poly` whose coefficients are the edge counts."""
-    name = multiplicity.strip()
-    if name in ("coefficients", "all-ones"):
-        return Diagram(poly, multiplicity=name)
-    return Diagram(poly, multiplicity=dict(parse_polynomial(name).terms))
 
 
 def _cmd_describe(args, diagram, ordering):
@@ -194,11 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--poly", required=True, help="polynomial text or JSON, or @file")
-    common.add_argument(
-        "--multiplicity",
-        default="coefficients",
-        help="'coefficients', 'all-ones', or a polynomial of edge counts, or @file",
-    )
     common.add_argument("--out", default=None, help="directory for output files")
     ordered = argparse.ArgumentParser(add_help=False, parents=[common])
     ordered.add_argument("--ordering", default="source-lex", help="preset name or JSON, or @file")
@@ -207,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("describe", parents=[common], help="polynomial and vertex counts")
-    p.add_argument("--levels", type=_NON_NEGATIVE, default=5)
+    p.add_argument("--levels", type=_POSITIVE, default=5)
     p.set_defaults(fn=_cmd_describe, file="describe")
 
     p = sub.add_parser("covered", parents=[common], help="coverage report for one level")
@@ -256,8 +242,7 @@ def main(argv=None) -> int:
     if unread:
         args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
-        poly = _read(args.poly, parse_polynomial)
-        diagram = _read(args.multiplicity, lambda text: _diagram(poly, text))
+        diagram = Diagram(_read(args.poly, parse_polynomial))
         ordering = None
         if "ordering" in args:
             ordering = _read(args.ordering, lambda text: make_ordering(diagram, text, args.seed))

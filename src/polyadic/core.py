@@ -4,9 +4,9 @@ A homogeneous integer polynomial p with positive coefficients in q >= 2
 variables of degree d determines a graded diagram.  Level n holds one vertex
 per exponent vector of p**n (a length-q tuple of nonnegative integers summing
 to n*d); a vertex u at level n is joined to w at level n + 1 exactly when
-w - u is itself a degree-d exponent vector.  In coefficient mode the number
-of parallel edges from u to w is the coefficient of the monomial w - u; other
-multiplicity tables keep the same shape with different edge counts.
+w - u is itself a degree-d exponent vector.  The number of parallel edges
+from u to w is the coefficient of the monomial w - u, so other edge counts
+on the same shape are the diagram of another polynomial of that q and d.
 
 Every degree-d exponent vector must carry a positive coefficient, so the
 level-1 vertex set coincides with the set of edge displacement vectors.
@@ -258,10 +258,6 @@ class PolynomialSpec(_PolynomialFields):
         """All degree-d exponent vectors, canonical order (equals level-1 labels)."""
         return tuple(exp for exp, _ in self.terms)
 
-    @property
-    def coefficient_sum(self) -> int:
-        return sum(coef for _, coef in self.terms)
-
     def vertex_count(self, level: int) -> int:
         """Number of level-`level` vertices: C(level*d + q - 1, q - 1)."""
         return math.comb(level * self.degree + self.arity - 1, self.arity - 1)
@@ -300,15 +296,13 @@ def _multiply(poly: dict[Coords, int], base: dict[Coords, int]) -> dict[Coords, 
 
 
 class Diagram:
-    """A polynomial-shape diagram with a chosen edge multiplicity table.
+    """The diagram of a polynomial, whose coefficients are its edge counts.
 
-    `multiplicity` is "coefficients" (the polynomial diagram), "all-ones",
-    or a mapping from each degree-d source vector to a positive edge count.
-    `mode` only labels documents: a mapping equal to the coefficients, or
-    else to all ones, takes that name, and any other is "custom".  Vertices the
-    diagram hands out are interned: one `Vertex` object per lattice point,
-    so equal vertices from it are also identical.  Any other vertex is
-    validated by `vertex` first, so one off the lattice raises.
+    A diagram is named by its polynomial alone: edge counts m_s on the
+    shape of p are the diagram of m = sum_s m_s x^s.  Vertices the diagram
+    hands out are interned: one `Vertex` object per lattice point, so equal
+    vertices from it are also identical.  Any other vertex is validated by
+    `vertex` first, so one off the lattice raises.
 
     A vertex's index is (level, rank), its rank the position in canonical
     order, found in O(q) without listing the level.  `_issued` maps each
@@ -320,9 +314,9 @@ class Diagram:
     the shifted runs of `_shifts`.
 
     `_mult` holds each source vector's edge count in canonical order, the
-    order a custom table came in notwithstanding, so `_lower` lists a
-    vertex's sources ascending, `source_set` is that list reversed, and
-    `targets` (adding each vector in turn) needs no sort.
+    order of `spec.terms`, so `_lower` lists a vertex's sources ascending,
+    `source_set` is that list reversed, and `targets` (adding each vector
+    in turn) needs no sort.
 
     Neighbours are cached per vertex value: `source_set` and `targets` store
     only valid vertices, so a hit needs no validation, and `coverage` keeps
@@ -330,28 +324,9 @@ class Diagram:
     vertex's link facts in `_uncovered_around`.
     """
 
-    def __init__(
-        self,
-        spec: PolynomialSpec,
-        multiplicity: str | Mapping[Coords, int] = "coefficients",
-    ) -> None:
+    def __init__(self, spec: PolynomialSpec) -> None:
         self.spec = spec
-        named = {
-            "coefficients": {exp: coef for exp, coef in spec.terms},
-            "all-ones": {exp: 1 for exp, _ in spec.terms},
-        }
-        if isinstance(multiplicity, str):
-            if multiplicity not in named:
-                raise ValueError(f"unknown multiplicity {multiplicity!r}")
-            table, self.mode = named[multiplicity], multiplicity
-        else:
-            table = {tuple(exp): int(count) for exp, count in multiplicity.items()}
-            if set(table) != set(spec.source_vectors):
-                raise MissingMonomial("multiplicity table must cover every source vector")
-            if any(count <= 0 for count in table.values()):
-                raise NonPositiveCoefficient("multiplicity table entries must be positive")
-            self.mode = next((name for name, known in named.items() if table == known), "custom")
-        self._mult = {s: table[s] for s in spec.source_vectors}  # in canonical order
+        self._mult = dict(spec.terms)  # in canonical order
         self._levels: dict[int, tuple[Vertex, ...]] = {}
         self._issued: dict[tuple[int, int], Vertex] = {}
         self._rank: dict[Vertex, int] = {}

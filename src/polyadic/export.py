@@ -2,8 +2,9 @@
 
 Outputs are deterministic byte for byte: vertices appear in canonical order,
 JSON objects are written with sorted keys, and every document carries the same
-header block (schema version, polynomial, multiplicity mode and, where a
-command takes one, the ordering, whose description holds a random one's seed).
+header block (schema version, polynomial, the fixed mode "coefficients" and,
+where a command takes one, the ordering, whose description holds a random
+one's seed).
 
 `to_stable_json` writes the same bytes as
 `json.dumps(obj, sort_keys=True, indent=2)`, plus a final newline, and the
@@ -62,7 +63,7 @@ def document_header(diagram: Diagram, ordering: Ordering | None = None) -> dict:
         "schema_version": SCHEMA_VERSION,
         "generator": f"polyadic {__version__}",
         "polynomial": diagram.spec.to_json(),
-        "mode": diagram.mode,
+        "mode": "coefficients",  # kept so every document stays byte-identical
     }
     if ordering is not None:
         header["ordering"] = ordering.describe()

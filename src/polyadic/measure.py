@@ -1,7 +1,7 @@
 """Product measures on the path space from weights with m(theta) = 1.
 
-m is the diagram's own polynomial, its edge counts m_s as the coefficients
-of x^s: p itself in coefficient mode.  A positive weight theta solving
+m is the diagram's own polynomial, whose coefficients m_s are the edge
+counts of the displacements s.  A positive weight theta solving
 m(theta) = 1 assigns every cylinder (finite path) the product of its edge
 displacements' weights, which collapses to theta raised to the terminal
 vertex.  The measure of a whole vertex is its dimension times that power;
@@ -47,9 +47,9 @@ class WeightVector(NamedTuple):
 
 
 def evaluate_polynomial(diagram: Diagram, theta: tuple[Number, ...]) -> Number:
-    """m(theta): the diagram's edge counts as coefficients, summed in canonical order."""
+    """m(theta): the diagram's polynomial, summed in canonical order."""
     total: Number = 0
-    for exp, coef in diagram._mult.items():
+    for exp, coef in diagram.spec.terms:
         term: Number = coef
         for t, e in zip(theta, exp):
             term *= t**e
@@ -63,7 +63,7 @@ def solve_symmetric_weight(diagram: Diagram) -> WeightVector:
     Found by bisection on [0, 1]; the residual of m at the returned point
     is at most RESIDUAL_TOLERANCE, else InvalidWeight.
     """
-    total = sum(diagram._mult.values())
+    total = sum(coef for _, coef in diagram.spec.terms)
     d = diagram.degree
     lo, hi = 0.0, 1.0
     for _ in range(200):

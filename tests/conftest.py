@@ -5,8 +5,9 @@ variables, degree one), a degree-four polynomial with mixed coefficients,
 and a three-variable all-ones quadratic.  `polynomial_specs` draws random
 polynomials for the hypothesis properties of several modules,
 `parallel_edge_specs` linear ones with parallel edges, `k_coding_symbol`
-is the oracle for the library's integer k-symbols, and `basic_block` the
-oracle for the probe's place ids.
+is the oracle for the library's integer k-symbols, `basic_block` the oracle
+for the probe's place ids, and `all_ones` gives a polynomial's shape with
+one edge per joined pair.
 """
 
 import os
@@ -28,6 +29,12 @@ Q3_TEXT = "x1^2 + x1 x2 + x1 x3 + x2^2 + x2 x3 + x3^2"
 
 
 COEFFICIENTS = st.integers(min_value=1, max_value=3)
+
+
+def all_ones(spec):
+    """The polynomial of spec's shape with every coefficient 1: one edge per
+    joined pair of vertices."""
+    return PolynomialSpec.from_coefficients(spec.arity, {s: 1 for s in spec.source_vectors})
 
 
 def k_coding_symbol(x, k):

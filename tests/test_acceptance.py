@@ -28,7 +28,7 @@ from polyadic import _diagonals, coverage
 from polyadic.cli import main as cli_main
 from polyadic.errors import MaximalAtHorizon, MinimalAtHorizon
 
-from conftest import PASCAL_TEXT, Q3_TEXT, QUARTIC_TEXT, k_coding_symbol
+from conftest import PASCAL_TEXT, Q3_TEXT, QUARTIC_TEXT, all_ones, k_coding_symbol
 
 ALL_TEXTS = (PASCAL_TEXT, QUARTIC_TEXT, Q3_TEXT)
 
@@ -61,12 +61,12 @@ def test_criterion_01_vertex_counts(quartic, q3):
 def test_criterion_02_coverage_formula():
     problems = []
     for text in ALL_TEXTS:
-        for mode in ("coefficients", "all-ones"):
-            diagram = Diagram(parse_polynomial(text), multiplicity=mode)
+        for spec in (parse_polynomial(text), all_ones(parse_polynomial(text))):
+            diagram = Diagram(spec)
             for level in range(diagram.arity + 1, 9):
                 report = coverage_report(diagram, level)
                 problems.extend(
-                    (text, mode, level, d) for d in report.discrepancies
+                    (spec.to_text(), level, d) for d in report.discrepancies
                 )
     check(2, "covered formula matches the scan oracle", problems)
 

@@ -202,7 +202,7 @@ class TestLinkConsequences:
     def test_shared_source_hypothesis_matches_the_source_sets(self, all_diagrams):
         # the hypothesis is read off the two vertices' coordinates; the oracle
         # intersects their source sets
-        custom = Diagram(parse_polynomial("x1^2 + x1 x2 + x2^2"), {(2, 0): 3, (1, 1): 1, (0, 2): 2})
+        custom = Diagram(parse_polynomial("3 x1^2 + x1 x2 + 2 x2^2"))
         for diagram in (*all_diagrams.values(), custom):
             for level in range(1, 5):
                 vertices = diagram.vertices(level)

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from polyadic import Diagram, coverage, measure, verify
+from polyadic import Diagram, coverage, measure, parse_polynomial, verify
 from polyadic.cli import main
 
 from conftest import PASCAL_TEXT, Q3_TEXT, QUARTIC_TEXT
@@ -116,17 +116,15 @@ class TestMeasure:
         # the weight solves the diagram's own edge counts: five unit counts
         # at degree four give 5 t^4 = 1
         code, doc, _ = run_json(
-            capsys, "measure", "--poly", QUARTIC_TEXT, "--multiplicity", "all-ones"
+            capsys, "measure", "--poly", "x1^4 + x1^3 x2 + x1^2 x2^2 + x1 x2^3 + x2^4"
         )
-        assert code == 0 and doc["mode"] == "all-ones"
+        assert code == 0
         assert all(abs(t - 5 ** -0.25) < 1e-12 for t in doc["weight"]["theta"])
         assert len(doc["levels"]) == 6
         assert all(row["ok"] for row in doc["levels"])
 
     def test_table_equal_to_the_coefficients_is_measured(self, capsys):
-        code, doc, _ = run_json(
-            capsys, "measure", "--poly", PASCAL_TEXT, "--levels", "1", "--multiplicity", "x1 + x2"
-        )
+        code, doc, _ = run_json(capsys, "measure", "--poly", PASCAL_TEXT, "--levels", "1")
         assert code == 0 and doc["mode"] == "coefficients"
         assert all(row["ok"] for row in doc["levels"])
 
@@ -282,19 +280,17 @@ FAULTS = {
 
 
 @pytest.mark.parametrize(
-    "suite, table",
-    [(suite, "coefficients") for suite in FAULTS] + [("measure_bounds", "2 x1 + x2")],
+    "suite, poly",
+    [(suite, PASCAL_TEXT) for suite in FAULTS] + [("measure_bounds", "2 x1 + x2")],
     ids=[*FAULTS, "measure_bounds-on-a-table"],
 )
-def test_every_verify_suite_can_fail(suite, table, capsys, monkeypatch):
+def test_every_verify_suite_can_fail(suite, poly, capsys, monkeypatch):
     # each suite reports the fault in the library call it checks, so no
-    # suite passes by construction; measure_bounds measures any edge table
+    # suite passes by construction; measure_bounds measures parallel edges too
     assert [name for name, _ in verify._SUITES] == list(FAULTS)
     owner, name, fault = FAULTS[suite]
     monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
-    code, doc, _ = run_json(
-        capsys, "verify-all", "--poly", PASCAL_TEXT, "--multiplicity", table, "--levels", "5"
-    )
+    code, doc, _ = run_json(capsys, "verify-all", "--poly", poly, "--levels", "5")
     assert code == 1
     assert doc["result"]["findings"][suite]
 
@@ -356,6 +352,8 @@ class TestFailures:
         "argv",
         [
             ("describe", "--poly", PASCAL_TEXT, "--levels", "-3"),
+            # no level to describe: an empty vertex_counts looked valid
+            ("describe", "--poly", PASCAL_TEXT, "--levels", "0"),
             ("probe", "--poly", PASCAL_TEXT, "--i", "1", "--horizon", "0"),
             ("probe", "--poly", PASCAL_TEXT, "--i", "1", "--horizon", "4", "--budget", "0"),
             # no level to check: measure wrote no rows and verify-all passed
@@ -400,25 +398,32 @@ class TestFailures:
         assert out == ""
         assert err == f"error: need 0 <= i < horizon, got i = {i} and horizon = {horizon}\n"
 
-    def test_multiplicity_file_missing(self, capsys):
-        code, _, err = run(
-            capsys, "describe", "--poly", PASCAL_TEXT, "--multiplicity", "@/no/such/table.json"
-        )
+    def test_polynomial_file_missing(self, capsys):
+        code, _, err = run(capsys, "describe", "--poly", "@/no/such/poly.json")
         assert code == 2
-        assert err.startswith("error:") and "/no/such/table.json" in err
+        assert err.startswith("error:") and "/no/such/poly.json" in err
+
+    @pytest.mark.parametrize("poly", ["x1^2 + x2^2", "x1 + 0 x2"], ids=["missing", "zero"])
+    def test_edge_counts_cover_every_monomial_positively(self, capsys, poly):
+        # a diagram's edge counts are its coefficients, so they are checked
+        # as the polynomial is read
+        code, out, err = run(capsys, "describe", "--poly", poly)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
     @pytest.mark.parametrize(
         "command, option, content",
         [
-            ("describe", "--multiplicity", [{"exp": [1, 0]}]),
-            ("describe", "--multiplicity", {"exp": [1, 0], "count": 1}),
+            ("describe", "--poly", [{"exp": [1, 0]}]),
+            ("describe", "--poly", {"exp": [1, 0], "count": 1}),
             ("vershik", "--ordering", ["source-lex"]),
         ],
     )
     def test_malformed_input_file_is_an_input_error(self, capsys, tmp_path, command, option, content):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(content), encoding="utf-8")
-        argv = [command, "--poly", PASCAL_TEXT, option, f"@{path}"]
+        inputs = {"--poly": PASCAL_TEXT} | {option: f"@{path}"}
+        argv = [command, *(arg for pair in inputs.items() for arg in pair)]
         code, out, err = run(capsys, *argv, *REQUIRED[command])
         assert code == 2
         assert out == ""
@@ -469,7 +474,8 @@ class TestOptions:
         [(c, "--ordering", "random") for c in SHAPE_ONLY]
         + [(c, "--budget", "40") for c in REQUIRED if c != "probe"]
         + [(c, "--seed", "1") for c in SHAPE_ONLY]
-        + [(c, "--mode", "shape") for c in REQUIRED],
+        + [(c, "--mode", "shape") for c in REQUIRED]
+        + [(c, "--multiplicity", "x1 + x2") for c in REQUIRED],
     )
     def test_option_the_handler_does_not_read_is_a_usage_error(self, capsys, command, option, value):
         with pytest.raises(SystemExit) as exc:
@@ -480,39 +486,8 @@ class TestOptions:
         assert f"unrecognized arguments: {option} {value}" in captured.err
         assert captured.err.startswith(f"usage: polyadic {command} ")
 
-    @pytest.mark.parametrize(
-        "multiplicity, mode, indegrees",
-        [
-            ("all-ones", "all-ones", [1, 1]),
-            ("coefficients", "coefficients", [1, 1]),
-            ("2 x1 + x2", "custom", [2, 1]),
-            ("@table.txt", "custom", [1, 3]),
-            ("x1 + x2", "coefficients", [1, 1]),
-        ],
-        ids=[
-            "all-ones", "coefficients", "inline-polynomial", "polynomial-file",
-            "polynomial-equal-to-the-coefficients",
-        ],
-    )
-    def test_multiplicity_takes_a_name_or_a_polynomial(
-        self, capsys, tmp_path, monkeypatch, multiplicity, mode, indegrees
-    ):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "table.txt").write_text("x1 + 3 x2\n", encoding="utf-8")
-        code, doc, _ = run_json(
-            capsys, "vershik", "--poly", PASCAL_TEXT, "--level", "1", "--multiplicity", multiplicity
-        )
-        assert code == 0 and doc["mode"] == mode
-        assert [v["indegree"] for v in doc["vertices"]] == indegrees
 
-    @pytest.mark.parametrize("multiplicity", ["x1 + x2 + x3", "x1^2 + x1 x2 + x2^2", "2 x1"])
-    def test_multiplicity_needs_the_monomials_of_poly(self, capsys, multiplicity):
-        code, out, err = run(capsys, "describe", "--poly", PASCAL_TEXT, "--multiplicity", multiplicity)
-        assert (code, out) == (2, "")
-        assert err.startswith("error:")
-
-
-# (p, m): a shape and an edge table on it other than p's coefficients
+# (p, m): a shape and edge counts on it other than p's coefficients
 EDGE_TABLES = {
     "pascal": (PASCAL_TEXT, "2 x1 + x2"),
     "quadratic": ("x1^2 + x1 x2 + x2^2", "3 x1^2 + x1 x2 + 2 x2^2"),
@@ -534,18 +509,15 @@ DOCUMENTS = {
 @pytest.mark.parametrize("kind", list(DOCUMENTS))
 @pytest.mark.parametrize("table", list(EDGE_TABLES))
 def test_edge_table_is_only_a_label(capsys, table, kind):
-    # a table m of edge counts on p's shape is the diagram of m itself, so
-    # every document of the pair is that of --poly m but for its header's
-    # polynomial and mode
+    # edge counts on p's shape name the polynomial m: given as a table over
+    # p's source vectors in reverse order, they write the document of
+    # --poly m byte for byte, since the diagram reads the counts in
+    # canonical order whatever order they came in
     p, m = EDGE_TABLES[table]
+    shape, counts = parse_polynomial(p), dict(parse_polynomial(m).terms)
+    terms = [{"exp": list(s), "coef": counts[s]} for s in reversed(shape.source_vectors)]
+    table_json = json.dumps({"q": shape.arity, "terms": terms})
     command, *options = DOCUMENTS[kind]
-    code, out, _ = run(capsys, command, "--poly", p, "--multiplicity", m, *options)
-    own_code, own_out, _ = run(capsys, command, "--poly", m, *options)
-    assert code == own_code
-    if kind == "export-dot":
-        assert out == own_out
-        return
-    doc, own = json.loads(out), json.loads(own_out)
-    assert (doc.pop("mode"), own.pop("mode")) == ("custom", "coefficients")
-    del doc["polynomial"], own["polynomial"]
-    assert doc == own
+    given = run(capsys, command, "--poly", table_json, *options)
+    assert given == run(capsys, command, "--poly", m, *options)
+    assert given[1]

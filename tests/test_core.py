@@ -17,7 +17,7 @@ from polyadic.errors import (
     PolynomialSyntaxError,
 )
 
-from conftest import OFF_LATTICE, peak_rss_mb, raised_within
+from conftest import OFF_LATTICE, all_ones, peak_rss_mb, raised_within
 
 QUARTIC = "x1^4 + 2 x1^3 x2 + x1^2 x2^2 + 3 x1 x2^3 + x2^4"
 
@@ -34,7 +34,6 @@ class TestParser:
             ((1, 3), 3),
             ((0, 4), 1),
         )
-        assert spec.coefficient_sum == 8
 
     def test_pascal(self):
         spec = parse_polynomial("x1 + x2")
@@ -223,24 +222,20 @@ class TestEdges:
         assert quartic.multiplicity(quartic.root, w) == 0
 
     def test_all_ones_override(self):
-        diagram = Diagram(
-            parse_polynomial(QUARTIC), multiplicity="all-ones"
-        )
+        diagram = Diagram(all_ones(parse_polynomial(QUARTIC)))
         w = diagram.vertex((6, 6))
         assert all(diagram.multiplicity(u, w) == 1 for u in diagram.source_set(w))
-        assert diagram.mode == "all-ones"
 
     def test_custom_table_validation(self):
-        spec = parse_polynomial("x1 + x2")
-        assert Diagram(spec, multiplicity={(1, 0): 2, (0, 1): 5}).indegree(
-            Vertex(1, (1, 0))
-        ) == 2
+        # a diagram is named by its polynomial alone: the counts are checked
+        # as coefficients, and there is no second table to give
+        assert Diagram(parse_polynomial("2 x1 + 5 x2")).indegree(Vertex(1, (1, 0))) == 2
         with pytest.raises(MissingMonomial):
-            Diagram(spec, multiplicity={(1, 0): 2})
+            PolynomialSpec.from_coefficients(2, {(1, 0): 2})
         with pytest.raises(NonPositiveCoefficient):
-            Diagram(spec, multiplicity={(1, 0): 2, (0, 1): 0})
-        with pytest.raises(ValueError, match="unknown multiplicity"):
-            Diagram(spec, multiplicity="shape")
+            PolynomialSpec.from_coefficients(2, {(1, 0): 2, (0, 1): 0})
+        with pytest.raises(TypeError):
+            Diagram(parse_polynomial("x1 + x2"), "all-ones")
 
     def test_edges_between_copies(self, quartic):
         u = quartic.vertex((5, 3))
@@ -306,8 +301,7 @@ class TestDimension:
         assert peak < 60, peak
 
     def test_shape_mode_counts_differ(self):
-        spec = parse_polynomial(QUARTIC)
-        plain = Diagram(spec, multiplicity="all-ones")
+        plain = Diagram(all_ones(parse_polynomial(QUARTIC)))
         # one edge per source pair instead of the coefficient-weighted 15
         assert plain.dimension(plain.vertex((4, 4))) == 5
 

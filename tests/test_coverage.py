@@ -20,6 +20,8 @@ from polyadic.coverage import (
 )
 from polyadic.errors import LadderPreconditionViolated, PreconditionNotMet
 
+from conftest import all_ones
+
 
 def scan_sources(diagram, w):
     """Source set recomputed by scanning the whole previous level."""
@@ -95,7 +97,7 @@ def test_formula_matches_oracle_on_every_small_shape(q, d, level):
     vectors = compositions_desc(d, q)
     spec = PolynomialSpec.from_coefficients(q, {s: 1 + i % 3 for i, s in enumerate(vectors)})
     diagram = Diagram(spec)
-    plain = Diagram(spec, multiplicity="all-ones")
+    plain = Diagram(all_ones(spec))
     for w in diagram.vertices(level):
         assert is_covered_formula(diagram, w) == is_covered_oracle(diagram, w), w
         assert covering_vertices(diagram, w) == covering_vertices(plain, plain.vertex(w.coords))
@@ -148,7 +150,7 @@ class TestCoverageReport:
     def test_multiplicities_do_not_matter(self, quartic):
         from polyadic import Diagram
 
-        plain = Diagram(quartic.spec, multiplicity="all-ones")
+        plain = Diagram(all_ones(quartic.spec))
         for level in range(1, 6):
             for w, w_plain in zip(quartic.vertices(level), plain.vertices(level)):
                 assert is_covered_oracle(quartic, w) == is_covered_oracle(

@@ -24,6 +24,8 @@ from polyadic import (
 )
 from polyadic.errors import InvalidWeight
 
+from conftest import all_ones
+
 HALF = Fraction(1, 2)
 
 
@@ -208,11 +210,11 @@ class TestTrace:
 
 
 class TestEdgeCounts:
-    """Weights solve the diagram's own edge counts, which are p only in
-    coefficient mode."""
+    """Weights solve the diagram's own polynomial, whose coefficients are
+    its edge counts."""
 
     def test_all_ones_quartic_is_measured(self, quartic):
-        flat = Diagram(quartic.spec, multiplicity="all-ones")
+        flat = Diagram(all_ones(quartic.spec))
         w = solve_symmetric_weight(flat)  # five unit counts: 5 t^4 = 1
         assert all(abs(t - 5 ** -0.25) < 1e-12 for t in w.theta)
         for level in range(1, 7):
@@ -221,7 +223,7 @@ class TestEdgeCounts:
             assert dim_lower_bound_check(flat, level) == ()
 
     def test_weight_solves_the_counts_not_p(self, pascal):
-        doubled = Diagram(pascal.spec, multiplicity={(1, 0): 2, (0, 1): 1})
+        doubled = Diagram(parse_polynomial("2 x1 + x2"))
         w = weight_from_theta(doubled, (Fraction(1, 3), Fraction(1, 3)))
         assert w.exact and w.residual == 0
         assert level_mass(doubled, 5, w) == 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COEFFICIENTS, basic_block, k_coding_symbol, polynomial_specs
+from conftest import basic_block, k_coding_symbol, polynomial_specs
 from conftest import OFF_LATTICE, raised_within
 from polyadic import Diagram, EdgeRef, Ordering, Vertex, chains, coverage, parse_polynomial
 from polyadic.errors import (
@@ -668,19 +668,14 @@ class TestFinitePaths:
 def diagram_orderings(draw):
     """A random valid polynomial, 2-4 variables of degree 1-4 with parallel
     edges, under a preset ordering (source-lex, source-revlex or seeded
-    random) or an explicit table, or a custom edge table."""
-    spec = draw(polynomial_specs(max_degree=4, max_arity=4))
-    if draw(st.booleans()):
-        diagram = Diagram(spec)
-        preset = draw(st.sampled_from(["source-lex", "source-revlex", "random", "explicit"]))
-        seed = draw(st.integers(0, 2**32)) if preset == "random" else None
-        table = None
-        if preset == "explicit":
-            table = random_table(diagram, random.Random(draw(st.integers(0, 99))), 2)
-        ordering = Ordering(diagram, preset, seed, table)
-    else:
-        diagram = Diagram(spec, multiplicity={s: draw(COEFFICIENTS) for s in spec.source_vectors})
-        ordering = Ordering(diagram)
+    random) or an explicit table."""
+    diagram = Diagram(draw(polynomial_specs(max_degree=4, max_arity=4)))
+    preset = draw(st.sampled_from(["source-lex", "source-revlex", "random", "explicit"]))
+    seed = draw(st.integers(0, 2**32)) if preset == "random" else None
+    table = None
+    if preset == "explicit":
+        table = random_table(diagram, random.Random(draw(st.integers(0, 99))), 2)
+    ordering = Ordering(diagram, preset, seed, table)
     level = draw(st.integers(min_value=1, max_value=4))
     v = draw(st.sampled_from(diagram.vertices(level)))
     while diagram.dimension(v) > 200:
