@@ -241,15 +241,15 @@ def _diagonal_runs(sym: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, int]
 
 
 def _search(
-    ordering: Ordering, i: int, horizon: int, admitted: list[Vertex], budget: int
+    ordering: Ordering, i: int, horizon: int, terminal_ranks: list[int], budget: int
 ) -> tuple[int, int, _Columns]:
     """Candidates, the longest killed run and the survivors' columns of one probe."""
-    if not admitted:
+    if not terminal_ranks:
         return 0, 0, _Columns()
 
     parent, first = _place_maps(ordering, horizon, budget)
     # one global position axis: every admitted tower's paths, tower after tower
-    index = np.array([ordering.diagram._index(v) for v in admitted])
+    index = np.array(terminal_ranks)
     sizes = np.diff(first[horizon])[index]
     tower = np.repeat(np.arange(len(sizes)), sizes)
     rank = np.arange(len(tower)) - (np.cumsum(sizes) - sizes)[tower]
@@ -308,7 +308,7 @@ def _search(
         divergence += place[a] == place[b]
         place = parent[level][place]
     return candidates, max_killed_window, _Columns(
-        terminals=tuple(admitted),
+        terminals=tuple(map(ordering.diagram.vertices(horizon).__getitem__, terminal_ranks)),
         tower=tower[used],
         rank=rank[used],
         mins=mins,

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .core import Diagram, Vertex
 from .coverage import is_covered_oracle
-from .errors import DsvAbsent, HypothesisNotMet, LengthMismatch, NoExtension
+from .errors import DsvAbsent, HypothesisNotMet, LengthMismatch, NoExtension, PreconditionNotMet
 
 
 class _ChainFields(NamedTuple):
@@ -166,11 +166,14 @@ def find_chain_start(diagram: Diagram, level: int) -> tuple[ChainStart, ...]:
     Returns (v, v', j, u) for every ordered pair of distinct uncovered
     vertices at `level` with a common source and a direction j satisfying
     2d^2 + 4d <= v'(j) < v(j) <= (level - 2) * d.  These are the seeds from
-    which long distinguished chains grow.
+    which long distinguished chains grow.  Below level 2d + 7 the window is
+    empty, which raises `PreconditionNotMet`.
     """
     d = diagram.degree
     lo = 2 * d * d + 4 * d
     hi = (level - 2) * d
+    if lo >= hi:
+        raise PreconditionNotMet(f"need level >= 2d + 7 = {2 * d + 7}, got {level}")
     vertices = diagram.vertices(level)
     uncovered = [v for v in vertices if not is_covered_oracle(diagram, v)]
     sources = {v: frozenset(diagram.source_set(v)) for v in uncovered}

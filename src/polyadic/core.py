@@ -304,14 +304,14 @@ class Diagram:
     vertices from it are also identical.  Any other vertex is validated by
     `vertex` first, so one off the lattice raises.
 
-    A vertex's index is (level, rank), its rank the position in canonical
-    order, found in O(q) without listing the level.  `_issued` maps each
-    index handed out to its vertex and `_rank` each such vertex back to its
-    rank; a hit in `_rank` needs no validation.  Dimensions are kept as
-    whole rows, one per level a caller touched (`_rows`), each stepped up
-    from the nearest kept row below, so a deep cold `dimension` holds two
-    rows, not its down-set.  The `Ordering` tables read the same rows and
-    the shifted runs of `_shifts`.
+    One map, `_issued`, indexes the vertices: it is keyed on the vertex
+    value, so a plain (level, coords) pair finds the same entry, and holds
+    the interned vertex and its rank, the position in canonical order,
+    found in O(q) without listing the level.  A hit needs no validation.
+    Dimensions are kept as whole rows, one per level a caller touched
+    (`_rows`), each stepped up from the nearest kept row below, so a deep
+    cold `dimension` holds two rows, not its down-set.  The `Ordering`
+    tables read the same rows and the shifted runs of `_shifts`.
 
     `_mult` holds each source vector's edge count in canonical order, the
     order of `spec.terms`, so `_lower` lists a vertex's sources ascending,
@@ -328,10 +328,9 @@ class Diagram:
         self.spec = spec
         self._mult = dict(spec.terms)  # in canonical order
         self._levels: dict[int, tuple[Vertex, ...]] = {}
-        self._issued: dict[tuple[int, int], Vertex] = {}
-        self._rank: dict[Vertex, int] = {}
+        self._issued: dict[Vertex, tuple[Vertex, int]] = {}  # value -> (vertex, rank)
         self._rows: dict[int, list[int]] = {0: [1]}
-        self._intern(0, 0, (0,) * spec.arity)
+        self._intern(Vertex(0, (0,) * spec.arity), 0)
         self._expansion: dict[int, dict[Coords, int]] = {}
         self._covers: dict[int, dict[Vertex, tuple[Vertex, ...]]] = {}
         self._uncovered_around: dict[Vertex, tuple[bool, bool]] = {}
@@ -348,32 +347,26 @@ class Diagram:
 
     @property
     def root(self) -> Vertex:
-        return self._issued[0, 0]
+        return self._issued[0, (0,) * self.arity][0]
 
-    def _intern(self, level: int, rank: int, coords: Coords) -> Vertex:
-        """The issued vertex at index (level, rank), whose coordinates are `coords`."""
-        v = self._issued.get((level, rank))
-        if v is None:
-            v = self._issued[level, rank] = Vertex(level, coords)
-            self._rank[v] = rank
-        return v
+    def _intern(self, v: Vertex, rank: int) -> Vertex:
+        """The interned vertex equal to v, whose rank is `rank`: v itself if new."""
+        return self._issued.setdefault(v, (v, rank))[0]
 
     def _vertex(self, coords: Coords) -> Vertex:
-        """The issued vertex at `coords` (a valid lattice point)."""
+        """The interned vertex at `coords` (a valid lattice point)."""
         total = sum(coords)
-        index = total // self.degree, _rank_desc(coords, total)
-        return self._issued.get(index) or self._intern(*index, coords)
+        entry = self._issued.get((level := total // self.degree, coords))
+        return entry[0] if entry else self._intern(Vertex(level, coords), _rank_desc(coords, total))
 
-    def _index(self, v: tuple[int, Coords]) -> int:
-        """The rank of the pair (level, coords) v, a `Vertex` or a plain tuple;
-        one the diagram did not issue goes through `vertex`, which validates."""
-        rank = self._rank.get(v)
-        return self._rank[self.vertex(v[1], v[0])] if rank is None else rank
+    def _entry(self, v: tuple[int, Coords]) -> tuple[Vertex, int]:
+        """(interned vertex, rank) for the pair (level, coords) v, a `Vertex` or a
+        plain tuple; a value not yet interned goes through `vertex`, which validates."""
+        return self._issued.get(v) or self._issued[self.vertex(v[1], v[0])]
 
     def _checked(self, v: tuple[int, Coords]) -> Vertex:
-        """The issued vertex equal to the pair (level, coords) v, validated as by `_index`."""
-        rank = self._rank.get(v)
-        return self.vertex(v[1], v[0]) if rank is None else self._issued[v[0], rank]
+        """The interned vertex equal to the pair (level, coords) v, validated as by `_entry`."""
+        return self._entry(v)[0]
 
     def _lower(self, coords: Coords) -> list[tuple[Coords, int]]:
         """(u, edge count) for each source vector s with u = coords - s >= 0,
@@ -386,17 +379,19 @@ class Diagram:
     def vertices(self, level: int) -> tuple[Vertex, ...]:
         """All level-`level` vertices in canonical (descending lex) order."""
         if level not in self._levels:
+            coords = compositions_desc(level * self.degree, self.arity)
             self._levels[level] = tuple(
-                self._intern(level, rank, coords)
-                for rank, coords in enumerate(compositions_desc(level * self.degree, self.arity))
+                self._intern(Vertex(level, c), rank) for rank, c in enumerate(coords)
             )
         return self._levels[level]
 
     def vertex(self, coords, level: int | None = None) -> Vertex:
-        """Validated vertex constructor; the level defaults to sum/degree."""
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != self.arity or any(c < 0 for c in coords):
-            raise ValueError(f"bad coordinates {coords} for arity {self.arity}")
+        """Validated vertex constructor; the level defaults to sum/degree.  A
+        coordinate must equal an integer: 1.0 is 1, but 1.5 and "1" raise."""
+        given = tuple(coords)
+        coords = tuple(map(int, given))
+        if coords != given or len(coords) != self.arity or any(c < 0 for c in coords):
+            raise ValueError(f"bad coordinates {given} for arity {self.arity}")
         total = sum(coords)
         if level is None:
             level, rem = divmod(total, self.degree)
@@ -440,7 +435,8 @@ class Diagram:
 
     def dimension(self, v: Vertex) -> int:
         """Number of root-to-v paths: v's entry in its level's row (exact integer)."""
-        return self._row(v[0])[self._index(v)]
+        v, rank = self._entry(v)
+        return self._row(v.level)[rank]
 
     def _row(self, level: int) -> list[int]:
         """The dimensions of the level's vertices by rank, kept once asked for.
@@ -530,7 +526,7 @@ class Diagram:
         current = frm
         for _ in range(to.level - frm.level):
             take = _greedy_fill(map(sub, to.coords, current.coords), self.degree)
-            nxt = Vertex(current.level + 1, tuple(a + t for a, t in zip(current.coords, take)))
+            nxt = self._vertex(tuple(a + t for a, t in zip(current.coords, take)))
             steps.append(EdgeRef(current, nxt, 1))
             current = nxt
         return tuple(steps)
@@ -552,5 +548,5 @@ class Diagram:
         total = sum(upper)
         level = max(v1.level + 1, -(-total // self.degree))
         upper[0] += level * self.degree - total
-        w = Vertex(level, tuple(upper))
+        w = self._vertex(tuple(upper))
         return w, self._greedy_source_steps(v1, w), self._greedy_source_steps(v2, w)

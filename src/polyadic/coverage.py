@@ -259,10 +259,10 @@ def source_ladder(diagram: Diagram, z: Vertex, j: int) -> tuple[Vertex, ...]:
     # fill a degree-d subtrahend from the coordinates other than j, left to right
     take = _greedy_fill([*z.coords[: j - 1], 0, *z.coords[j:]], d)
     assert sum(take) == d, "off-j coordinates sum to at least d under the precondition"
-    rungs = [Vertex(z.level - 1, tuple(a - t for a, t in zip(z.coords, take)))]
+    rungs = [diagram._vertex(tuple(a - t for a, t in zip(z.coords, take)))]
     for _ in range(d):
         donor = next(idx for idx in range(diagram.arity) if idx != j - 1 and take[idx] > 0)
         take[donor] -= 1
         take[j - 1] += 1
-        rungs.append(Vertex(z.level - 1, tuple(a - t for a, t in zip(z.coords, take))))
+        rungs.append(diagram._vertex(tuple(a - t for a, t in zip(z.coords, take))))
     return tuple(rungs)

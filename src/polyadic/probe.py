@@ -189,12 +189,12 @@ def probe_depth_pairs(
         )
     from ._diagonals import _search  # numpy loads here, with the first probe
 
-    admitted, skipped = [], 0
-    for v, dim in zip(diagram.vertices(horizon), diagram._row(horizon)):
+    admitted, skipped = [], 0  # the admitted terminals' ranks, the towers skipped
+    for rank, (v, dim) in enumerate(zip(diagram.vertices(horizon), diagram._row(horizon))):
         if dim > budget:
             skipped += 1
         elif v.min_coord >= min_coord_floor:
-            admitted.append(v)
+            admitted.append(rank)
     candidates, max_killed_window, survivors = _search(ordering, i, horizon, admitted, budget)
     return ProbeReport(
         i=i,

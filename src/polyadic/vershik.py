@@ -10,13 +10,16 @@ comparison; rank and unrank convert between a path and its tower position.
 An ordering keeps one integer table per level, built a whole level at a
 time from the diagram's shifted runs and dimension rows: per vertex in
 label order, each incoming edge's source rank and copy, and the prefix
-sums of the source dimensions.  The edge views behind `edges_in`, labels,
-successor, predecessor and `path_rank` are built from the tables per vertex
-on first use; a label index gives each view edge its label, its target's
-edges between two Nones (so the edge at label + 1 or label - 1 is None
-past either end) and its rank offset.  One descent builds every path an
-ordering hands out: it walks the tables on integers and takes each edge
-from its target's view, so a path is made of the label index's own keys.
+sums of the source dimensions.  A vertex is a rank there: one lookup in
+the diagram's vertex index gives a vertex's rank, and the diagram's level
+tuple turns a rank back into its vertex.  The edge views behind
+`edges_in`, labels, successor, predecessor and `path_rank` are built from
+the tables per vertex on first use; a label index gives each view edge its
+label, its target's edges between two Nones (so the edge at label + 1 or
+label - 1 is None past either end) and its rank offset.  One descent builds
+every path an ordering hands out: it walks the tables on integers and takes
+each edge from its target's view, so a path is made of the label index's
+own keys.
 `path_unrank` is that descent, and the extreme paths are its two ends,
 rank 0 and dim - 1, kept in a pair of caches, `_minimal` and `_maximal`.
 Every cache keys on the vertex or edge value and stores only valid ones, so
@@ -110,7 +113,7 @@ def _explicit_labels(diagram: Diagram, table: Mapping[str, list[int]]) -> dict[V
     for key, labels in table.items():
         try:
             level, _, coords = key.partition(":")
-            w = diagram.vertex(coords.split(","), int(level))
+            w = diagram.vertex(map(int, coords.split(",")), int(level))
         except (AttributeError, ValueError) as exc:
             raise ValueError(f"explicit key {key!r} is not a vertex 'level:c1,...' ({exc})") from None
         n = diagram.indegree(w)
@@ -136,7 +139,6 @@ class _LevelTable(NamedTuple):
     source: list[int]  # the source's rank, one level down
     copy: list[int]
     sums: list[int]  # dimensions of the sources with lower labels at the same vertex
-    below: tuple[Vertex, ...]  # the vertices one level down, by rank
 
 
 class Ordering:
@@ -173,7 +175,7 @@ class Ordering:
         self.seed = 0 if preset == "random" and seed is None else seed
         self.table = dict(table or {})  # as given, for `describe`
         self._labels = _explicit_labels(diagram, self.table)
-        self._tables: list[_LevelTable | None] = [_LevelTable([0, 0], [], [], [], ())]
+        self._tables: list[_LevelTable | None] = [_LevelTable([0, 0], [], [], [])]
         self._views: dict[Vertex, tuple[EdgeRef, ...]] = {}
         # view edge -> (label, its target's edges between two Nones, its sums entry)
         self._slots: dict[EdgeRef, tuple[int, tuple[EdgeRef | None, ...], int]] = {}
@@ -228,8 +230,7 @@ class Ordering:
                     sums.append(total)
                     total += dims[u]
                 start.append(len(source))
-            below = d.vertices(level - 1)
-            table = tables[level] = _LevelTable(start, source, copy, sums, below)
+            table = tables[level] = _LevelTable(start, source, copy, sums)
         return table
 
     def _tables_to(self, level: int) -> list[_LevelTable]:
@@ -246,11 +247,10 @@ class Ordering:
         edges = self._views.get(w)
         if edges is None:
             d = self.diagram
-            rank = d._index(w)
-            w = d._issued[w[0], rank]
-            start, source, copy, sums, below = self._level(w.level)
+            w, rank = d._entry(w)
+            start, source, copy, sums = self._level(w.level)
             a, b = start[rank], start[rank + 1]
-            sources = map(below.__getitem__, source[a:b])
+            sources = map(d.vertices(w.level - 1).__getitem__, source[a:b])
             edges = self._views[w] = tuple(map(EdgeRef._make, zip(sources, repeat(w), copy[a:b])))
             self._slots.update(zip(edges, zip(count(1), repeat((None, *edges, None)), sums[a:b])))
         return edges
@@ -352,18 +352,17 @@ class Ordering:
         read: then the row steps from the level below, not from the root.
         """
         d = self.diagram
-        r = d._index(v)
-        level = v[0]
-        tables = self._tables_to(level)
-        dim = d._row(level)[r]
+        v, r = d._entry(v)
+        tables = self._tables_to(v.level)
+        dim = d._row(v.level)[r]
         if rank is None:
             rank = dim - 1
         elif not 0 <= rank < dim:
             raise RankOutOfRange(f"rank {rank} outside 0..{dim - 1} for {v}")
         views = self._views
-        w = v = d._issued[level, r]
+        w = v
         edges = []  # top down
-        for start, source, _, sums, _ in reversed(tables):
+        for start, source, _, sums in reversed(tables):
             a = start[r]
             j = bisect_right(sums, rank, a, start[r + 1]) - 1
             rank -= sums[j]

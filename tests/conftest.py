@@ -82,7 +82,12 @@ def parallel_edge_specs(draw, max_arity=4):
 
 # a Pascal vertex of the wrong arity, whose down-set search once never ended,
 # one off the lattice, and the coordinates of (1, 1) at the wrong level
-OFF_LATTICE = {"arity": Vertex(5, (5,)), "negative": Vertex(0, (-1, 1)), "level": Vertex(7, (1, 1))}
+OFF_LATTICE = {
+    "arity": Vertex(5, (5,)),
+    "negative": Vertex(0, (-1, 1)),
+    "level": Vertex(7, (1, 1)),
+    "fraction": Vertex(2, (1.5, 1.5)),
+}
 
 
 def raised_within(call, seconds=5.0):

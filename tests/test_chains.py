@@ -12,7 +12,13 @@ from polyadic.chains import (
     validate_chain,
 )
 from polyadic.coverage import is_covered_oracle
-from polyadic.errors import DsvAbsent, HypothesisNotMet, LengthMismatch, NoExtension
+from polyadic.errors import (
+    DsvAbsent,
+    HypothesisNotMet,
+    LengthMismatch,
+    NoExtension,
+    PreconditionNotMet,
+)
 
 
 def chain_of(diagram, splitting, shared, direction=None):
@@ -123,7 +129,9 @@ class TestBuild:
 
 class TestStarts:
     def test_smallest_pascal_level(self, pascal):
-        assert find_chain_start(pascal, 8) == ()
+        # below level 2d + 7 = 9 the window 2d^2 + 4d <= v'(j) < v(j) <= (L - 2)d is empty
+        with pytest.raises(PreconditionNotMet, match="2d \\+ 7 = 9, got 8"):
+            find_chain_start(pascal, 8)
         starts = find_chain_start(pascal, 9)
         assert [
             (s.v.coords, s.v_prime.coords, s.direction, s.shared.coords)
@@ -143,8 +151,11 @@ class TestStarts:
         assert len(rows) == 4
 
     def test_quartic_vacuous_inequality(self, quartic):
-        # 2d^2 + 4d = 48 exceeds (8 - 2) * 4 = 24, so no pair qualifies
-        assert find_chain_start(quartic, 8) == ()
+        # 2d^2 + 4d = 48 exceeds (8 - 2) * 4 = 24, so no pair could qualify
+        with pytest.raises(PreconditionNotMet, match="2d \\+ 7 = 15, got 8"):
+            find_chain_start(quartic, 8)
+        # at 2d + 7 = 15 the window 48 <= v'(j) < v(j) <= 52 holds pairs
+        assert find_chain_start(quartic, 15)
 
     def test_starts_extend(self, pascal):
         for s in find_chain_start(pascal, 10):

@@ -65,10 +65,11 @@ class TestChain:
         assert drops == sorted(drops, reverse=True)
 
     def test_quartic_level_without_starts(self, capsys):
-        code, doc, _ = run_json(capsys, "chain", "--poly", QUARTIC_TEXT, "--level", "8")
-        assert code == 0
-        assert doc["start_count"] == 0
-        assert "chain" not in doc
+        # below level 2d + 7 no pair fits the start window: an input error,
+        # not a document with "start_count": 0
+        code, out, err = run(capsys, "chain", "--poly", QUARTIC_TEXT, "--level", "14")
+        assert (code, out) == (2, "")
+        assert "need level >= 2d + 7 = 15, got 14" in err
 
 
 class TestProbe:
@@ -434,7 +435,7 @@ class TestFailures:
 REQUIRED = {
     "describe": (),
     "covered": ("--level", "2"),
-    "chain": ("--level", "2"),
+    "chain": ("--level", "9"),
     "probe": ("--i", "1", "--horizon", "3"),
     "measure": (),
     "vershik": ("--level", "2"),

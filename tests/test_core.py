@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,6 +188,14 @@ class TestVertices:
             quartic.vertex((-4, 8))
         with pytest.raises(ValueError):
             quartic.vertex((4, 4, 4))
+        for coords in [(6.5, 1.5), ("4", "4")]:  # not truncated or parsed
+            with pytest.raises(ValueError, match="bad coordinates"):
+                quartic.vertex(coords)
+        # a coordinate equal to an integer names that integer's vertex
+        assert quartic.vertex((4.0, 4.0)) is quartic.vertex(np.array([4, 4])) is quartic.vertex((4, 4))
+        # the vertex is validated before its level's row is read
+        with pytest.raises(ValueError, match="coordinate sum 0 != level -1"):
+            quartic.dimension((-1, (0, 0)))
 
 
 class TestEdges:
@@ -391,14 +400,16 @@ class TestCallerVertices:
     )
     def test_off_the_lattice_raises(self, call, kind):
         diagram = Diagram(parse_polynomial("x1 + x2"))
-        diagram.dimension(diagram.vertex((1, 1)))  # (1, 1) is issued, at index (2, 1)
+        diagram.dimension(diagram.vertex((1, 1)))  # (1, 1) is interned, with rank 1
         error = raised_within(lambda: call(diagram, OFF_LATTICE[kind]))
         assert isinstance(error, ValueError), error
-        # nothing off the lattice was issued, and each index names its vertex
-        assert diagram._rank == {v: rank for (_, rank), v in diagram._issued.items()}
+        # nothing off the lattice was interned, and each entry is its key's
+        # own vertex with that vertex's rank
         assert all(
-            sum(v.coords) == v.level == level and len(v.coords) == 2 and v.coords[1] == rank
-            for (level, rank), v in diagram._issued.items()
+            v is key and type(v) is Vertex and sum(v.coords) == v.level
+            and len(v.coords) == 2 and v.coords[1] == rank
+            and all(type(c) is int for c in v.coords)
+            for key, (v, rank) in diagram._issued.items()
         )
 
     def test_source_all_uncovered_takes_a_plain_pair(self, pascal):
@@ -407,11 +418,26 @@ class TestCallerVertices:
         expected = coverage.source_all_uncovered(pascal, pascal.vertex((2, 1)))
         assert coverage.source_all_uncovered(pascal, (3, (2, 1))) == expected
 
-    def test_equal_vertex_is_the_interned_one(self, pascal):
+    def test_equal_vertex_is_the_interned_one(self, all_diagrams):
+        pascal = Diagram(parse_polynomial("x1 + x2"))
         v = Vertex(2, (1, 1))
         assert pascal.dimension(v) == 2
         assert pascal.source_set(v) == pascal.source_set(pascal.vertex((1, 1)))
         assert pascal.dsv(v, 1) is pascal.vertex((0, 1))
+        # connect's descendant and witness paths, and the ladder's rungs,
+        # are the diagram's own vertices, on a cold diagram and a warm one
+        for diagram in (pascal, *all_diagrams.values()):
+            q, d = diagram.arity, diagram.degree
+            a = diagram.vertex((3 * d,) + (0,) * (q - 1))
+            b = diagram.vertex((0,) * (q - 1) + (3 * d,))
+            w, left, right = diagram.connect(a, b)
+            assert w is diagram.vertex(w.coords)
+            for e in left + right:
+                assert e.source is diagram.vertex(e.source.coords)
+                assert e.target is diagram.vertex(e.target.coords)
+            z = diagram.vertex((2 * d,) + (d,) * (q - 1))
+            for u in coverage.source_ladder(diagram, z, 1):
+                assert u is diagram.vertex(u.coords)
 
 
 def test_every_exported_name_resolves():

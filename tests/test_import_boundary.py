@@ -31,7 +31,7 @@ CHILD = textwrap.dedent(
     runs = [
         ["describe", *pascal, "--levels", "3"],
         ["covered", *pascal, "--level", "3"],
-        ["chain", *pascal, "--level", "6"],
+        ["chain", *pascal, "--level", "9"],
         ["measure", *pascal, "--levels", "3"],
         ["vershik", *pascal, "--level", "3"],
         ["vershik", *pascal, "--level", "3", "--ordering", "random", "--seed", "1"],
@@ -91,7 +91,7 @@ DEFERRED_CHILD = textwrap.dedent(
     assert loaded() == [], loaded()
     for argv, module in [
         (["covered", *pascal, "--level", "3"], "polyadic.coverage"),
-        (["chain", *pascal, "--level", "6"], "polyadic.chains"),
+        (["chain", *pascal, "--level", "9"], "polyadic.chains"),
         (["measure", *pascal, "--levels", "3"], "polyadic.measure"),
         (["verify-all", *pascal, "--levels", "4"], "polyadic.verify"),
     ]:

@@ -182,7 +182,7 @@ def prefix_blocks(ordering, horizon, admitted, budget):
             nxt.append(block)
             offset += dim
         blocks = nxt
-    admitted_blocks = [blocks[diagram._index(v)] for v in admitted]
+    admitted_blocks = [blocks[diagram._entry(v)[1]] for v in admitted]
     return (
         np.concatenate(admitted_blocks, axis=2),
         np.array([block.shape[2] for block in admitted_blocks]),
@@ -416,7 +416,7 @@ def test_place_maps_match_the_prefix_blocks(case):
     (ids, mins), sizes = prefix_blocks(ordering, horizon, admitted, budget)
     parent, first = _diagonals._place_maps(ordering, horizon, budget)
     top = first[horizon]
-    places = [np.arange(top[r], top[r + 1]) for r in map(diagram._index, admitted)]
+    places = [np.arange(top[r], top[r + 1]) for _, r in map(diagram._entry, admitted)]
     assert np.array_equal(np.concatenate(places), ids[horizon])
     row = ids[horizon]
     for k in range(horizon, 0, -1):  # composed down the parent maps

@@ -50,7 +50,7 @@ def label_order_oracle(ordering, w):
     explicit = {}
     for key, labels in ordering.table.items():
         level, _, coords = key.partition(":")
-        explicit[d.vertex(coords.split(","), int(level))] = labels
+        explicit[d.vertex(map(int, coords.split(",")), int(level))] = labels
     if w in explicit:
         return tuple(edge for _, edge in sorted(zip(explicit[w], edges)))
     if ordering.preset == "source-revlex":
