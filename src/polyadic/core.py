@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from itertools import islice
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -121,41 +122,45 @@ class EdgeRef(NamedTuple):
         }
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<star>\*)|(?P<var>x(?P<idx>\d+)(?:\^(?P<exp>\d+))?)|(?P<int>\d+))")
+_TERM = re.compile(r"[\s*]*(?:(\d+)[\s*]*)?((?:x0*[1-9]\d*(?:\^\d+)?[\s*]*)+)")
+_FACTOR = re.compile(r"x(\d+)(?:\^(\d+))?")
 
 
 def _parse_text_terms(text: str) -> list[tuple[dict[int, int], int]]:
-    """Tokenize polynomial text into (variable -> exponent, coefficient) terms."""
-    terms: list[tuple[dict[int, int], int]] = []
+    """Tokenize polynomial text into (variable -> exponent, coefficient) terms.
+
+    A term between '+' signs is an optional leading integer and one or more
+    factors x<j> or x<j>^<e>, j >= 1, spaces or '*' between any two of them.
+    """
+    terms = []
     for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise PolynomialSyntaxError(f"empty term in {text!r}")
-        pos = 0
-        coef = None
+        term = _TERM.fullmatch(chunk)
+        if term is None:
+            raise PolynomialSyntaxError(f"bad term {chunk.strip()!r} in {text!r}")
         powers: dict[int, int] = {}
-        while pos < len(chunk):
-            m = _TOKEN.match(chunk, pos)
-            if m is None or m.end() == pos:
-                raise PolynomialSyntaxError(f"unexpected input at {chunk[pos:]!r}")
-            pos = m.end()
-            if m.group("star"):
-                continue
-            if m.group("int"):
-                if coef is not None or powers:
-                    raise PolynomialSyntaxError(
-                        f"integer {m.group('int')} must lead its term in {chunk!r}"
-                    )
-                coef = int(m.group("int"))
-            elif m.group("var"):
-                idx = int(m.group("idx"))
-                if idx < 1:
-                    raise PolynomialSyntaxError(f"variable index must be >= 1 in {chunk!r}")
-                powers[idx] = powers.get(idx, 0) + int(m.group("exp") or 1)
-        if not powers:
-            raise PolynomialSyntaxError(f"term {chunk!r} has no variables")
-        terms.append((powers, 1 if coef is None else coef))
+        for idx, exp in _FACTOR.findall(term[2]):
+            powers[int(idx)] = powers.get(int(idx), 0) + int(exp or 1)
+        terms.append((powers, int(term[1] or 1)))
     return terms
+
+
+def _integers(values: Iterable) -> tuple[int, ...] | None:
+    """The values as Python ints when each equals an integer, else None: the one
+    rule for a given number, a vertex coordinate or a polynomial's.  1.0 and
+    numpy integers pass; 1.5, "1", True, None, inf and nan do not."""
+    try:
+        values = tuple(values)
+        ints = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return ints if ints == values and bool not in map(type, values) else None
+
+
+def _first_degree(terms: Iterable[tuple[Coords, int]]) -> int:
+    """The first term's degree, or 1 if it has none: `PolynomialSpec` then
+    names the bad term, or reports every vector absent."""
+    exp = _integers(next(iter(terms), ((),))[0])
+    return sum(exp) if exp else 1
 
 
 class _PolynomialFields(NamedTuple):
@@ -167,61 +172,55 @@ class _PolynomialFields(NamedTuple):
 class PolynomialSpec(_PolynomialFields):
     """A homogeneous positive integer polynomial with full monomial support.
 
-    `terms` pairs each exponent vector with its coefficient, in canonical
-    (descending lexicographic) order.  Construction validates arity >= 2,
-    homogeneity, positivity, and that every degree-d exponent vector appears.
+    `terms` pairs each exponent vector with its coefficient; a repeated one
+    adds.  Construction is the one check of a polynomial in any form: arity
+    >= 2, degree >= 1, each term's q exponents >= 0 summing to the degree and
+    its coefficient > 0, full support; every number equal to an integer, as
+    in `Diagram.vertex`.  The fields hold ints, terms in canonical order.
     """
 
     __slots__ = ()
 
-    def __new__(cls, arity: int, degree: int, terms: tuple[tuple[Coords, int], ...]) -> PolynomialSpec:
+    def __new__(cls, arity: int, degree: int, terms: Iterable[tuple[Coords, int]]) -> PolynomialSpec:
+        size = _integers((arity, degree))
+        if size is None:
+            raise PolynomialSyntaxError(f"arity {arity!r} and degree {degree!r} must be integers")
+        arity, degree = size
         if arity < 2:
             raise AritySmallerThanTwo(f"need at least two variables, got {arity}")
-        seen: dict[Coords, int] = {}
-        for exp, coef in terms:
-            if len(exp) != arity or any(e < 0 for e in exp):
-                raise PolynomialSyntaxError(f"bad exponent vector {exp}")
+        if degree < 1:
+            raise PolynomialSyntaxError(f"degree must be at least 1, got {degree}")
+        coeffs: dict[Coords, int] = {}
+        for given, coef in terms:
+            exp, count = _integers(given), _integers((coef,))
+            if exp is None or len(exp) != arity or min(exp) < 0:
+                raise PolynomialSyntaxError(f"bad exponent vector {given!r} for {arity} variables")
             if sum(exp) != degree:
-                raise NotHomogeneous(
-                    f"term {exp} has degree {sum(exp)}, expected {degree}"
-                )
-            if coef <= 0:
+                raise NotHomogeneous(f"term {exp} has degree {sum(exp)}, expected {degree}")
+            if count is None:
+                raise PolynomialSyntaxError(f"coefficient {coef!r} for {exp} is not an integer")
+            if count[0] <= 0:
                 raise NonPositiveCoefficient(f"coefficient {coef} for {exp}")
-            if exp in seen:
-                raise PolynomialSyntaxError(f"duplicate exponent vector {exp}")
-            seen[exp] = coef
-        expected = math.comb(degree + arity - 1, arity - 1)
-        if len(terms) != expected:
-            missing = [s for s in compositions_desc(degree, arity) if s not in seen]
-            raise MissingMonomial(f"absent degree-{degree} exponent vectors: {missing}")
-        return super().__new__(cls, arity, degree, tuple(sorted(terms, reverse=True)))
+            coeffs[exp] = coeffs.get(exp, 0) + count[0]
+        absent = math.comb(degree + arity - 1, arity - 1) - len(coeffs)
+        if absent:
+            named = islice((s for s in compositions_desc(degree, arity) if s not in coeffs), 3)
+            raise MissingMonomial(f"{absent} degree-{degree} exponent vectors absent, among them {list(named)}")
+        return super().__new__(cls, arity, degree, tuple(sorted(coeffs.items(), reverse=True)))
 
     def _replace(self, **changes) -> PolynomialSpec:  # checked, unlike `_make`
         return type(self)(**{**self._asdict(), **changes})
 
     @classmethod
     def from_coefficients(cls, arity: int, coeffs: Mapping[Coords, int]) -> "PolynomialSpec":
-        if arity < 2:
-            raise AritySmallerThanTwo(f"need at least two variables, got {arity}")
-        if not coeffs:
-            raise PolynomialSyntaxError("polynomial has no terms")
-        degrees = {sum(exp) for exp in coeffs}
-        if len(degrees) != 1:
-            raise NotHomogeneous(f"mixed total degrees {sorted(degrees)}")
-        degree = degrees.pop()
-        if degree < 1:
-            raise PolynomialSyntaxError("degree must be at least 1")
-        return cls(arity=arity, degree=degree, terms=tuple(coeffs.items()))
+        return cls(arity, _first_degree(coeffs.items()), coeffs.items())
 
     @classmethod
     def from_text(cls, text: str) -> "PolynomialSpec":
         raw = _parse_text_terms(text)
         arity = max(idx for powers, _ in raw for idx in powers)
-        coeffs: dict[Coords, int] = {}
-        for powers, coef in raw:
-            exp = tuple(powers.get(j, 0) for j in range(1, arity + 1))
-            coeffs[exp] = coeffs.get(exp, 0) + coef
-        return cls.from_coefficients(arity, coeffs)
+        terms = [(tuple(powers.get(j, 0) for j in range(1, arity + 1)), coef) for powers, coef in raw]
+        return cls(arity, _first_degree(terms), terms)
 
     @classmethod
     def from_json(cls, data: str | Mapping) -> "PolynomialSpec":
@@ -231,16 +230,11 @@ class PolynomialSpec(_PolynomialFields):
             except json.JSONDecodeError as exc:
                 raise PolynomialSyntaxError(f"bad polynomial JSON: {exc}") from exc
         try:
-            arity = int(data["q"])
-            items = [(tuple(int(e) for e in t["exp"]), int(t["coef"])) for t in data["terms"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            arity = data["q"]
+            terms = [(t["exp"], t["coef"]) for t in data["terms"]]
+        except (KeyError, TypeError) as exc:
             raise PolynomialSyntaxError(f"bad polynomial JSON structure: {exc}") from exc
-        coeffs: dict[Coords, int] = {}
-        for exp, coef in items:
-            if len(exp) != arity:
-                raise PolynomialSyntaxError(f"exponent vector {exp} does not have length {arity}")
-            coeffs[exp] = coeffs.get(exp, 0) + coef
-        return cls.from_coefficients(arity, coeffs)
+        return cls(arity, _first_degree(terms), terms)
 
     @classmethod
     def parse(cls, text: str) -> "PolynomialSpec":
@@ -331,7 +325,7 @@ class Diagram:
         self._issued: dict[Vertex, tuple[Vertex, int]] = {}  # value -> (vertex, rank)
         self._rows: dict[int, list[int]] = {0: [1]}
         self._intern(Vertex(0, (0,) * spec.arity), 0)
-        self._expansion: dict[int, dict[Coords, int]] = {}
+        self._powers: list[dict[Coords, int]] = [{(0,) * spec.arity: 1}]  # by level
         self._covers: dict[int, dict[Vertex, tuple[Vertex, ...]]] = {}
         self._uncovered_around: dict[Vertex, tuple[bool, bool]] = {}
         self._sources: dict[Vertex, tuple[Vertex, ...]] = {}
@@ -360,9 +354,12 @@ class Diagram:
         return entry[0] if entry else self._intern(Vertex(level, coords), _rank_desc(coords, total))
 
     def _entry(self, v: tuple[int, Coords]) -> tuple[Vertex, int]:
-        """(interned vertex, rank) for the pair (level, coords) v, a `Vertex` or a
-        plain tuple; a value not yet interned goes through `vertex`, which validates."""
-        return self._issued.get(v) or self._issued[self.vertex(v[1], v[0])]
+        """(interned vertex, rank) for the pair (level, coords) v, a `Vertex` or a plain
+        tuple; one not interned, or unhashable, goes through `vertex`, which validates."""
+        try:
+            return self._issued[v]
+        except (KeyError, TypeError):
+            return self._issued[self.vertex(v[1], v[0])]
 
     def _checked(self, v: tuple[int, Coords]) -> Vertex:
         """The interned vertex equal to the pair (level, coords) v, validated as by `_entry`."""
@@ -387,11 +384,11 @@ class Diagram:
 
     def vertex(self, coords, level: int | None = None) -> Vertex:
         """Validated vertex constructor; the level defaults to sum/degree.  A
-        coordinate must equal an integer: 1.0 is 1, but 1.5 and "1" raise."""
-        given = tuple(coords)
-        coords = tuple(map(int, given))
-        if coords != given or len(coords) != self.arity or any(c < 0 for c in coords):
-            raise ValueError(f"bad coordinates {given} for arity {self.arity}")
+        coordinate must equal an integer, by the rule `PolynomialSpec` applies
+        to its numbers: 1.0 is 1, but 1.5, "1", None and inf raise ValueError."""
+        given, coords = coords, _integers(coords)
+        if coords is None or len(coords) != self.arity or min(coords) < 0:
+            raise ValueError(f"bad coordinates {given!r} for arity {self.arity}")
         total = sum(coords)
         if level is None:
             level, rem = divmod(total, self.degree)
@@ -410,21 +407,21 @@ class Diagram:
 
     def source_set(self, w: Vertex) -> tuple[Vertex, ...]:
         """Vertices one level down joined to w, in canonical order."""
-        found = self._sources.get(w)
-        if found is None:
+        try:
+            return self._sources[w]
+        except (KeyError, TypeError):  # a miss, or an unhashable pair `_checked` reads
             w = self._checked(w)
             lower = [u for u, _ in reversed(self._lower(w.coords))]
-            found = self._sources.setdefault(w, tuple(map(self._vertex, lower)))
-        return found
+            return self._sources.setdefault(w, tuple(map(self._vertex, lower)))
 
     def targets(self, u: Vertex) -> tuple[Vertex, ...]:
         """Vertices one level up joined to u, in canonical order."""
-        found = self._targets.get(u)
-        if found is None:
+        try:
+            return self._targets[u]
+        except (KeyError, TypeError):  # as in `source_set`
             u = self._checked(u)
             upper = (tuple(map(add, u.coords, s)) for s in self._mult)
-            found = self._targets.setdefault(u, tuple(map(self._vertex, upper)))
-        return found
+            return self._targets.setdefault(u, tuple(map(self._vertex, upper)))
 
     def edges_between(self, u: Vertex, w: Vertex) -> tuple[EdgeRef, ...]:
         u, w = self._checked(u), self._checked(w)
@@ -491,19 +488,12 @@ class Diagram:
         Independent of the dimension recursion; the two must agree on every
         vertex, which the test suite checks level by level.
         """
-        if level not in self._expansion:
-            poly = {(0,) * self.arity: 1}
-            n = 0
-            # reuse the largest cached power below the request
-            for k in sorted(self._expansion):
-                if k <= level:
-                    n, poly = k, self._expansion[k]
-            while n < level:
-                poly = _multiply(poly, self._mult)
-                n += 1
-                self._expansion[n] = poly
-            self._expansion[level] = poly
-        return self._expansion[level]
+        if level < 0:
+            raise ValueError(f"level must be at least 0, got {level}")
+        powers = self._powers
+        while len(powers) <= level:
+            powers.append(_multiply(powers[-1], self._mult))
+        return powers[level]
 
     def dsv(self, w: Vertex, j: int) -> Vertex | None:
         """The source of w obtained by removing d from coordinate j, if any.

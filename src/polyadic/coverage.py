@@ -41,7 +41,7 @@ def covering_vertices(diagram: Diagram, w: Vertex) -> tuple[Vertex, ...]:
     """
     try:
         return diagram._covers[w[0]][w]
-    except KeyError:
+    except (KeyError, TypeError):  # a miss, or an unhashable pair `_checked` reads
         w = diagram._checked(w)
         return _covering_map(diagram, w.level)[w]
 
@@ -141,7 +141,7 @@ def _predicted_cover(diagram: Diagram, w: Vertex, j: int, sign: int, most: int) 
             sigma = spread[: j - 1] + (-b,) + spread[j - 1 :]
             coords = tuple(c + sign * s for c, s in zip(w.coords, sigma))
             if min(coords) >= 0:
-                out.add(Vertex(w.level, coords))
+                out.add(diagram._vertex(coords))
     return out
 
 

@@ -244,8 +244,9 @@ class Ordering:
     def _view(self, w: Vertex) -> tuple[EdgeRef, ...]:
         """The incoming edges of w in label order, built from its level's
         table on first use; building them fills their slots."""
-        edges = self._views.get(w)
-        if edges is None:
+        try:
+            return self._views[w]
+        except (KeyError, TypeError):  # a miss, or an unhashable pair `_entry` reads
             d = self.diagram
             w, rank = d._entry(w)
             start, source, copy, sums = self._level(w.level)
@@ -253,7 +254,7 @@ class Ordering:
             sources = map(d.vertices(w.level - 1).__getitem__, source[a:b])
             edges = self._views[w] = tuple(map(EdgeRef._make, zip(sources, repeat(w), copy[a:b])))
             self._slots.update(zip(edges, zip(count(1), repeat((None, *edges, None)), sums[a:b])))
-        return edges
+            return edges
 
     def _slot(self, edge: EdgeRef) -> tuple[int, tuple[EdgeRef | None, ...], int]:
         """(label, the target's edges in label order between two Nones, rank
@@ -262,14 +263,14 @@ class Ordering:
         On a miss the target's edges are built and looked up again; an edge
         of no vertex's edges raises ValueError.
         """
-        slot = self._slots.get(edge)
-        if slot is None:
+        try:
+            return self._slots[edge]
+        except (KeyError, TypeError):  # as in `_view`
             try:
                 self._view(edge.target)
-                slot = self._slots[edge]
-            except (ValueError, KeyError):
+                return self._slots[edge]
+            except (ValueError, KeyError, TypeError):
                 raise ValueError(f"{edge} is not an edge of this ordering") from None
-        return slot
 
     def edges_in(self, w: Vertex) -> tuple[EdgeRef, ...]:
         """Incoming edges of w in label order (position k holds label k + 1)."""
@@ -292,11 +293,11 @@ class Ordering:
     def _extreme(self, v: Vertex, rank: int | None, cache: dict) -> FinitePath:
         """The descent to rank 0 or, for None, the last rank of v's tower,
         kept in `cache`."""
-        found = cache.get(v)
-        if found is None:
+        try:
+            return cache[v]
+        except (KeyError, TypeError):  # as in `_view`
             found = self._descent(v, rank)
-            cache[found.terminal] = found
-        return found
+            return cache.setdefault(found.terminal, found)
 
     def successor(self, x: FinitePath) -> FinitePath:
         """Next path in the tower of x's terminal vertex.

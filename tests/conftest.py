@@ -81,12 +81,16 @@ def parallel_edge_specs(draw, max_arity=4):
 
 
 # a Pascal vertex of the wrong arity, whose down-set search once never ended,
-# one off the lattice, and the coordinates of (1, 1) at the wrong level
+# one off the lattice, the coordinates of (1, 1) at the wrong level, numbers
+# that are no integers, and an unhashable plain pair that no cache can look up
 OFF_LATTICE = {
     "arity": Vertex(5, (5,)),
     "negative": Vertex(0, (-1, 1)),
     "level": Vertex(7, (1, 1)),
     "fraction": Vertex(2, (1.5, 1.5)),
+    "inf": Vertex(1, (float("inf"), 0)),
+    "none": Vertex(2, (None, 1)),
+    "list": (7, [1, 1]),
 }
 
 

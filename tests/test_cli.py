@@ -306,6 +306,21 @@ class TestFailures:
         code, _, err = run(capsys, "describe", "--poly", "x1 + x2^2")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            '{"q":2.9,"terms":[{"exp":[1.9,0],"coef":1.5},{"exp":[0,true],"coef":"2"}]}',
+            '{"q":2,"terms":[{"exp":[1,0],"coef":1.5},{"exp":[0,1],"coef":1}]}',
+            "x1^300000 + x2^300000",
+        ],
+        ids=["non-integers", "fractional-coefficient", "huge-degree"],
+    )
+    def test_polynomial_of_no_integers_or_missing_monomials(self, capsys, poly):
+        # once a document for x1 + 2 x2, a truncated coefficient, a 500 MB message
+        code, out, err = run(capsys, "describe", "--poly", poly)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err) < 1024
+
     def test_unknown_ordering_preset(self, capsys):
         code, _, err = run(
             capsys, "vershik", "--poly", PASCAL_TEXT, "--level", "2",

@@ -15,6 +15,7 @@ from polyadic.errors import (
     MissingMonomial,
     NonPositiveCoefficient,
     NotHomogeneous,
+    PolyadicError,
     PolynomialSyntaxError,
 )
 
@@ -52,6 +53,12 @@ class TestParser:
     def test_duplicate_terms_accumulate(self):
         spec = parse_polynomial("x1 x2 + x1 x2 + x1^2 + x2^2")
         assert spec.coefficient((1, 1)) == 2
+        # in every form: given to the constructor or as JSON, repeats add too
+        expected = parse_polynomial("3 x1 + x2")
+        assert PolynomialSpec(2, 1, (((1, 0), 1), ((0, 1), 1), ((1, 0), 2))) == expected
+        text = '{"q": 2, "terms": [{"exp": [1, 0], "coef": 1}, {"exp": [0, 1], "coef": 1}, ' \
+            '{"exp": [1, 0], "coef": 2}]}'
+        assert parse_polynomial(text) == expected
 
     def test_json_and_text_round_trips(self):
         spec = parse_polynomial(QUARTIC)
@@ -83,8 +90,11 @@ class TestParser:
             parse_polynomial("x1^2 + x2^2")
 
     def test_zero_coefficient_rejected(self):
-        with pytest.raises(NonPositiveCoefficient):
-            parse_polynomial("0 x1 + x2")
+        # each term's coefficient must be positive, though a repeat of its
+        # vector makes the sum positive
+        for text in ("0 x1 + x2", "0 x1 + 2 x1 + x2"):
+            with pytest.raises(NonPositiveCoefficient):
+                parse_polynomial(text)
 
     def test_syntax_errors(self):
         for bad in ("x1 + ", "3 + x1 x2", "x0 + x1", "x1 & x2", "{not json"):
@@ -94,6 +104,46 @@ class TestParser:
     def test_trailing_integer_rejected(self):
         with pytest.raises(PolynomialSyntaxError):
             parse_polynomial("x1 2 + x2")
+
+
+MALFORMED = {
+    "json_of_non_integers": '{"q":2.9,"terms":[{"exp":[1.9,0],"coef":1.5},{"exp":[0,true],"coef":"2"}]}',
+    "fractional_arity": '{"q":2.5,"terms":[{"exp":[1,0],"coef":1},{"exp":[0,1],"coef":1}]}',
+    "string_coefficient": '{"q":2,"terms":[{"exp":[1,0],"coef":"2"},{"exp":[0,1],"coef":1}]}',
+    "fractional_coefficient": '{"q":2,"terms":[{"exp":[1,0],"coef":1.5},{"exp":[0,1],"coef":1}]}',
+    "boolean_exponent": '{"q":2,"terms":[{"exp":[1,0],"coef":1},{"exp":[0,true],"coef":1}]}',
+    "exponent_not_a_list": '{"q":2,"terms":[{"exp":"10","coef":1},{"exp":[0,1],"coef":1}]}',
+    "no_terms": '{"q":2,"terms":[]}',
+    "degree_zero": lambda: PolynomialSpec(2, 0, (((0, 0), 1),)),
+    "degree_zero_text": "x1^0 + x2^0",
+    "degree_negative": lambda: PolynomialSpec(2, -1, ()),
+    "float_coefficient": lambda: PolynomialSpec(2, 1, (((1, 0), 1.5), ((0, 1), 1))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_polynomial_is_refused(case):
+    given = MALFORMED[case]
+    with pytest.raises(PolyadicError):
+        given() if callable(given) else parse_polynomial(given)
+
+
+def test_numbers_equal_to_integers_are_stored_as_ints():
+    # numpy counts once stayed int64 and overflowed; 2.0 names the integer 2
+    spec = PolynomialSpec.from_coefficients(2, {(1, 0): np.int64(2), (0, 1): np.int64(1)})
+    assert spec == PolynomialSpec(np.int64(2), 1.0, (((1.0, 0), 2.0), ((0, 1), 1)))
+    assert all(type(n) is int for exp, coef in spec.terms for n in (*exp, coef))
+    diagram = Diagram(spec)
+    assert diagram.dimension(diagram.vertex((40, 40))) == math.comb(80, 40) * 2**40
+    assert to_stable_json(document_header(diagram))
+
+
+def test_missing_monomials_are_counted_not_listed():
+    # the message once listed every absent vector, 57 MB here
+    error = raised_within(lambda: parse_polynomial("x1^3000000 + x2^3000000"), seconds=1.0)
+    assert isinstance(error, MissingMonomial), error
+    assert "2999999 degree-3000000 exponent vectors absent" in str(error)
+    assert len(str(error)) < 1024
 
 
 @given(
@@ -287,6 +337,11 @@ class TestDimension:
                 }
                 assert expansion == recursion
 
+    def test_expansion_needs_a_level_of_at_least_zero(self, pascal):
+        with pytest.raises(ValueError):
+            pascal.expansion_coefficients(-1)
+        assert Diagram(pascal.spec).expansion_coefficients(0) == {(0, 0): 1}
+
     def test_deep_level_on_a_cold_diagram(self):
         # two thousand rows stepped up from the root, no recursion, and only
         # the rows asked for are kept
@@ -438,6 +493,18 @@ class TestCallerVertices:
             z = diagram.vertex((2 * d,) + (d,) * (q - 1))
             for u in coverage.source_ladder(diagram, z, 1):
                 assert u is diagram.vertex(u.coords)
+        # so are the vertices of check_cov2's mismatch rows, whose predicted
+        # covers were once built afresh
+        diagram = Diagram(parse_polynomial("x1^2 + x1 x2 + x2^2"))
+        report = coverage.check_cov2(diagram, 4)
+        rows = report.mismatches_forward + report.mismatches_reverse
+        found = [u for w, missing, spurious in rows for u in (w, *missing, *spurious)]
+        assert len(found) == 12
+        assert all(u is diagram.vertex(u.coords) for u in found)
+
+    def test_unhashable_pair_is_read_as_its_vertex(self, pascal):
+        assert pascal.dimension((2, [1, 1])) == 2
+        assert pascal.source_set((2, [1, 1])) == pascal.source_set(pascal.vertex((1, 1)))
 
 
 def test_every_exported_name_resolves():
