@@ -18,11 +18,18 @@ with the first such command.  `probe` is imported at the top although only
 one command uses it: it costs about 1.7 ms, numpy loads later with the first
 probe, and perfbench's tracer wraps only the package modules loaded before it
 starts, so a deferred `probe` would lose its per-layer spans.
+
+The argparse tree is built once per process, by the first `main` call, and
+`main` may be called any number of times in one process: each call parses
+into a fresh namespace, and the tree holds nothing a call changes.  The tree
+holds the handlers (`fn=_cmd_*`) it was built with, so patching a `_cmd_*`
+function after the first call has no effect on `main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -178,7 +185,9 @@ _NON_NEGATIVE = _int_at_least(0)
 _POSITIVE = _int_at_least(1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse tree, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="polyadic",
         description="Polynomial-shape diagrams: lattices, orderings, probes, measures.",

@@ -36,14 +36,26 @@ def compositions_desc(total: int, parts: int) -> Iterator[Coords]:
     """Yield all `parts`-tuples of nonnegative integers with the given sum.
 
     Order is descending lexicographic, which is the canonical vertex order
-    used throughout: (total, 0, ..., 0) first, (0, ..., 0, total) last.
+    used throughout: (total, 0, ..., 0) first, (0, ..., 0, total) last.  The
+    next tuple takes one unit off the rightmost nonzero part before the last
+    and puts it, with the last part's value, on the part to its right: a loop,
+    so any number of parts costs no recursion.
     """
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in compositions_desc(total - head, parts - 1):
-            yield (head,) + tail
+    if total < 0:
+        return  # a negative level: no vertex
+    c = [total] + [0] * (parts - 1)
+    last = parts - 1
+    while True:
+        yield tuple(c)
+        j = last - 1
+        while j >= 0 and not c[j]:
+            j -= 1
+        if j < 0:
+            return
+        rest = c[last]  # the parts between j and the last are 0
+        c[j] -= 1
+        c[last] = 0
+        c[j + 1] = rest + 1
 
 
 def _rank_desc(coords: Coords, total: int) -> int:
@@ -131,16 +143,20 @@ def _parse_text_terms(text: str) -> list[tuple[dict[int, int], int]]:
 
     A term between '+' signs is an optional leading integer and one or more
     factors x<j> or x<j>^<e>, j >= 1, spaces or '*' between any two of them.
+    A number too long for `int` (Python's digit limit) is a bad term too.
     """
     terms = []
     for chunk in text.split("+"):
         term = _TERM.fullmatch(chunk)
-        if term is None:
-            raise PolynomialSyntaxError(f"bad term {chunk.strip()!r} in {text!r}")
-        powers: dict[int, int] = {}
-        for idx, exp in _FACTOR.findall(term[2]):
-            powers[int(idx)] = powers.get(int(idx), 0) + int(exp or 1)
-        terms.append((powers, int(term[1] or 1)))
+        try:
+            if term is None:
+                raise ValueError
+            powers: dict[int, int] = {}
+            for idx, exp in _FACTOR.findall(term[2]):
+                powers[int(idx)] = powers.get(int(idx), 0) + int(exp or 1)
+            terms.append((powers, int(term[1] or 1)))
+        except ValueError:
+            raise PolynomialSyntaxError(f"bad term {chunk.strip()!r} in {text!r}") from None
     return terms
 
 

@@ -125,35 +125,45 @@ def raised_within(call, seconds=5.0):
     return outcome.get("error")
 
 
-def peak_rss_mb(code):
-    """Run `code` in a fresh interpreter that imports this checkout's package,
-    and return its peak resident set size in MB; the run must succeed.
-
-    The peak is the kernel's high-water mark of the new program's own
-    memory (Linux's VmHWM): `ru_maxrss` would also count the memory of the
-    test process, which the child is forked from.
-    """
+def run_child(code, *args, **env):
+    """Run `code` with `args` in a fresh interpreter that imports this
+    checkout's package, `env` added to the environment, and return its
+    standard output; the run must succeed."""
     import polyadic
 
-    if not os.path.exists("/proc/self/status"):
-        pytest.skip("needs Linux's /proc/self/status")
     src = os.path.dirname(os.path.dirname(polyadic.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = textwrap.dedent(code) + textwrap.dedent(
-        """
-        with open("/proc/self/status") as status:
-            print(next(line for line in status if line.startswith("VmHWM:")).split()[1])
-        """
-    )
     child = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-c", textwrap.dedent(code), *args],
+        env={**os.environ, "PYTHONPATH": path, **env},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert child.returncode == 0, child.stderr
-    return int(child.stdout.split()[-1]) / 1024  # in kB
+    return child.stdout
+
+
+def peak_rss_mb(code):
+    """Run `code` as `run_child` does and return its peak resident set size
+    in MB.
+
+    The peak is the kernel's high-water mark of the new program's own
+    memory (Linux's VmHWM): `ru_maxrss` would also count the memory of the
+    test process, which the child is forked from.
+    """
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs Linux's /proc/self/status")
+    out = run_child(
+        textwrap.dedent(code)
+        + textwrap.dedent(
+            """
+            with open("/proc/self/status") as status:
+                print(next(line for line in status if line.startswith("VmHWM:")).split()[1])
+            """
+        )
+    )
+    return int(out.split()[-1]) / 1024  # in kB
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ import pytest
 from polyadic import Diagram, coverage, measure, parse_polynomial, verify
 from polyadic.cli import main
 
-from conftest import PASCAL_TEXT, Q3_TEXT, QUARTIC_TEXT
+from conftest import PASCAL_TEXT, Q3_TEXT, QUARTIC_TEXT, run_child
 
 
 def run(capsys, *argv):
@@ -20,6 +20,12 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out), err
+
+
+def first_call(*argv, **env):
+    """Standard output of `main(argv)`, which must exit 0, as the first call
+    of a fresh process."""
+    return run_child("import sys; from polyadic.cli import main; sys.exit(main(sys.argv[1:]))", *argv, **env)
 
 
 class TestDescribe:
@@ -321,6 +327,22 @@ class TestFailures:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and len(err) < 1024
 
+    @pytest.mark.parametrize(
+        "poly, fragment",
+        [
+            ("x1 + x2000", "1998 degree-1 exponent vectors absent"),
+            ("x1^" + "9" * 5000 + " + x2", "bad term 'x1^999"),
+            ("x" + "9" * 5000 + " + x2", "bad term 'x999"),
+        ],
+        ids=["many-variables", "long-exponent", "long-index"],
+    )
+    def test_polynomial_past_an_interpreter_limit(self, capsys, poly, fragment):
+        # once a RecursionError traceback (exit 1), and a plain ValueError
+        # past int()'s 4,300 digits
+        code, out, err = run(capsys, "describe", "--poly", poly)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and fragment in err
+
     def test_unknown_ordering_preset(self, capsys):
         code, _, err = run(
             capsys, "vershik", "--poly", PASCAL_TEXT, "--level", "2",
@@ -444,6 +466,61 @@ class TestFailures:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and str(path) in err
+
+
+class TestRepeatedCalls:
+    """`main` builds its argparse tree once per process; no call leaves
+    anything in it for the next."""
+
+    def test_seed_is_not_carried_over(self, capsys):
+        argv = ("vershik", "--poly", PASCAL_TEXT, "--level", "3", "--ordering", "random")
+        run(capsys, *argv, "--seed", "5")
+        code, doc, _ = run_json(capsys, *argv)
+        assert code == 0 and doc["ordering"] == {"preset": "random", "seed": 0}
+
+    def test_floor_is_not_carried_over(self, capsys):
+        argv = ("probe", "--poly", PASCAL_TEXT, "--i", "1", "--horizon", "4")
+        _, floored, _ = run_json(capsys, *argv, "--floor", "1")
+        code, doc, _ = run_json(capsys, *argv)
+        assert floored["report"]["floor"] == 1
+        assert code == 0 and doc["report"]["floor"] == 0
+
+    def test_usage_error_between_calls_changes_nothing(self, capsys):
+        argv = ("probe", "--poly", PASCAL_TEXT, "--i", "1", "--horizon", "5", "--ordering", "random")
+        expected = first_call(*argv)
+        before = run(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *argv) == before == (0, expected, "")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["probe", "--help"]], ids=["top", "probe"])
+    def test_help_after_a_call_equals_a_first_help(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "100")
+        expected = first_call(*argv, COLUMNS="100")
+        run(capsys, "describe", "--poly", PASCAL_TEXT)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert (exc.value.code, capsys.readouterr().out) == (0, expected)
+
+    def test_the_tree_is_built_by_the_first_call_only(self):
+        run_child(
+            """
+            import argparse, io, contextlib
+            built = []
+            init = argparse.ArgumentParser.__init__
+            argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+            import polyadic.cli
+            assert not built, "import polyadic.cli built a parser"
+            counts = []
+            for _ in range(3):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert polyadic.cli.main(["describe", "--poly", "x1 + x2"]) == 0
+                counts.append(len(built))
+            assert counts[0] > 0 and counts == counts[:1] * 3, counts
+            """
+        )
 
 
 # the options each subcommand needs, so that argparse reaches the one under test

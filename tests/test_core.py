@@ -97,7 +97,9 @@ class TestParser:
                 parse_polynomial(text)
 
     def test_syntax_errors(self):
-        for bad in ("x1 + ", "3 + x1 x2", "x0 + x1", "x1 & x2", "{not json"):
+        # the last two hold numbers past int()'s 4,300 digits, once a plain ValueError
+        long_numbers = ("x1^" + "9" * 5000 + " + x2", "x" + "9" * 5000 + " + x2")
+        for bad in ("x1 + ", "3 + x1 x2", "x0 + x1", "x1 & x2", "{not json", *long_numbers):
             with pytest.raises(PolynomialSyntaxError):
                 parse_polynomial(bad)
 
@@ -118,6 +120,8 @@ MALFORMED = {
     "degree_zero_text": "x1^0 + x2^0",
     "degree_negative": lambda: PolynomialSpec(2, -1, ()),
     "float_coefficient": lambda: PolynomialSpec(2, 1, (((1, 0), 1.5), ((0, 1), 1))),
+    "exponent_past_the_digit_limit": "x1^" + "9" * 5000 + " + x2",
+    "index_past_the_digit_limit": "x" + "9" * 5000 + " + x2",
 }
 
 
@@ -157,6 +161,49 @@ def test_compositions_complete_and_descending(total, parts):
     assert len(set(rows)) == len(rows)
     assert all(len(r) == parts and min(r) >= 0 and sum(r) == total for r in rows)
     assert rows == sorted(rows, reverse=True)
+
+
+def compositions_recursive(total, parts):
+    """The order oracle: each head from `total` down, then its tails."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total, -1, -1):
+        for tail in compositions_recursive(total - head, parts - 1):
+            yield (head,) + tail
+
+
+@given(
+    total=st.integers(min_value=0, max_value=12),
+    parts=st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=80, deadline=None)
+def test_compositions_match_the_recursive_order(total, parts):
+    assert list(compositions_desc(total, parts)) == list(compositions_recursive(total, parts))
+
+
+def test_negative_total_has_no_compositions(pascal):
+    # the level below 0, which the lower-level lookups reach
+    assert [list(compositions_desc(-1, parts)) for parts in (1, 2, 3)] == [[], [], []]
+    assert pascal.vertices(-1) == ()
+
+
+class TestManyVariables:
+    # past the interpreter's recursion limit, which one frame per part once hit
+    def test_compositions(self):
+        rows = list(compositions_desc(1, 2000))
+        assert len(rows) == 2000
+        assert rows[0][:2] == (1, 0) and rows[1][:3] == (0, 1, 0) and rows[-1][-1] == 1
+
+    def test_missing_monomials(self):
+        with pytest.raises(MissingMonomial, match="1998 degree-1 exponent vectors absent"):
+            parse_polynomial("x1 + x2000")
+
+    def test_vertices(self):
+        arity = 1100
+        spec = PolynomialSpec.from_coefficients(arity, dict.fromkeys(compositions_desc(1, arity), 1))
+        vertices = Diagram(spec).vertices(1)
+        assert [v.coords for v in vertices] == list(compositions_desc(1, arity))
 
 
 @given(

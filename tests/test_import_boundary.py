@@ -7,15 +7,14 @@ the first package name, that needs them.
 """
 
 import importlib
-import os
-import subprocess
-import sys
 import textwrap
 
 import pytest
 
 import polyadic
 import polyadic.verify
+
+from conftest import run_child
 
 CHILD = textwrap.dedent(
     """
@@ -103,19 +102,6 @@ DEFERRED_CHILD = textwrap.dedent(
 
 # public names bound to values that carry no `__module__` of their own
 VALUE_MODULES = {"Coords": "core", "DEFAULT_TOWER_BUDGET": "vershik", "__version__": "version"}
-
-
-def run_child(code: str) -> None:
-    src = os.path.dirname(os.path.dirname(polyadic.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    child = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert child.returncode == 0, child.stderr
 
 
 def test_numpy_loads_with_the_first_probe():
