@@ -120,8 +120,6 @@ MALFORMED = {
     "degree_zero_text": "x1^0 + x2^0",
     "degree_negative": lambda: PolynomialSpec(2, -1, ()),
     "float_coefficient": lambda: PolynomialSpec(2, 1, (((1, 0), 1.5), ((0, 1), 1))),
-    "exponent_past_the_digit_limit": "x1^" + "9" * 5000 + " + x2",
-    "index_past_the_digit_limit": "x" + "9" * 5000 + " + x2",
 }
 
 
@@ -194,10 +192,6 @@ class TestManyVariables:
         rows = list(compositions_desc(1, 2000))
         assert len(rows) == 2000
         assert rows[0][:2] == (1, 0) and rows[1][:3] == (0, 1, 0) and rows[-1][-1] == 1
-
-    def test_missing_monomials(self):
-        with pytest.raises(MissingMonomial, match="1998 degree-1 exponent vectors absent"):
-            parse_polynomial("x1 + x2000")
 
     def test_vertices(self):
         arity = 1100
