@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import Diagram, Vertex
+from .core import Diagram, Vertex, _count
 from .coverage import is_covered_oracle
 from .errors import DsvAbsent, HypothesisNotMet, LengthMismatch, NoExtension, PreconditionNotMet
 
@@ -117,12 +117,11 @@ def build_distinguished_chain(
 
     `target_len` counts splitting vertices in the finished chain.  Each step
     takes u_l as the j-drop source of w_l and moves to the target of u_l,
-    other than w_l, with the largest j coordinate.  Raises DsvAbsent when a
-    j-drop source is missing and NoExtension when no new target exists or a
-    vertex would repeat.
+    other than w_l, with the largest j coordinate: u_l has a target for each
+    of the q >= 2 source vectors, so one besides w_l.  Raises DsvAbsent when a
+    j-drop source is missing and NoExtension when a vertex would repeat.
     """
-    if target_len < 2:
-        raise ValueError("target_len counts splitting vertices and must be >= 2")
+    target_len = _count(target_len, 2, what="target_len")
     w0, w1, u0 = map(diagram._checked, (w0, w1, u0))
     if w0.level != w1.level or w0 == w1:
         raise HypothesisNotMet("w0 and w1 must be distinct vertices on one level")
@@ -138,11 +137,7 @@ def build_distinguished_chain(
                 f"{w} has no j-drop source in direction {j} "
                 f"(chain reached {len(splitting)} splitting vertices)"
             )
-        candidates = [t for t in diagram.targets(u) if t != w]
-        if not candidates:
-            raise NoExtension(f"{u} has no target besides {w}")
-        candidates.sort(key=lambda t: (t.coord(j), t.coords), reverse=True)
-        nxt = candidates[0]
+        nxt = max((t for t in diagram.targets(u) if t != w), key=lambda t: (t.coord(j), t.coords))
         if nxt in splitting or u in shared:
             raise NoExtension(
                 f"straightness breaks at {nxt} "

@@ -19,7 +19,7 @@ import math
 import re
 from itertools import islice
 from operator import add, sub
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     AritySmallerThanTwo,
@@ -39,8 +39,10 @@ def compositions_desc(total: int, parts: int) -> Iterator[Coords]:
     used throughout: (total, 0, ..., 0) first, (0, ..., 0, total) last.  The
     next tuple takes one unit off the rightmost nonzero part before the last
     and puts it, with the last part's value, on the part to its right: a loop,
-    so any number of parts costs no recursion.
+    so any number of parts costs no recursion.  A negative total has none; a
+    total that is no integer, or parts < 1, raises ValueError.
     """
+    total, parts = _count(total, what="total"), _count(parts, 1, what="parts")
     if total < 0:
         return  # a negative level: no vertex
     c = [total] + [0] * (parts - 1)
@@ -172,11 +174,32 @@ def _integers(values: Iterable) -> tuple[int, ...] | None:
     return ints if ints == values and bool not in map(type, values) else None
 
 
+def _count(value, low=None, high=None, what="count", error=ValueError) -> int:
+    """`value` as a Python int when it equals an integer, by `_integers`' rule,
+    and lies in low..high, an end left open by None; else `error`: the one
+    check of a level, direction, rank, length or seed a caller passes."""
+    n = value if type(value) is int else (_integers((value,)) or (None,))[0]
+    if n is None or (low is not None and n < low) or (high is not None and n > high):
+        span = f" in {low}..{high}" if high is not None else f" >= {low}" if low is not None else ""
+        raise error(f"{what} must be an integer{span}, got {value!r}")
+    return n
+
+
 def _first_degree(terms: Iterable[tuple[Coords, int]]) -> int:
     """The first term's degree, or 1 if it has none: `PolynomialSpec` then
     names the bad term, or reports every vector absent."""
     exp = _integers(next(iter(terms), ((),))[0])
     return sum(exp) if exp else 1
+
+
+def _check_support(degree: int, arity: int, present: Collection) -> None:
+    """MissingMonomial unless `present`, the distinct degree-d monomials, holds all
+    C(d + q - 1, q - 1); from q on, as exponent vectors, three absent are named."""
+    absent = math.comb(degree + arity - 1, arity - 1) - len(present)
+    if absent:
+        among = (s for s in compositions_desc(degree, arity) if s not in present)
+        named = f", among them {list(islice(among, 3))}" if len(present) >= arity else ""
+        raise MissingMonomial(f"{absent} degree-{degree} exponent vectors absent{named}")
 
 
 class _PolynomialFields(NamedTuple):
@@ -218,10 +241,7 @@ class PolynomialSpec(_PolynomialFields):
             if count[0] <= 0:
                 raise NonPositiveCoefficient(f"coefficient {coef} for {exp}")
             coeffs[exp] = coeffs.get(exp, 0) + count[0]
-        absent = math.comb(degree + arity - 1, arity - 1) - len(coeffs)
-        if absent:
-            named = islice((s for s in compositions_desc(degree, arity) if s not in coeffs), 3)
-            raise MissingMonomial(f"{absent} degree-{degree} exponent vectors absent, among them {list(named)}")
+        _check_support(degree, arity, coeffs)
         return super().__new__(cls, arity, degree, tuple(sorted(coeffs.items(), reverse=True)))
 
     def _replace(self, **changes) -> PolynomialSpec:  # checked, unlike `_make`
@@ -235,8 +255,12 @@ class PolynomialSpec(_PolynomialFields):
     def from_text(cls, text: str) -> "PolynomialSpec":
         raw = _parse_text_terms(text)
         arity = max(idx for powers, _ in raw for idx in powers)
+        degree = sum(raw[0][0].values())
+        if len(raw) < arity:  # too few terms to hold each x_j^d: refused before any vector is built
+            _check_support(degree, arity, {frozenset((j, e) for j, e in p.items() if e)
+                                           for p, _ in raw if sum(p.values()) == degree})
         terms = [(tuple(powers.get(j, 0) for j in range(1, arity + 1)), coef) for powers, coef in raw]
-        return cls(arity, _first_degree(terms), terms)
+        return cls(arity, degree, terms)
 
     @classmethod
     def from_json(cls, data: str | Mapping) -> "PolynomialSpec":
@@ -390,8 +414,9 @@ class Diagram:
         return self.spec.vertex_count(level)
 
     def vertices(self, level: int) -> tuple[Vertex, ...]:
-        """All level-`level` vertices in canonical (descending lex) order."""
-        if level not in self._levels:
+        """All level-`level` vertices in canonical (descending lex) order; none at -1."""
+        if type(level) is not int or level not in self._levels:
+            level = _count(level, -1, what="level")
             coords = compositions_desc(level * self.degree, self.arity)
             self._levels[level] = tuple(
                 self._intern(Vertex(level, c), rank) for rank, c in enumerate(coords)
@@ -504,8 +529,7 @@ class Diagram:
         Independent of the dimension recursion; the two must agree on every
         vertex, which the test suite checks level by level.
         """
-        if level < 0:
-            raise ValueError(f"level must be at least 0, got {level}")
+        level = _count(level, 0, what="level")
         powers = self._powers
         while len(powers) <= level:
             powers.append(_multiply(powers[-1], self._mult))
@@ -517,8 +541,7 @@ class Diagram:
         Exists if and only if w(j) >= d; it is then the unique source of w
         whose j-th coordinate is w(j) - d, read off the cached `source_set`.
         """
-        if not 1 <= j <= self.arity:
-            raise ValueError(f"direction {j} out of range 1..{self.arity}")
+        j = _count(j, 1, self.arity, "direction")
         sources = self.source_set(w)  # validates a vertex the diagram did not issue
         drop = w[1][j - 1] - self.degree
         for u in sources:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import Diagram, Vertex, _greedy_fill, compositions_desc
+from .core import Diagram, Vertex, _count, _greedy_fill, compositions_desc
 from .errors import LadderPreconditionViolated, PreconditionNotMet
 
 
@@ -124,7 +124,7 @@ def _excess_direction(diagram: Diagram, w: Vertex) -> int | None:
 
 def slack(diagram: Diagram, w: Vertex, j: int) -> int:
     """d minus the off-j coordinate sum; in 1..d when w(j) > (level - 1) * d."""
-    w = diagram._checked(w)
+    w, j = diagram._checked(w), _count(j, 1, diagram.arity, "direction")
     return diagram.degree - (sum(w.coords) - w.coord(j))
 
 
@@ -248,9 +248,7 @@ def source_ladder(diagram: Diagram, z: Vertex, j: int) -> tuple[Vertex, ...]:
     direction j; the intermediate subtrahends stay within z, so every rung is
     a genuine source of z.
     """
-    z = diagram._checked(z)
-    if not 1 <= j <= diagram.arity:
-        raise ValueError(f"direction {j} out of range 1..{diagram.arity}")
+    z, j = diagram._checked(z), _count(j, 1, diagram.arity, "direction")
     d = diagram.degree
     if not d <= z.coord(j) <= (z.level - 1) * d:
         raise LadderPreconditionViolated(

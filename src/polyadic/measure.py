@@ -18,7 +18,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import NamedTuple
 
-from .core import Diagram, Vertex
+from .core import Diagram, Vertex, _count
 from .errors import InvalidWeight
 from .vershik import FinitePath
 
@@ -60,8 +60,8 @@ def evaluate_polynomial(diagram: Diagram, theta: tuple[Number, ...]) -> Number:
 def solve_symmetric_weight(diagram: Diagram) -> WeightVector:
     """The equal-coordinate weight: t with (sum of edge counts) * t^d = 1.
 
-    Found by bisection on [0, 1]; the residual of m at the returned point
-    is at most RESIDUAL_TOLERANCE, else InvalidWeight.
+    Found by bisection on [0, 1], then checked by `weight_from_theta`: the
+    residual of m there is at most RESIDUAL_TOLERANCE, else InvalidWeight.
     """
     total = sum(coef for _, coef in diagram.spec.terms)
     d = diagram.degree
@@ -74,12 +74,7 @@ def solve_symmetric_weight(diagram: Diagram) -> WeightVector:
             hi = mid
         if hi - lo < 1e-17:
             break
-    t = (lo + hi) / 2
-    theta = (t,) * diagram.arity
-    residual = evaluate_polynomial(diagram, theta) - 1
-    if abs(residual) > RESIDUAL_TOLERANCE:
-        raise InvalidWeight(f"bisection residual {residual} exceeds {RESIDUAL_TOLERANCE}")
-    return WeightVector(theta, residual)
+    return weight_from_theta(diagram, ((lo + hi) / 2,) * diagram.arity)
 
 
 def weight_from_theta(diagram: Diagram, theta) -> WeightVector:
@@ -98,7 +93,7 @@ def weight_from_theta(diagram: Diagram, theta) -> WeightVector:
     theta = tuple(float(t) for t in theta)
     residual = evaluate_polynomial(diagram, theta) - 1
     if abs(residual) > RESIDUAL_TOLERANCE:
-        raise InvalidWeight(f"m(theta) - 1 = {residual} exceeds {RESIDUAL_TOLERANCE}")
+        raise InvalidWeight(f"residual m(theta) - 1 = {residual} exceeds {RESIDUAL_TOLERANCE}")
     return WeightVector(theta, residual)
 
 
@@ -161,8 +156,7 @@ def minimal_mass_bound(diagram: Diagram, level: int, weight: WeightVector) -> Ma
     minimal path of each carries at most 1/level of its vertex's mass; summed
     over the level this stays at or below 1/level.
     """
-    if level < 1:
-        raise ValueError("level must be at least 1")
+    level = _count(level, 1, what="level")
     mass: Number = 0
     for v in diagram.vertices(level):
         if not v.is_corner:

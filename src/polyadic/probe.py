@@ -76,6 +76,7 @@ import json
 from functools import cached_property
 from typing import TYPE_CHECKING
 
+from .core import _count
 from .export import Encoded
 from .vershik import DEFAULT_TOWER_BUDGET, Ordering
 
@@ -171,15 +172,15 @@ def probe_depth_pairs(
     Pairs are enumerated over terminal vertices whose minimum coordinate is
     at least `min_coord_floor` (a finite stand-in for restricting to dense
     orbits) and whose towers fit the `budget`; oversized towers are counted
-    as skipped, not errors.  ValueError is raised unless 0 <= i < L, and
-    for a floor above floor(L * d / q), the largest minimum coordinate at
-    level L, which admits no vertex.
+    as skipped, not errors.  ValueError is raised unless L >= 1 and
+    0 <= i < L are integers, and for a floor above floor(L * d / q), the
+    largest minimum coordinate at level L, which admits no vertex.
     See the module docstring for kill and censor semantics.  Raises
     `ReportTooLarge` when the survivors or their conflict times would pass
     the kernel's cap.
     """
-    if not 0 <= i < horizon:
-        raise ValueError(f"need 0 <= i < horizon, got i = {i} and horizon = {horizon}")
+    horizon = _count(horizon, 1, what="horizon")
+    i = _count(i, 0, horizon - 1, f"i at horizon {horizon}")
     diagram = ordering.diagram
     top = horizon * diagram.degree // diagram.arity
     if min_coord_floor > top:

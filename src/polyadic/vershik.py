@@ -44,7 +44,7 @@ from bisect import bisect_right
 from itertools import chain, count, repeat
 from typing import Iterator, Mapping, NamedTuple
 
-from .core import Diagram, EdgeRef, Vertex
+from .core import Diagram, EdgeRef, Vertex, _count, _integers
 from .errors import (
     MaximalAtHorizon,
     MinimalAtHorizon,
@@ -54,6 +54,7 @@ from .errors import (
 )
 
 DEFAULT_TOWER_BUDGET = 10**6
+_LAST = object()  # the last rank of a tower, for `_descent`
 
 
 class _PathFields(NamedTuple):
@@ -107,28 +108,24 @@ def _mix(seed: int, v: Vertex) -> int:
     return key
 
 
-def _explicit_labels(diagram: Diagram, table: Mapping[str, list[int]]) -> dict[Vertex, list[int]]:
-    """An explicit table keyed on its vertices, each key and label list checked."""
+def _explicit_labels(diagram: Diagram, table: Mapping[str, list[int]]) -> tuple[dict, dict]:
+    """An explicit table's label lists, each checked and read as ints, keyed as given and by vertex."""
+    read: dict[str, list[int]] = {}
     labels_at: dict[Vertex, list[int]] = {}
-    for key, labels in table.items():
+    for key, given in table.items():
         try:
             level, _, coords = key.partition(":")
             w = diagram.vertex(map(int, coords.split(",")), int(level))
         except (AttributeError, ValueError) as exc:
             raise ValueError(f"explicit key {key!r} is not a vertex 'level:c1,...' ({exc})") from None
         n = diagram.indegree(w)
-        if not (
-            isinstance(labels, (list, tuple))
-            and all(type(x) is int for x in labels)
-            and sorted(labels) == list(range(1, n + 1))
-        ):
-            raise NonBijectiveLabeling(
-                f"labels for {key} are {labels!r}, not a permutation of 1..{n}"
-            )
+        labels = _integers(given) if isinstance(given, (list, tuple)) else None
+        if labels is None or sorted(labels) != list(range(1, n + 1)):
+            raise NonBijectiveLabeling(f"labels for {key} are {given!r}, not a permutation of 1..{n}")
         if w in labels_at:
             raise ValueError(f"two explicit keys name {w}")
-        labels_at[w] = labels
-    return labels_at
+        read[key] = labels_at[w] = list(labels)
+    return read, labels_at
 
 
 class _LevelTable(NamedTuple):
@@ -164,17 +161,14 @@ class Ordering:
     ) -> None:
         if preset not in ("source-lex", "source-revlex", "random", "explicit"):
             raise ValueError(f"unknown ordering preset {preset!r}")
-        if seed is not None and (preset != "random" or type(seed) is not int):
-            raise ValueError(
-                f"a seed is an integer for the random preset only, not {seed!r} for {preset!r}"
-            )
+        if seed is not None and preset != "random":
+            raise ValueError(f"a seed is for the random preset only, not {seed!r} for {preset!r}")
         if (preset == "explicit") != (table is not None):
             raise ValueError("an explicit table goes with the explicit preset, which needs one")
         self.diagram = diagram
         self.preset = preset
-        self.seed = 0 if preset == "random" and seed is None else seed
-        self.table = dict(table or {})  # as given, for `describe`
-        self._labels = _explicit_labels(diagram, self.table)
+        self.seed = _count(0 if seed is None else seed, what="a seed") if preset == "random" else None
+        self.table, self._labels = _explicit_labels(diagram, table or {})  # as read, for `describe`
         self._tables: list[_LevelTable | None] = [_LevelTable([0, 0], [], [], [])]
         self._views: dict[Vertex, tuple[EdgeRef, ...]] = {}
         # view edge -> (label, its target's edges between two Nones, its sums entry)
@@ -284,19 +278,19 @@ class Ordering:
 
     def minimal_path(self, v: Vertex) -> FinitePath:
         """The all-label-1 path into v: rank 0 of its tower."""
-        return self._extreme(v, 0, self._minimal)
+        return self._extreme(v, self._minimal)
 
     def maximal_path(self, v: Vertex) -> FinitePath:
         """The all-maximal-label path into v: rank dim - 1 of its tower."""
-        return self._extreme(v, None, self._maximal)
+        return self._extreme(v, self._maximal)
 
-    def _extreme(self, v: Vertex, rank: int | None, cache: dict) -> FinitePath:
-        """The descent to rank 0 or, for None, the last rank of v's tower,
-        kept in `cache`."""
+    def _extreme(self, v: Vertex, cache: dict) -> FinitePath:
+        """The path of rank 0 in v's tower, or of its last rank when `cache`
+        is `_maximal`, kept in `cache`."""
         try:
             return cache[v]
         except (KeyError, TypeError):  # as in `_view`
-            found = self._descent(v, rank)
+            found = self._descent(v, 0 if cache is self._minimal else _LAST)
             return cache.setdefault(found.terminal, found)
 
     def successor(self, x: FinitePath) -> FinitePath:
@@ -324,8 +318,7 @@ class Ordering:
             label, padded, _ = slots.get(edge) or self._slot(edge)
             moved = padded[label + step]
             if moved is not None:
-                rank = 0 if step > 0 else None
-                head = heads.get(moved.source) or self._extreme(moved.source, rank, heads)
+                head = heads.get(moved.source) or self._extreme(moved.source, heads)
                 if head.terminal != moved.source:
                     raise ValueError(f"{head.terminal} does not meet {moved}")
                 if moved.target != edge.target:
@@ -344,8 +337,8 @@ class Ordering:
         """The rank-th path of v's tower; inverse of path_rank."""
         return self._descent(v, rank)
 
-    def _descent(self, v: Vertex, rank: int | None) -> FinitePath:
-        """The rank-th path of v's tower, or its last when rank is None.
+    def _descent(self, v: Vertex, rank) -> FinitePath:
+        """The rank-th path of v's tower, or its last for `_LAST`.
 
         Descends the level tables on integers and takes each edge from its
         target's view, so the path is made of the views' own edges, the keys
@@ -356,10 +349,7 @@ class Ordering:
         v, r = d._entry(v)
         tables = self._tables_to(v.level)
         dim = d._row(v.level)[r]
-        if rank is None:
-            rank = dim - 1
-        elif not 0 <= rank < dim:
-            raise RankOutOfRange(f"rank {rank} outside 0..{dim - 1} for {v}")
+        rank = dim - 1 if rank is _LAST else _count(rank, 0, dim - 1, "rank", RankOutOfRange)
         views = self._views
         w = v
         edges = []  # top down
@@ -402,8 +392,7 @@ class Ordering:
         """
         d = self.diagram
         w = d._checked(w)
-        if not 0 <= j < w.level:
-            raise ValueError(f"need 0 <= j < level {w.level}, got {j}")
+        j = _count(j, 0, w.level - 1, f"j for {w}")
 
         def sources(v: Vertex) -> list[Vertex]:  # in label order, one per edge
             edges = [u for u, mult in d._lower(v.coords) for _ in range(mult)]

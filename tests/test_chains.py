@@ -113,6 +113,18 @@ class TestBuild:
                 target_len=4,
             )
 
+    def test_a_repeated_vertex_stops_the_chain(self, pascal):
+        # w1(j) > w0(j): the j-drop source of w1 is u0, whose other target is w0
+        with pytest.raises(NoExtension, match="^straightness breaks at \\(10,10\\) "):
+            build_distinguished_chain(
+                pascal,
+                pascal.vertex((10, 10)),
+                pascal.vertex((11, 9)),
+                pascal.vertex((10, 9)),
+                j=1,
+                target_len=6,
+            )
+
     def test_bad_start_rejected(self, pascal):
         v = pascal.vertex((7, 3))
         with pytest.raises(HypothesisNotMet):

@@ -253,36 +253,112 @@ def _one_coefficient_off(expansion):
     return faulty
 
 
-# suite -> (owner, name, fault): the library call a suite checks, and a wrong
-# version of it made from the original
+def _stray_vertex(vertices):
+    # level 5, the top one checked, gains the middle vertex of level 4: a
+    # vertex of the wrong sum, out of order, with every coordinate small
+    def faulty(diagram, level):
+        found = vertices(diagram, level)
+        below = vertices(diagram, level - 1)
+        return found + (below[len(below) // 2],) if level == 5 else found
+
+    return faulty
+
+
+def _root_as_source(source_set):
+    # level-3 vertices gain the root as a source: sources far apart, outside
+    # the coordinate sandwich, not unique in a direction, shared by every pair
+    return lambda d, w: source_set(d, w) + (d.root,) if w[0] == 3 else source_set(d, w)
+
+
+def _first_source(dsv):
+    # dsv answers with w's first source wherever a drop exists
+    return lambda d, w, j: dsv(d, w, j) and d.source_set(w)[0]
+
+
+def _root_as_first_rung(source_ladder):
+    # the root, no source of z and at j coordinate 0, replaces the first rung
+    return lambda d, z, j: (d.root, *source_ladder(d, z, j)[1:])
+
+
+# suite -> [(owner, name, fault, finding)]: a library call the suite checks, a
+# wrong version of it made from the original, and text of the finding that
+# fault must raise; one entry for each finding a suite can report
 FAULTS = {
-    "vertex_enumeration": (Diagram, "vertex_count", lambda f: lambda d, level: f(d, level) + 1),
-    "edge_duality": (Diagram, "targets", lambda f: lambda d, u: f(d, u)[1:]),
-    "dimension_oracle": (Diagram, "expansion_coefficients", _one_coefficient_off),
-    "dsv_rules": (Diagram, "dsv", lambda f: lambda d, w, j: None),
-    "coverage_agreement": (
-        coverage,
-        "is_covered_formula",
-        lambda f: lambda d, w: None if f(d, w) is None else not f(d, w),
-    ),
-    "cov2_convention": (coverage, "slack", lambda f: lambda d, w, j: f(d, w, j) + 1),
-    "source_uncovered": (
-        coverage,
-        "source_all_uncovered",
-        lambda f: lambda d, w: f(d, w)._replace(all_uncovered=False, covered_sources=(w,)),
-    ),
-    "target_uncovered": (
-        coverage,
-        "target_uncovered_check",
-        lambda f: lambda d, level: f(d, level) + ((d.vertices(level)[0], d.root),),
-    ),
-    "ladder": (coverage, "source_ladder", lambda f: lambda d, z, j: f(d, z, j)[1:]),
-    "link_consequences": (
-        verify,
-        "check_link_consequences",
-        lambda f: lambda d, a, b, j: f(d, a, b, j)._replace(candidates_status="fail"),
-    ),
-    "measure_bounds": (verify, "level_mass", lambda f: lambda d, level, w: f(d, level, w) + 1e-6),
+    "vertex_enumeration": [
+        (Diagram, "vertex_count", lambda f: lambda d, level: f(d, level) + 1, "vertices, formula"),
+        (Diagram, "vertices", _stray_vertex, "sums to"),
+        (Diagram, "vertices", _stray_vertex, "in canonical order"),
+    ],
+    "edge_duality": [
+        (Diagram, "multiplicity", lambda f: lambda d, u, w: f(d, u, w) + 1, "and multiplicity disagree"),
+        (Diagram, "targets", lambda f: lambda d, u: f(d, u)[1:], "and targets disagree"),
+        (Diagram, "source_set", _root_as_source, "violates the coordinate sandwich"),
+        (Diagram, "source_set", _root_as_source, "differ by more than"),
+        (Diagram, "vertices", _stray_vertex, "all coordinates below"),
+        (Diagram, "source_set", _root_as_source, "share a source but sit more than"),
+    ],
+    "dimension_oracle": [
+        (Diagram, "expansion_coefficients", _one_coefficient_off, "dimension mismatch"),
+    ],
+    "dsv_rules": [
+        (Diagram, "dsv", lambda f: lambda d, w, j: None, "existence disagrees"),
+        (Diagram, "dsv", _first_source, "is not the j-drop source"),
+        (Diagram, "source_set", _root_as_source, "is not unique"),
+        (Diagram, "dsv", _first_source, "coordinate gap"),
+        (Diagram, "dsv", _first_source, "in two directions"),
+    ],
+    "coverage_agreement": [
+        (
+            coverage,
+            "is_covered_formula",
+            lambda f: lambda d, w: None if f(d, w) is None else not f(d, w),
+            "!= oracle",
+        ),
+    ],
+    "cov2_convention": [
+        (coverage, "slack", lambda f: lambda d, w, j: f(d, w, j) + 1, "covering set of"),
+    ],
+    "source_uncovered": [
+        (
+            coverage,
+            "source_all_uncovered",
+            lambda f: lambda d, w: f(d, w)._replace(all_uncovered=False, covered_sources=(w,)),
+            "meets a sufficient condition",
+        ),
+    ],
+    "target_uncovered": [
+        (
+            coverage,
+            "target_uncovered_check",
+            lambda f: lambda d, level: f(d, level) + ((d.vertices(level)[0], d.root),),
+            "covered despite",
+        ),
+        # the check's own counterexample: (4,1) covered, its source (3,1) not
+        (coverage, "is_covered_oracle", lambda f: lambda d, w: not f(d, w), "covered despite"),
+    ],
+    "ladder": [
+        (coverage, "source_ladder", lambda f: lambda d, z, j: f(d, z, j)[1:], "wrong size"),
+        (coverage, "source_ladder", _root_as_first_rung, "is not a source"),
+        (coverage, "source_ladder", _root_as_first_rung, "wrong j coordinate"),
+    ],
+    "link_consequences": [
+        (
+            verify,
+            "check_link_consequences",
+            lambda f: lambda d, a, b, j: f(d, a, b, j)._replace(candidates_status="fail"),
+            "fails extension-candidates",
+        ),
+    ],
+    "measure_bounds": [
+        (verify, "level_mass", lambda f: lambda d, level, w: f(d, level, w) + 1e-6, "total mass"),
+        (
+            verify,
+            "minimal_mass_bound",
+            lambda f: lambda d, level, w: f(d, level, w)._replace(ok=False),
+            "minimal mass",
+        ),
+        (Diagram, "dimension", lambda f: lambda d, v: min(f(d, v), 1), "has dimension"),
+    ],
 }
 
 
@@ -292,14 +368,16 @@ FAULTS = {
     ids=[*FAULTS, "measure_bounds-on-a-table"],
 )
 def test_every_verify_suite_can_fail(suite, poly, capsys, monkeypatch):
-    # each suite reports the fault in the library call it checks, so no
-    # suite passes by construction; measure_bounds measures parallel edges too
+    # each finding a suite reports fires under a fault in a library call it
+    # checks, so no suite passes by construction; measure_bounds measures
+    # parallel edges too
     assert [name for name, _ in verify._SUITES] == list(FAULTS)
-    owner, name, fault = FAULTS[suite]
-    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
-    code, doc, _ = run_json(capsys, "verify-all", "--poly", poly, "--levels", "5")
-    assert code == 1
-    assert doc["result"]["findings"][suite]
+    for owner, name, fault, finding in FAULTS[suite]:
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, fault(getattr(owner, name)))
+            code, doc, _ = run_json(capsys, "verify-all", "--poly", poly, "--levels", "5")
+        assert code == 1
+        assert any(finding in row for row in doc["result"]["findings"][suite]), (name, finding)
 
 
 class TestFailures:
@@ -434,7 +512,8 @@ class TestFailures:
         code, out, err = run(capsys, "probe", "--poly", PASCAL_TEXT, "--i", i, "--horizon", horizon)
         assert code == 2
         assert out == ""
-        assert err == f"error: need 0 <= i < horizon, got i = {i} and horizon = {horizon}\n"
+        top = int(horizon) - 1
+        assert err == f"error: i at horizon {horizon} must be an integer in 0..{top}, got {i}\n"
 
     def test_polynomial_file_missing(self, capsys):
         code, _, err = run(capsys, "describe", "--poly", "@/no/such/poly.json")

@@ -7,17 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyadic import Diagram, PolynomialSpec, Vertex, coverage, parse_polynomial
+from polyadic import Diagram, Ordering, PolynomialSpec, Vertex, coverage, parse_polynomial
+from polyadic.chains import build_distinguished_chain
 from polyadic.core import compositions_desc
 from polyadic.export import document_header, to_stable_json
 from polyadic.errors import (
     AritySmallerThanTwo,
     MissingMonomial,
+    NonBijectiveLabeling,
     NonPositiveCoefficient,
     NotHomogeneous,
     PolyadicError,
     PolynomialSyntaxError,
+    RankOutOfRange,
 )
+from polyadic.measure import minimal_mass_bound, solve_symmetric_weight
+from polyadic.probe import probe_depth_pairs
 
 from conftest import OFF_LATTICE, all_ones, peak_rss_mb, raised_within
 
@@ -141,11 +146,18 @@ def test_numbers_equal_to_integers_are_stored_as_ints():
 
 
 def test_missing_monomials_are_counted_not_listed():
-    # the message once listed every absent vector, 57 MB here
-    error = raised_within(lambda: parse_polynomial("x1^3000000 + x2^3000000"), seconds=1.0)
-    assert isinstance(error, MissingMonomial), error
-    assert "2999999 degree-3000000 exponent vectors absent" in str(error)
-    assert len(str(error)) < 1024
+    # the message once listed every absent vector, 57 MB for the first; the
+    # others once built or named vectors of a billion entries, too few terms
+    # to hold each x_j^d
+    for text, absent in [
+        ("x1^3000000 + x2^3000000", "2999999 degree-3000000"),
+        ("x1 + x999999999", "999999997 degree-1"),
+        ('{"q": 999999999, "terms": []}', "999999999 degree-1"),
+    ]:
+        error = raised_within(lambda: parse_polynomial(text), seconds=1.0)
+        assert isinstance(error, MissingMonomial), error
+        assert f"{absent} exponent vectors absent" in str(error)
+        assert len(str(error)) < 1024
 
 
 @given(
@@ -552,3 +564,77 @@ def test_every_exported_name_resolves():
     import polyadic
 
     assert [name for name in polyadic.__all__ if not hasattr(polyadic, name)] == []
+
+
+# every count a caller passes, each read by one integer rule: the call with
+# the count `n` in place, and the error a bad count raises
+COUNTS = {
+    "compositions_total": (lambda d, n: list(compositions_desc(n, 2)), ValueError),
+    "compositions_parts": (lambda d, n: list(compositions_desc(2, n)), ValueError),
+    "vertices": (lambda d, n: d.vertices(n), ValueError),
+    "expansion_coefficients": (lambda d, n: d.expansion_coefficients(n), ValueError),
+    "dsv": (lambda d, n: d.dsv(d.vertex((1, 1)), n), ValueError),
+    "slack": (lambda d, n: coverage.slack(d, d.vertex((3, 0)), n), ValueError),
+    "source_ladder": (lambda d, n: coverage.source_ladder(d, d.vertex((2, 2)), n), ValueError),
+    "minimal_mass_bound": (
+        lambda d, n: minimal_mass_bound(d, n, solve_symmetric_weight(d)), ValueError
+    ),
+    "vertex_coding": (lambda d, n: Ordering(d).vertex_coding(d.vertex((2, 1)), n), ValueError),
+    "path_unrank": (lambda d, n: Ordering(d).path_unrank(d.vertex((2, 1)), n), RankOutOfRange),
+    "probe_i": (lambda d, n: probe_depth_pairs(Ordering(d), n, 4), ValueError),
+    "probe_horizon": (lambda d, n: probe_depth_pairs(Ordering(d), 0, n), ValueError),
+    "target_len": (
+        lambda d, n: build_distinguished_chain(
+            d, d.vertex((10, 10)), d.vertex((11, 9)), d.vertex((10, 9)), 1, n
+        ),
+        ValueError,
+    ),
+    "seed": (lambda d, n: Ordering(d, "random", seed=n), ValueError),
+    "explicit_label": (
+        lambda d, n: Ordering(d, "explicit", table={"2:1,1": [n, 1]}), NonBijectiveLabeling
+    ),
+}
+
+
+# each place with each bad count; no seed is the random preset's seed 0
+BAD_COUNTS = [(p, n) for p in sorted(COUNTS) for n in (2.5, True, "2", None) if (p, n) != ("seed", None)]
+
+
+class TestCounts:
+    @pytest.mark.parametrize("place, given", BAD_COUNTS, ids=[f"{p}-{n!r}" for p, n in BAD_COUNTS])
+    def test_a_count_that_is_no_integer_raises(self, pascal, place, given):
+        # vertices(1.5) once never returned, path_unrank took rank 2.5 as 2,
+        # and dsv and the probe took True as 1
+        call, expected = COUNTS[place]
+        error = raised_within(lambda: call(pascal, given))
+        assert isinstance(error, expected), error
+
+    @pytest.mark.parametrize(
+        "place, given",
+        [("compositions_parts", 0), ("vertices", -2), ("expansion_coefficients", -1),
+         ("dsv", 0), ("dsv", 3), ("slack", 0), ("source_ladder", 3), ("minimal_mass_bound", 0),
+         ("vertex_coding", 3), ("path_unrank", 3), ("probe_i", 4), ("probe_horizon", 0),
+         ("target_len", 1), ("explicit_label", 3)],
+    )
+    def test_a_count_out_of_its_range_raises(self, pascal, place, given):
+        # slack(w, 0) once answered for the last direction
+        call, expected = COUNTS[place]
+        assert isinstance(raised_within(lambda: call(pascal, given)), expected)
+
+    def test_a_count_equal_to_an_integer_is_that_integer(self):
+        # level 2.0 once interned float vertices: (1.0,1), whose dimension raised
+        diagram = Diagram(parse_polynomial("x1 + x2"))
+        assert [v.coords for v in diagram.vertices(2.0)] == [(2, 0), (1, 1), (0, 2)]
+        v = diagram.vertex((1, 1))
+        assert diagram.dimension(v) == 2
+        assert all(type(n) is int for n in (v.level, *v.coords))
+        assert diagram.vertices(-1) == ()
+        # 2.0 and numpy's 2 are 2 wherever a count is read
+        for place in sorted(set(COUNTS) - {"probe_i", "probe_horizon", "seed", "explicit_label"}):
+            call = COUNTS[place][0]
+            assert call(diagram, 2.0) == call(diagram, np.int64(2)) == call(diagram, 2), place
+        # a seed or a label is stored as the int it equals, so a document can hold it
+        random = Ordering(diagram, "random", seed=np.int64(3))
+        explicit = Ordering(diagram, "explicit", table={"2:1,1": [2.0, np.int64(1)]})
+        assert to_stable_json(random.describe()) == to_stable_json({"preset": "random", "seed": 3})
+        assert to_stable_json(explicit.describe()) == to_stable_json({"explicit": {"2:1,1": [2, 1]}})
