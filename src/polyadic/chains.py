@@ -243,21 +243,22 @@ def check_link_consequences(diagram: Diagram, w0: Vertex, w1: Vertex, j: int) ->
     if sum(map(min, w0.coords, w1.coords)) < (w0.level - 1) * d:
         raise HypothesisNotMet(f"{w0} and {w1} share no source")
     level = w1.level
-    u1 = diagram.dsv(w1, j)
+    u1 = diagram.dsv(w1, j)  # validates j
+    a, b = w0.coords[j - 1], w1.coords[j - 1]
 
-    if w1.coord(j) <= w0.coord(j):
+    if b <= a:
         a_status = "fail" if u1 is not None and u1 in diagram.source_set(w0) else "pass"
     else:
         a_status = "not applicable"
 
-    if 2 * d <= w1.coord(j) <= (level - 2) * d:
+    if 2 * d <= b <= (level - 2) * d:
         b_sources, b_targets = (
             "pass" if ok else "fail" for ok in _uncovered_around(diagram, w1)
         )
     else:
         b_sources = b_targets = "not applicable"
 
-    in_window = 2 * d <= w1.coord(j) <= w0.coord(j) <= (level - 1) * d
+    in_window = 2 * d <= b <= a <= (level - 1) * d
     if u1 is None:
         candidates: tuple[Vertex, ...] = ()
         c_status = "not applicable"
@@ -268,13 +269,4 @@ def check_link_consequences(diagram: Diagram, w0: Vertex, w1: Vertex, j: int) ->
         else:
             c_status = "pass" if candidates else "fail"
 
-    return LinkReport(
-        w0=w0,
-        w1=w1,
-        direction=j,
-        drop_source_absent_status=a_status,
-        sources_uncovered_status=b_sources,
-        targets_uncovered_status=b_targets,
-        candidates=candidates,
-        candidates_status=c_status,
-    )
+    return LinkReport(w0, w1, j, a_status, b_sources, b_targets, candidates, c_status)

@@ -192,6 +192,14 @@ def _first_degree(terms: Iterable[tuple[Coords, int]]) -> int:
     return sum(exp) if exp else 1
 
 
+def _check_shape(arity: int, degree: int) -> None:
+    """AritySmallerThanTwo below two variables, PolynomialSyntaxError below degree 1."""
+    if arity < 2:
+        raise AritySmallerThanTwo(f"need at least two variables, got {arity}")
+    if degree < 1:
+        raise PolynomialSyntaxError(f"degree must be at least 1, got {degree}")
+
+
 def _check_support(degree: int, arity: int, present: Collection) -> None:
     """MissingMonomial unless `present`, the distinct degree-d monomials, holds all
     C(d + q - 1, q - 1); from q on, as exponent vectors, three absent are named."""
@@ -225,10 +233,7 @@ class PolynomialSpec(_PolynomialFields):
         if size is None:
             raise PolynomialSyntaxError(f"arity {arity!r} and degree {degree!r} must be integers")
         arity, degree = size
-        if arity < 2:
-            raise AritySmallerThanTwo(f"need at least two variables, got {arity}")
-        if degree < 1:
-            raise PolynomialSyntaxError(f"degree must be at least 1, got {degree}")
+        _check_shape(arity, degree)
         coeffs: dict[Coords, int] = {}
         for given, coef in terms:
             exp, count = _integers(given), _integers((coef,))
@@ -256,7 +261,8 @@ class PolynomialSpec(_PolynomialFields):
         raw = _parse_text_terms(text)
         arity = max(idx for powers, _ in raw for idx in powers)
         degree = sum(raw[0][0].values())
-        if len(raw) < arity:  # too few terms to hold each x_j^d: refused before any vector is built
+        _check_shape(arity, degree)  # these, too, are refused before any vector is built
+        if len(raw) < arity:  # too few terms to hold each x_j^d
             _check_support(degree, arity, {frozenset((j, e) for j, e in p.items() if e)
                                            for p, _ in raw if sum(p.values()) == degree})
         terms = [(tuple(powers.get(j, 0) for j in range(1, arity + 1)), coef) for powers, coef in raw]
@@ -293,8 +299,9 @@ class PolynomialSpec(_PolynomialFields):
         return tuple(exp for exp, _ in self.terms)
 
     def vertex_count(self, level: int) -> int:
-        """Number of level-`level` vertices: C(level*d + q - 1, q - 1)."""
-        return math.comb(level * self.degree + self.arity - 1, self.arity - 1)
+        """Number of level-`level` vertices: C(level*d + q - 1, q - 1); none at -1."""
+        level = _count(level, -1, what="level")
+        return math.comb(level * self.degree + self.arity - 1, self.arity - 1) if level >= 0 else 0
 
     def to_json(self) -> dict:
         return {
@@ -538,16 +545,17 @@ class Diagram:
     def dsv(self, w: Vertex, j: int) -> Vertex | None:
         """The source of w obtained by removing d from coordinate j, if any.
 
-        Exists if and only if w(j) >= d; it is then the unique source of w
-        whose j-th coordinate is w(j) - d, read off the cached `source_set`.
+        Exists if and only if w(j) >= d: w - d*e_j is then a lattice point
+        one level down, and a source of w because every degree-d vector,
+        d*e_j among them, is one.  Computed from w's coordinates, not read
+        off `source_set`, so the verify suites can check the two against
+        each other.
         """
         j = _count(j, 1, self.arity, "direction")
-        sources = self.source_set(w)  # validates a vertex the diagram did not issue
-        drop = w[1][j - 1] - self.degree
-        for u in sources:
-            if u.coords[j - 1] == drop:
-                return u
-        return None
+        coords = self._checked(w).coords
+        if coords[j - 1] < self.degree:
+            return None
+        return self._vertex((*coords[: j - 1], coords[j - 1] - self.degree, *coords[j:]))
 
     def _greedy_source_steps(self, frm: Vertex, to: Vertex) -> tuple[EdgeRef, ...]:
         """A concrete descending path from `frm` to `to >= frm`, greedy per step."""

@@ -3,11 +3,14 @@
 A vertex w is covered when some other vertex w' on the same level satisfies
 S(w) subset-of S(w').  Covered vertices admit a closed form once the level
 exceeds the number of variables: w is covered iff some coordinate exceeds
-(level - 1) * d.  The oracle here recomputes coverage by exhaustive source-set
-comparison so the closed form can be checked level by level; everything
-downstream (chains, probes) consumes the oracle, not the formula.  Each
-level's cover map is computed once and kept on the Diagram, beside its
-vertex levels and neighbour caches.
+(level - 1) * d.  The oracle here recomputes coverage from the source sets
+themselves, so the closed form can be checked level by level: a vertex
+covering w is fed by every source of w, so w is compared only with the
+vertices one of its sources feeds.  Its brute-force oracle is the level-scan
+test in tests/test_coverage.py, which compares every pair of vertices on a
+level.  Everything downstream (chains, probes) consumes the oracle, not the
+formula.  Each level's cover map is computed once and kept on the Diagram,
+beside its vertex levels and neighbour caches.
 
 Coverage depends only on the diagram shape, never on edge multiplicities.
 """
@@ -20,16 +23,36 @@ from .core import Diagram, Vertex, _count, _greedy_fill, compositions_desc
 from .errors import LadderPreconditionViolated, PreconditionNotMet
 
 
+def _feeds(diagram: Diagram, vertices: tuple[Vertex, ...]) -> dict[Vertex, list[int]]:
+    """Each source of `vertices` -> the positions of the vertices it feeds, ascending.
+
+    Read from `source_set`, so it is the relation every suite checks; built
+    per call and not kept.
+    """
+    fed: dict[Vertex, list[int]] = {}
+    for k, w in enumerate(vertices):
+        for u in diagram.source_set(w):
+            fed.setdefault(u, []).append(k)
+    return fed
+
+
 def _covering_map(diagram: Diagram, level: int) -> dict[Vertex, tuple[Vertex, ...]]:
-    """For each level-`level` vertex, the tuple of vertices covering it."""
+    """For each level-`level` vertex, the tuple of vertices covering it.
+
+    A vertex covering w is fed by each source of w, so by its first; a w
+    with no source is compared with the whole level.
+    """
     covers = diagram._covers
     if level not in covers:
         vertices = diagram.vertices(level)
         sources = {w: frozenset(diagram.source_set(w)) for w in vertices}
-        covers[level] = {
-            w: tuple(v for v in vertices if v != w and sources[w] <= sources[v])
-            for w in vertices
-        }
+        fed = _feeds(diagram, vertices)
+        found = {}
+        for w in vertices:
+            first = next(iter(diagram.source_set(w)), None)
+            candidates = vertices if first is None else map(vertices.__getitem__, fed[first])
+            found[w] = tuple(v for v in candidates if v != w and sources[w] <= sources[v])
+        covers[level] = found
     return covers[level]
 
 
@@ -47,7 +70,7 @@ def covering_vertices(diagram: Diagram, w: Vertex) -> tuple[Vertex, ...]:
 
 
 def is_covered_oracle(diagram: Diagram, w: Vertex) -> bool:
-    """Exhaustive covered test by direct source-set comparison."""
+    """Covered test by direct source-set comparison: the oracle for the closed form."""
     return bool(covering_vertices(diagram, w))
 
 

@@ -172,15 +172,18 @@ def probe_depth_pairs(
     Pairs are enumerated over terminal vertices whose minimum coordinate is
     at least `min_coord_floor` (a finite stand-in for restricting to dense
     orbits) and whose towers fit the `budget`; oversized towers are counted
-    as skipped, not errors.  ValueError is raised unless L >= 1 and
-    0 <= i < L are integers, and for a floor above floor(L * d / q), the
-    largest minimum coordinate at level L, which admits no vertex.
+    as skipped, not errors.  ValueError is raised unless L >= 1, 0 <= i < L,
+    the floor >= 0 and the budget >= 1 are integers, and for a floor above
+    floor(L * d / q), the largest minimum coordinate at level L, which
+    admits no vertex.
     See the module docstring for kill and censor semantics.  Raises
     `ReportTooLarge` when the survivors or their conflict times would pass
     the kernel's cap.
     """
     horizon = _count(horizon, 1, what="horizon")
     i = _count(i, 0, horizon - 1, f"i at horizon {horizon}")
+    min_coord_floor = _count(min_coord_floor, 0, what="min_coord_floor")
+    budget = _count(budget, 1, what="budget")
     diagram = ordering.diagram
     top = horizon * diagram.degree // diagram.arity
     if min_coord_floor > top:

@@ -23,13 +23,16 @@ from .measure import (
 )
 
 
-def _sharing_pairs(diagram: Diagram, vertices):
-    """Pairs (w, w') of distinct vertices, w first in canonical order, with a common source."""
-    for i, w in enumerate(vertices):
-        sources = set(diagram.source_set(w))
-        for wp in vertices[i + 1 :]:
-            if not sources.isdisjoint(diagram.source_set(wp)):
-                yield w, wp
+def _sharing_pairs(diagram: Diagram, vertices) -> list[tuple]:
+    """Pairs (w, w') of distinct vertices, w first in canonical order, with a common source.
+
+    Each source's fed vertices taken two at a time, once per pair, in the
+    order of the vertices' positions; tests/test_coverage.py checks them
+    against a scan of every vertex pair.
+    """
+    fed = coverage._feeds(diagram, vertices).values()
+    pairs = sorted({pair for positions in fed for pair in combinations(positions, 2)})
+    return [(vertices[a], vertices[b]) for a, b in pairs]
 
 
 def check_vertex_enumeration(diagram: Diagram, max_level: int) -> list[str]:
@@ -59,14 +62,16 @@ def check_edge_duality(diagram: Diagram, max_level: int) -> list[str]:
     for level in range(1, max_level + 1):
         below = diagram.vertices(level - 1)
         vertices = diagram.vertices(level)
+        ups = [set(diagram.targets(u)) for u in below]
         for w in vertices:
             srcs = diagram.source_set(w)
-            for u in below:
-                in_sources = u in srcs
+            members = set(srcs)
+            for u, up in zip(below, ups):
+                in_sources = u in members
                 positive = diagram.multiplicity(u, w) >= 1
                 if in_sources != positive:
                     out.append(f"{u} vs {w}: source-set and multiplicity disagree")
-                if in_sources != (w in diagram.targets(u)):
+                if in_sources != (w in up):
                     out.append(f"{u} vs {w}: source-set and targets disagree")
             for u in srcs:
                 if not all(uc <= wc <= uc + d for uc, wc in zip(u.coords, w.coords)):
@@ -112,9 +117,12 @@ def check_dsv_rules(diagram: Diagram, max_level: int) -> list[str]:
                     others = [v for v in sources if v.coord(j) == u.coord(j) and v != u]
                     if others:
                         out.append(f"dsv({w},{j}) is not unique: {others}")
+        # only a vertex fed by one of w0's drop sources can hold one
+        fed = coverage._feeds(diagram, vertices)
         for w0 in vertices:
             drops = [diagram.dsv(w0, j) for j in range(1, diagram.arity + 1)]
-            for w1 in vertices:
+            linked = {k for u in drops if u is not None for k in fed.get(u, ())}
+            for w1 in map(vertices.__getitem__, sorted(linked)):
                 if w1 == w0:
                     continue
                 sources = diagram.source_set(w1)
@@ -133,7 +141,7 @@ def check_dsv_rules(diagram: Diagram, max_level: int) -> list[str]:
 
 
 def check_coverage_agreement(diagram: Diagram, max_level: int) -> list[str]:
-    """Closed-form covered test equals the exhaustive one wherever it applies."""
+    """Closed-form covered test equals the source-set oracle wherever it applies."""
     out = []
     for level in range(diagram.arity + 1, max_level + 1):
         report = coverage.coverage_report(diagram, level)

@@ -54,6 +54,13 @@ class TestValidate:
         assert check.is_chain and check.is_straight
         assert check.distinguished_direction == 1  # (5,4) = (6,4) dropped in x1
 
+    def test_straight_chain_without_a_direction(self, quartic):
+        # (6,6) feeds (8,8) but is neither of its drop sources, (4,8) and (8,4)
+        chain = chain_of(quartic, [(9, 7), (8, 8), (7, 9)], [(7, 5), (6, 6)])
+        check = validate_chain(quartic, chain)
+        assert check.is_straight and chain.length == 2
+        assert check.distinguished_direction is None
+
     def test_shape_mismatch(self, pascal):
         with pytest.raises(LengthMismatch):
             chain_of(pascal, [(5, 5), (4, 6)], [(4, 5), (3, 5)])
@@ -212,6 +219,31 @@ class TestLinkConsequences:
         assert report.sources_uncovered_status == "not applicable"  # 10 > (10-2)*1
         assert report.candidates_status == "not applicable"
         assert report.candidates == ()  # (9,0) feeds only this pair
+
+    @pytest.mark.parametrize(
+        "name, w0, w1, sources_window, candidates_window",
+        [
+            # (b) 2d <= w1(j) <= (level - 2) * d and (c) 2d <= w1(j) <= w0(j) <= (level - 1) * d,
+            # each bound met exactly, then missed by one
+            ("pascal", (3, 5), (2, 6), True, True),  # w1(j) = 2d
+            ("pascal", (2, 6), (1, 7), False, False),
+            ("quartic", (9, 11), (8, 12), True, True),
+            ("quartic", (8, 12), (7, 13), False, False),
+            ("pascal", (7, 1), (6, 2), True, True),  # w1(j) = (level - 2) * d, w0(j) = (level - 1) * d
+            ("pascal", (8, 0), (7, 1), False, False),
+            ("q3", (10, 1, 1), (9, 1, 2), False, True),  # w0(j) = (level - 1) * d
+            ("q3", (11, 1, 0), (10, 1, 1), False, False),
+            ("q3", (4, 4, 4), (4, 3, 5), True, True),  # w1(j) = w0(j)
+            ("q3", (4, 4, 4), (5, 3, 4), True, False),
+        ],
+    )
+    def test_window_bounds(self, all_diagrams, name, w0, w1, sources_window, candidates_window):
+        diagram = all_diagrams[name]
+        report = check_link_consequences(diagram, diagram.vertex(w0), diagram.vertex(w1), 1)
+        statuses = {report.sources_uncovered_status, report.targets_uncovered_status}
+        assert {status != "not applicable" for status in statuses} == {sources_window}
+        assert (report.candidates_status != "not applicable") == candidates_window
+        assert report.candidates  # w1's drop source feeds a third vertex
 
     def test_hypotheses_enforced(self, pascal):
         v = pascal.vertex((7, 3))

@@ -275,6 +275,16 @@ def _first_source(dsv):
     return lambda d, w, j: dsv(d, w, j) and d.source_set(w)[0]
 
 
+def _without_first_drop(source_set):
+    # level-3 vertices lose their 1-drop source: dsv, computed from w's
+    # coordinates, still names it, so it is no longer among w's sources
+    def faulty(d, w):
+        found = source_set(d, w)
+        return tuple(u for u in found if u[1][0] != w[1][0] - d.degree) if w[0] == 3 else found
+
+    return faulty
+
+
 def _root_as_first_rung(source_ladder):
     # the root, no source of z and at j coordinate 0, replaces the first rung
     return lambda d, z, j: (d.root, *source_ladder(d, z, j)[1:])
@@ -303,6 +313,7 @@ FAULTS = {
     "dsv_rules": [
         (Diagram, "dsv", lambda f: lambda d, w, j: None, "existence disagrees"),
         (Diagram, "dsv", _first_source, "is not the j-drop source"),
+        (Diagram, "source_set", _without_first_drop, "is not the j-drop source"),
         (Diagram, "source_set", _root_as_source, "is not unique"),
         (Diagram, "dsv", _first_source, "coordinate gap"),
         (Diagram, "dsv", _first_source, "in two directions"),

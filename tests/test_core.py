@@ -160,6 +160,13 @@ def test_missing_monomials_are_counted_not_listed():
         assert len(str(error)) < 1024
 
 
+def test_degree_zero_text_is_refused_before_any_vector_is_built():
+    # two million-entry exponent vectors were once built before degree 0 was refused
+    error = raised_within(lambda: parse_polynomial("x1^0 + x2000000^0"), seconds=0.5)
+    assert isinstance(error, PolynomialSyntaxError), error
+    assert "degree must be at least 1, got 0" in str(error)
+
+
 @given(
     total=st.integers(min_value=0, max_value=9),
     parts=st.integers(min_value=1, max_value=4),
@@ -230,7 +237,10 @@ def test_spec_round_trip(arity, degree, data):
 
 class TestVertices:
     def test_counts_match_enumeration(self, all_diagrams):
+        # level -1 once raised for the quartic and answered 0 for the others
         for diagram in all_diagrams.values():
+            assert diagram.vertex_count(-1) == diagram.spec.vertex_count(-1) == 0
+            assert diagram.vertices(-1) == ()
             for level in range(7):
                 vertices = diagram.vertices(level)
                 assert len(vertices) == diagram.vertex_count(level)
@@ -583,6 +593,10 @@ COUNTS = {
     "path_unrank": (lambda d, n: Ordering(d).path_unrank(d.vertex((2, 1)), n), RankOutOfRange),
     "probe_i": (lambda d, n: probe_depth_pairs(Ordering(d), n, 4), ValueError),
     "probe_horizon": (lambda d, n: probe_depth_pairs(Ordering(d), 0, n), ValueError),
+    "probe_floor": (lambda d, n: probe_depth_pairs(Ordering(d), 1, 4, min_coord_floor=n), ValueError),
+    "probe_budget": (lambda d, n: probe_depth_pairs(Ordering(d), 1, 4, budget=n), ValueError),
+    "vertex_count": (lambda d, n: d.vertex_count(n), ValueError),
+    "spec_vertex_count": (lambda d, n: d.spec.vertex_count(n), ValueError),
     "target_len": (
         lambda d, n: build_distinguished_chain(
             d, d.vertex((10, 10)), d.vertex((11, 9)), d.vertex((10, 9)), 1, n
@@ -604,7 +618,8 @@ class TestCounts:
     @pytest.mark.parametrize("place, given", BAD_COUNTS, ids=[f"{p}-{n!r}" for p, n in BAD_COUNTS])
     def test_a_count_that_is_no_integer_raises(self, pascal, place, given):
         # vertices(1.5) once never returned, path_unrank took rank 2.5 as 2,
-        # and dsv and the probe took True as 1
+        # dsv and the probe took True as 1, the probe ran on a budget of 2.5,
+        # and vertex_count(True) answered 2
         call, expected = COUNTS[place]
         error = raised_within(lambda: call(pascal, given))
         assert isinstance(error, expected), error
@@ -614,10 +629,12 @@ class TestCounts:
         [("compositions_parts", 0), ("vertices", -2), ("expansion_coefficients", -1),
          ("dsv", 0), ("dsv", 3), ("slack", 0), ("source_ladder", 3), ("minimal_mass_bound", 0),
          ("vertex_coding", 3), ("path_unrank", 3), ("probe_i", 4), ("probe_horizon", 0),
+         ("probe_floor", -1), ("probe_budget", 0), ("vertex_count", -2),
          ("target_len", 1), ("explicit_label", 3)],
     )
     def test_a_count_out_of_its_range_raises(self, pascal, place, given):
-        # slack(w, 0) once answered for the last direction
+        # slack(w, 0) once answered for the last direction, and a probe
+        # floor of -1 admitted every terminal
         call, expected = COUNTS[place]
         assert isinstance(raised_within(lambda: call(pascal, given)), expected)
 
@@ -630,7 +647,8 @@ class TestCounts:
         assert all(type(n) is int for n in (v.level, *v.coords))
         assert diagram.vertices(-1) == ()
         # 2.0 and numpy's 2 are 2 wherever a count is read
-        for place in sorted(set(COUNTS) - {"probe_i", "probe_horizon", "seed", "explicit_label"}):
+        probes = {"probe_i", "probe_horizon", "probe_floor", "probe_budget"}
+        for place in sorted(set(COUNTS) - probes - {"seed", "explicit_label"}):
             call = COUNTS[place][0]
             assert call(diagram, 2.0) == call(diagram, np.int64(2)) == call(diagram, 2), place
         # a seed or a label is stored as the int it equals, so a document can hold it

@@ -5,6 +5,8 @@ import weakref
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyadic import Diagram, PolynomialSpec, compositions_desc, parse_polynomial
 from polyadic.coverage import (
@@ -19,8 +21,9 @@ from polyadic.coverage import (
     target_uncovered_check,
 )
 from polyadic.errors import LadderPreconditionViolated, PreconditionNotMet
+from polyadic.verify import _sharing_pairs
 
-from conftest import all_ones
+from conftest import all_ones, polynomial_specs
 
 
 def scan_sources(diagram, w):
@@ -40,6 +43,15 @@ def test_cover_map_does_not_keep_its_diagram_alive():
     assert ref() is None
 
 
+def test_a_vertex_without_sources_is_compared_with_its_whole_level(monkeypatch):
+    # only the root has no source, alone on its level; should the source sets
+    # give another vertex none, the empty set lies in every vertex's sources
+    diagram = Diagram(parse_polynomial("x1 + x2"))
+    v, source_set = diagram.vertex((1, 1)), diagram.source_set
+    monkeypatch.setattr(diagram, "source_set", lambda w: () if w == v else source_set(w))
+    assert covering_vertices(diagram, v) == (diagram.vertex((2, 0)), diagram.vertex((0, 2)))
+
+
 def test_oracle_against_level_scan(all_diagrams):
     # cross-check the subtraction-based oracle with an adjacency scan
     for diagram in all_diagrams.values():
@@ -57,6 +69,43 @@ def test_oracle_against_level_scan(all_diagrams):
                 )
                 assert list(covering_vertices(diagram, w)) == expected
                 assert is_covered_oracle(diagram, w) == bool(expected)
+
+
+def scan_cover(diagram, w, sources):
+    """Vertices covering w, found by comparing w with every vertex on its level."""
+    return tuple(v for v in diagram.vertices(w.level) if v != w and sources[w] <= sources[v])
+
+
+def scan_sharing_pairs(diagram, vertices):
+    """Pairs of vertices with a common source, found by testing every pair."""
+    return [
+        (w, wp)
+        for i, w in enumerate(vertices)
+        for wp in vertices[i + 1 :]
+        if not set(diagram.source_set(w)).isdisjoint(diagram.source_set(wp))
+    ]
+
+
+def scan_dsv(diagram, w, j):
+    """The j-drop source of w, looked up among its sources."""
+    drop = w.coord(j) - diagram.degree
+    return next((u for u in diagram.source_set(w) if u.coord(j) == drop), None)
+
+
+@given(spec=polynomial_specs(max_degree=3, max_arity=3), level=st.integers(0, 7))
+@settings(max_examples=40, deadline=None)
+def test_source_index_matches_the_pair_scans(spec, level):
+    # the cover map, verify's sharing pairs and dsv follow the source
+    # adjacency; each equals the scan over every vertex pair, or every source,
+    # that it replaced
+    diagram = Diagram(spec)
+    vertices = diagram.vertices(level)
+    sources = {w: scan_sources(diagram, w) for w in vertices}
+    for w in vertices:
+        assert covering_vertices(diagram, w) == scan_cover(diagram, w, sources)
+        for j in range(1, diagram.arity + 1):
+            assert diagram.dsv(w, j) == scan_dsv(diagram, w, j)
+    assert _sharing_pairs(diagram, vertices) == scan_sharing_pairs(diagram, vertices)
 
 
 class TestFormula:

@@ -87,6 +87,12 @@ class TestFromTheta:
         with pytest.raises(InvalidWeight):
             weight_from_theta(pascal, (HALF, Fraction(-1, 2)))
 
+    @pytest.mark.parametrize("theta", [(0, 1), (Fraction(1), Fraction(0)), (0.0, 1.0)])
+    def test_a_zero_entry_on_the_curve_is_refused(self, pascal, theta):
+        # m(theta) = 1 holds, so only the positivity test refuses it
+        with pytest.raises(InvalidWeight, match="positive"):
+            weight_from_theta(pascal, theta)
+
 
 class TestCylinders:
     def test_pascal_cylinder(self, pascal, pascal_lex):
