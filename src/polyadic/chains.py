@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import Diagram, Vertex, _count
-from .coverage import is_covered_oracle
+from .coverage import _sharing_pairs, is_covered_oracle
 from .errors import DsvAbsent, HypothesisNotMet, LengthMismatch, NoExtension, PreconditionNotMet
 
 
@@ -159,31 +159,26 @@ def find_chain_start(diagram: Diagram, level: int) -> tuple[ChainStart, ...]:
     """All uncovered pairs with a shared source and well-separated j coordinates.
 
     Returns (v, v', j, u) for every ordered pair of distinct uncovered
-    vertices at `level` with a common source and a direction j satisfying
+    vertices at `level`, in canonical order of v and then of v', with u their
+    greatest common source and j a direction satisfying
     2d^2 + 4d <= v'(j) < v(j) <= (level - 2) * d.  These are the seeds from
     which long distinguished chains grow.  Below level 2d + 7 the window is
     empty, which raises `PreconditionNotMet`.
     """
+    level = _count(level, what="level")
     d = diagram.degree
-    lo = 2 * d * d + 4 * d
-    hi = (level - 2) * d
+    lo, hi = 2 * d * d + 4 * d, (level - 2) * d
     if lo >= hi:
         raise PreconditionNotMet(f"need level >= 2d + 7 = {2 * d + 7}, got {level}")
-    vertices = diagram.vertices(level)
-    uncovered = [v for v in vertices if not is_covered_oracle(diagram, v)]
-    sources = {v: frozenset(diagram.source_set(v)) for v in uncovered}
+    uncovered = tuple(v for v in diagram.vertices(level) if not is_covered_oracle(diagram, v))
+    pairs = _sharing_pairs(diagram, uncovered)
     out = []
-    for v in uncovered:
-        for vp in uncovered:
-            if vp == v:
-                continue
-            common = sources[v] & sources[vp]
-            if not common:
-                continue
-            witness = max(common)
-            for j in range(1, diagram.arity + 1):
-                if lo <= vp.coord(j) < v.coord(j) <= hi:
-                    out.append(ChainStart(v, vp, j, witness))
+    # canonical order is descending, so the pairs sort in reverse
+    for v, vp in sorted(pairs + [(vp, v) for v, vp in pairs], reverse=True):
+        witness = max(set(diagram.source_set(v)).intersection(diagram.source_set(vp)))
+        for j in range(1, diagram.arity + 1):
+            if lo <= vp.coord(j) < v.coord(j) <= hi:
+                out.append(ChainStart(v, vp, j, witness))
     return tuple(out)
 
 

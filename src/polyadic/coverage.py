@@ -6,17 +6,21 @@ exceeds the number of variables: w is covered iff some coordinate exceeds
 (level - 1) * d.  The oracle here recomputes coverage from the source sets
 themselves, so the closed form can be checked level by level: a vertex
 covering w is fed by every source of w, so w is compared only with the
-vertices one of its sources feeds.  Its brute-force oracle is the level-scan
-test in tests/test_coverage.py, which compares every pair of vertices on a
-level.  Everything downstream (chains, probes) consumes the oracle, not the
-formula.  Each level's cover map is computed once and kept on the Diagram,
-beside its vertex levels and neighbour caches.
+vertices one of its sources feeds (`_feeds`).  That index also gives
+`_sharing_pairs`, the one list of same-level pairs with a common source,
+which `chains.find_chain_start` and verify's edge-duality and link suites
+read.  Scans of every vertex pair in tests/test_coverage.py and
+tests/test_chains.py are the brute-force oracles of both.  Everything
+downstream (chains, probes) consumes the oracle, not the formula.  Each
+level's cover map is computed once and kept on the Diagram, beside its
+vertex levels and neighbour caches.
 
 Coverage depends only on the diagram shape, never on edge multiplicities.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple
 
 from .core import Diagram, Vertex, _count, _greedy_fill, compositions_desc
@@ -34,6 +38,14 @@ def _feeds(diagram: Diagram, vertices: tuple[Vertex, ...]) -> dict[Vertex, list[
         for u in diagram.source_set(w):
             fed.setdefault(u, []).append(k)
     return fed
+
+
+def _sharing_pairs(diagram: Diagram, vertices: tuple[Vertex, ...]) -> list[tuple[Vertex, Vertex]]:
+    """Pairs (w, w') of distinct `vertices` with a common source, in the order
+    of their positions: each source's fed vertices two at a time, once per pair."""
+    fed = _feeds(diagram, vertices).values()
+    pairs = sorted({pair for positions in fed for pair in combinations(positions, 2)})
+    return [(vertices[a], vertices[b]) for a, b in pairs]
 
 
 def _covering_map(diagram: Diagram, level: int) -> dict[Vertex, tuple[Vertex, ...]]:

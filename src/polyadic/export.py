@@ -48,7 +48,7 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING
 
-from .core import Diagram
+from .core import Diagram, _count
 from .vershik import Ordering
 from .version import __version__
 
@@ -168,6 +168,7 @@ def export_dot(diagram: Diagram, max_level: int, parallel_edges: bool = False) -
     Multiplicities appear as edge labels by default, or as that many parallel
     edge lines when `parallel_edges` is set.
     """
+    max_level = _count(max_level, 0, what="max_level")
     lines = [
         "digraph diagram {",
         "  rankdir=TB;",
@@ -193,6 +194,7 @@ def export_dot(diagram: Diagram, max_level: int, parallel_edges: bool = False) -
 
 def export_json(diagram: Diagram, max_level: int) -> dict:
     """A complete JSON document for the diagram up to max_level."""
+    max_level = _count(max_level, 0, what="max_level")
     levels = []
     for level in range(max_level + 1):
         vertices = []

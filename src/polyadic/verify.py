@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from . import coverage
 from .chains import check_link_consequences
-from .core import Diagram
+from .core import Diagram, _count
 from .errors import InvalidWeight, PreconditionNotMet
 from .measure import (
     MASS_TOLERANCE,
@@ -21,18 +21,6 @@ from .measure import (
     minimal_mass_bound,
     solve_symmetric_weight,
 )
-
-
-def _sharing_pairs(diagram: Diagram, vertices) -> list[tuple]:
-    """Pairs (w, w') of distinct vertices, w first in canonical order, with a common source.
-
-    Each source's fed vertices taken two at a time, once per pair, in the
-    order of the vertices' positions; tests/test_coverage.py checks them
-    against a scan of every vertex pair.
-    """
-    fed = coverage._feeds(diagram, vertices).values()
-    pairs = sorted({pair for positions in fed for pair in combinations(positions, 2)})
-    return [(vertices[a], vertices[b]) for a, b in pairs]
 
 
 def check_vertex_enumeration(diagram: Diagram, max_level: int) -> list[str]:
@@ -81,7 +69,7 @@ def check_edge_duality(diagram: Diagram, max_level: int) -> list[str]:
                     out.append(f"sources {u}, {up} of {w} differ by more than {d}")
             if max(w.coords) * q < level * d:
                 out.append(f"{w}: all coordinates below level*d/q")
-        for w, wp in _sharing_pairs(diagram, vertices):
+        for w, wp in coverage._sharing_pairs(diagram, vertices):
             if max(abs(a - b) for a, b in zip(w.coords, wp.coords)) > d:
                 out.append(f"{w} and {wp} share a source but sit more than {d} apart")
     return out
@@ -213,7 +201,7 @@ def check_link_consequences_suite(diagram: Diagram, max_level: int) -> list[str]
     """No link with satisfied hypotheses fails any of its static consequences."""
     out = []
     for level in range(diagram.arity + 2, max_level + 1):
-        for w0, w1 in _sharing_pairs(diagram, diagram.vertices(level)):
+        for w0, w1 in coverage._sharing_pairs(diagram, diagram.vertices(level)):
             for a, b in ((w0, w1), (w1, w0)):
                 for j in range(1, diagram.arity + 1):
                     report = check_link_consequences(diagram, a, b, j)
@@ -284,6 +272,7 @@ def verify_all(diagram: Diagram, max_level: int) -> VerifyResult:
     Five suites start above level q, so below q + 2 some would check nothing:
     that raises PreconditionNotMet, not a pass.
     """
+    max_level = _count(max_level, 0, what="max_level")
     q = diagram.arity
     if max_level < q + 2:
         raise PreconditionNotMet(

@@ -374,6 +374,7 @@ class Ordering:
 
     def tower(self, v: Vertex, budget: int = DEFAULT_TOWER_BUDGET) -> tuple[FinitePath, ...]:
         """All dim(v) root-to-v paths in successor order (rank 0 is minimal)."""
+        budget = _count(budget, 1, what="budget")
         dim = self.diagram.dimension(v)
         if dim > budget:
             raise TowerTooLarge(f"dimension {dim} of {v} exceeds budget {budget}")

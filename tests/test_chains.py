@@ -1,6 +1,8 @@
 """Chain validation, the mechanical extension loop, and start-pair search."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyadic import Diagram, Vertex, parse_polynomial
 from polyadic.chains import (
@@ -19,6 +21,8 @@ from polyadic.errors import (
     NoExtension,
     PreconditionNotMet,
 )
+
+from conftest import polynomial_specs
 
 
 def chain_of(diagram, splitting, shared, direction=None):
@@ -146,7 +150,43 @@ class TestBuild:
             )
 
 
+def scan_chain_starts(diagram, level):
+    """Chain starts found by testing every ordered pair of uncovered vertices."""
+    d = diagram.degree
+    lo, hi = 2 * d * d + 4 * d, (level - 2) * d
+    uncovered = [v for v in diagram.vertices(level) if not is_covered_oracle(diagram, v)]
+    sources = {v: frozenset(diagram.source_set(v)) for v in uncovered}
+    out = []
+    for v in uncovered:
+        for vp in uncovered:
+            common = sources[v] & sources[vp]
+            if vp == v or not common:
+                continue
+            for j in range(1, diagram.arity + 1):
+                if lo <= vp.coord(j) < v.coord(j) <= hi:
+                    out.append(ChainStart(v, vp, j, max(common)))
+    return tuple(out)
+
+
+@given(spec=polynomial_specs(max_degree=2, max_arity=3), offset=st.integers(7, 10))
+@settings(max_examples=30, deadline=None)
+def test_chain_starts_match_the_pair_scan_on_random_shapes(spec, offset):
+    diagram, level = Diagram(spec), 2 * spec.degree + offset
+    assert find_chain_start(diagram, level) == scan_chain_starts(diagram, level)
+
+
 class TestStarts:
+    @pytest.mark.parametrize(
+        "name, levels", [("pascal", (9, 14)), ("quartic", (15, 17)), ("q3", (11, 14))]
+    )
+    def test_starts_match_the_pair_scan(self, all_diagrams, name, levels):
+        # same starts, same order, same witnesses; with d = 2 a pair shares
+        # several sources, so the greatest is the one asked for
+        diagram = all_diagrams[name]
+        for level in levels:
+            starts = find_chain_start(diagram, level)
+            assert starts and starts == scan_chain_starts(diagram, level)
+
     def test_smallest_pascal_level(self, pascal):
         # below level 2d + 7 = 9 the window 2d^2 + 4d <= v'(j) < v(j) <= (L - 2)d is empty
         with pytest.raises(PreconditionNotMet, match="2d \\+ 7 = 9, got 8"):

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyadic import Diagram, Ordering, PolynomialSpec, Vertex, coverage, parse_polynomial
-from polyadic.chains import build_distinguished_chain
+from polyadic.chains import build_distinguished_chain, find_chain_start
 from polyadic.core import compositions_desc
-from polyadic.export import document_header, to_stable_json
+from polyadic.export import document_header, export_dot, export_json, to_stable_json
 from polyadic.errors import (
     AritySmallerThanTwo,
     MissingMonomial,
@@ -23,6 +23,7 @@ from polyadic.errors import (
 )
 from polyadic.measure import minimal_mass_bound, solve_symmetric_weight
 from polyadic.probe import probe_depth_pairs
+from polyadic.verify import verify_all
 
 from conftest import OFF_LATTICE, all_ones, peak_rss_mb, raised_within
 
@@ -604,6 +605,12 @@ COUNTS = {
         ValueError,
     ),
     "seed": (lambda d, n: Ordering(d, "random", seed=n), ValueError),
+    "tower_budget": (lambda d, n: Ordering(d).tower(d.vertex((2, 0)), n), ValueError),
+    "export_json": (lambda d, n: export_json(d, n), ValueError),
+    "export_dot": (lambda d, n: export_dot(d, n), ValueError),
+    # these two need a level above 2, so their integer cases have a test of their own
+    "verify_all": (lambda d, n: verify_all(d, n), ValueError),
+    "chain_start_level": (lambda d, n: find_chain_start(d, n), ValueError),
     "explicit_label": (
         lambda d, n: Ordering(d, "explicit", table={"2:1,1": [n, 1]}), NonBijectiveLabeling
     ),
@@ -630,11 +637,12 @@ class TestCounts:
          ("dsv", 0), ("dsv", 3), ("slack", 0), ("source_ladder", 3), ("minimal_mass_bound", 0),
          ("vertex_coding", 3), ("path_unrank", 3), ("probe_i", 4), ("probe_horizon", 0),
          ("probe_floor", -1), ("probe_budget", 0), ("vertex_count", -2),
-         ("target_len", 1), ("explicit_label", 3)],
+         ("target_len", 1), ("explicit_label", 3), ("tower_budget", 0), ("export_json", -1),
+         ("export_dot", -1), ("verify_all", -1)],
     )
     def test_a_count_out_of_its_range_raises(self, pascal, place, given):
-        # slack(w, 0) once answered for the last direction, and a probe
-        # floor of -1 admitted every terminal
+        # slack(w, 0) once answered for the last direction, a probe floor of
+        # -1 admitted every terminal, and export_json(-1) wrote no level
         call, expected = COUNTS[place]
         assert isinstance(raised_within(lambda: call(pascal, given)), expected)
 
@@ -648,7 +656,8 @@ class TestCounts:
         assert diagram.vertices(-1) == ()
         # 2.0 and numpy's 2 are 2 wherever a count is read
         probes = {"probe_i", "probe_horizon", "probe_floor", "probe_budget"}
-        for place in sorted(set(COUNTS) - probes - {"seed", "explicit_label"}):
+        others = {"seed", "explicit_label", "verify_all", "chain_start_level"}
+        for place in sorted(set(COUNTS) - probes - others):
             call = COUNTS[place][0]
             assert call(diagram, 2.0) == call(diagram, np.int64(2)) == call(diagram, 2), place
         # a seed or a label is stored as the int it equals, so a document can hold it
@@ -656,3 +665,12 @@ class TestCounts:
         explicit = Ordering(diagram, "explicit", table={"2:1,1": [2.0, np.int64(1)]})
         assert to_stable_json(random.describe()) == to_stable_json({"preset": "random", "seed": 3})
         assert to_stable_json(explicit.describe()) == to_stable_json({"explicit": {"2:1,1": [2, 1]}})
+
+    def test_a_whole_level_count_equal_to_an_integer_is_that_integer(self, pascal):
+        # verify_all(6.0) once raised TypeError, and numpy's 6 gave a result
+        # that to_stable_json could not write
+        results = [verify_all(pascal, n) for n in (6, 6.0, np.int64(6))]
+        assert len({to_stable_json(r.to_json()) for r in results}) == 1
+        assert all(type(r.max_level) is int for r in results)
+        starts = [find_chain_start(pascal, n) for n in (9, 9.0, np.int64(9))]
+        assert starts[0] == starts[1] == starts[2] and starts[0]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from polyadic import Diagram, PolynomialSpec, compositions_desc, parse_polynomial
 from polyadic.coverage import (
+    _sharing_pairs,
     check_cov2,
     coverage_report,
     covering_vertices,
@@ -21,7 +22,6 @@ from polyadic.coverage import (
     target_uncovered_check,
 )
 from polyadic.errors import LadderPreconditionViolated, PreconditionNotMet
-from polyadic.verify import _sharing_pairs
 
 from conftest import all_ones, polynomial_specs
 

@@ -2,11 +2,12 @@
 
 The deterministic JSON/DOT documents are the package's contract, so a
 refactor must leave every byte of them unchanged.  The digests pin the nine
-README examples plus eleven other documents, among them two i=0 probes whose
+README examples plus thirteen other documents, among them two i=0 probes whose
 every pair survives, probes with every pair killed, with skipped towers and
 with a floor, a binomial tower whose dimensions pass 2**64, a `vershik`
-document under an explicit ordering table, and a chain whose extension
-stops (`chain_error`); the documents themselves are not stored (the probe
+document under an explicit ordering table, chains on q3 and the quartic,
+whose pairs share several sources, and a chain whose extension stops
+(`chain_error`); the documents themselves are not stored (the probe
 examples run to hundreds of kilobytes, the quartic i=0 probe to 1.4 MB).
 After an intended output change, run this file as a script with `src` and
 `tests` on PYTHONPATH and copy each printed exit code and digest into
@@ -129,6 +130,17 @@ GOLDEN = {
          "--ordering", '{"explicit": {"2:1,1": [2, 1]}}'),
         0,
         "9962861f91d1db3384e1513c6a31f370829efa648496c23cb14522cf04718f34",
+    ),
+    # pairs sharing several sources: a wrong witness or pair order shows here
+    "chain-q3-12": (
+        ("chain", "--poly", Q3_TEXT, "--level", "12"),
+        0,
+        "a0c5f2d45c8f35dec104ad655d490f6d2ed55c4a65d4c8cc6a4ee41a46879695",
+    ),
+    "chain-quartic-15": (
+        ("chain", "--poly", QUARTIC_TEXT, "--level", "15"),
+        0,
+        "71295721bd5be7a3c6ba7301fcc3c11d83f959e1593383a6d757ed2b20a857de",
     ),
     "chain-pascal-error": (
         ("chain", "--poly", PASCAL_TEXT, "--level", "18", "--target-len", "60"),
