@@ -52,6 +52,7 @@ _DEFERRED = {
             "build_distinguished_chain",
             "check_link_consequences",
             "find_chain_start",
+            "link_reports",
             "validate_chain",
         ),
         "coverage": (

@@ -12,7 +12,7 @@ until the chain collides with its own start.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Collection, Iterator, NamedTuple
 
 from .core import Diagram, Vertex, _count
 from .coverage import _sharing_pairs, is_covered_oracle
@@ -226,30 +226,58 @@ def check_link_consequences(diagram: Diagram, w0: Vertex, w1: Vertex, j: int) ->
         source of w1 has some target besides w0 and w1.
 
     Claim (c) needs its window: at a corner pair such as (5,0), (4,1) with
-    d = 1 the drop source (4,0) feeds only those two vertices.
+    d = 1 the drop source (4,0) feeds only those two vertices.  This is one
+    link of `link_reports`, evaluated by the same code once the hypotheses
+    are checked.
     """
     w0, w1 = diagram._checked(w0), diagram._checked(w1)
     if w0.level != w1.level or w0 == w1:
         raise HypothesisNotMet("w0 and w1 must be distinct vertices on one level")
-    d = diagram.degree
     # a shared source is a lattice point one level down and below both, so
     # below their coordinatewise minimum, and every such point is a source:
     # one exists iff the minimum holds a level's worth, (level - 1) * d
-    if sum(map(min, w0.coords, w1.coords)) < (w0.level - 1) * d:
+    if sum(map(min, w0.coords, w1.coords)) < (w0.level - 1) * diagram.degree:
         raise HypothesisNotMet(f"{w0} and {w1} share no source")
-    level = w1.level
     u1 = diagram.dsv(w1, j)  # validates j
+    return _link(diagram, w0, w1, j, u1, diagram.source_set(w0))
+
+
+def link_reports(diagram: Diagram, level: int) -> Iterator[LinkReport]:
+    """The report of every link on `level`, as `check_link_consequences` gives it.
+
+    The links are the pairs of `_sharing_pairs`, in its order, each as
+    (w0, w1) and then (w1, w0), with j = 1..q.  Each vertex's drops and
+    sources are read once for the level, not once per link.
+    """
+    level = _count(level, 0, what="level")
+    vertices = diagram.vertices(level)
+    directions = range(1, diagram.arity + 1)
+    drops = {w: [diagram.dsv(w, j) for j in directions] for w in vertices}
+    sources = {w: frozenset(diagram.source_set(w)) for w in vertices}
+    for pair in _sharing_pairs(diagram, vertices):
+        for w0, w1 in (pair, pair[::-1]):
+            for j, u1 in enumerate(drops[w1], start=1):
+                yield _link(diagram, w0, w1, j, u1, sources[w0])
+
+
+def _link(
+    diagram: Diagram, w0: Vertex, w1: Vertex, j: int, u1: Vertex | None,
+    w0_sources: Collection[Vertex],
+) -> LinkReport:
+    """Claims (a)-(c) of the link (w0, w1) in direction j, which shares a
+    source; u1 is w1's j-drop source and `w0_sources` holds w0's sources."""
+    d, level = diagram.degree, w1.level
     a, b = w0.coords[j - 1], w1.coords[j - 1]
 
     if b <= a:
-        a_status = "fail" if u1 is not None and u1 in diagram.source_set(w0) else "pass"
+        a_status = "fail" if u1 is not None and u1 in w0_sources else "pass"
     else:
         a_status = "not applicable"
 
     if 2 * d <= b <= (level - 2) * d:
-        b_sources, b_targets = (
-            "pass" if ok else "fail" for ok in _uncovered_around(diagram, w1)
-        )
+        sources_ok, targets_ok = _uncovered_around(diagram, w1)
+        b_sources = "pass" if sources_ok else "fail"
+        b_targets = "pass" if targets_ok else "fail"
     else:
         b_sources = b_targets = "not applicable"
 

@@ -8,12 +8,12 @@ themselves, so the closed form can be checked level by level: a vertex
 covering w is fed by every source of w, so w is compared only with the
 vertices one of its sources feeds (`_feeds`).  That index also gives
 `_sharing_pairs`, the one list of same-level pairs with a common source,
-which `chains.find_chain_start` and verify's edge-duality and link suites
-read.  Scans of every vertex pair in tests/test_coverage.py and
-tests/test_chains.py are the brute-force oracles of both.  Everything
-downstream (chains, probes) consumes the oracle, not the formula.  Each
-level's cover map is computed once and kept on the Diagram, beside its
-vertex levels and neighbour caches.
+which `chains.find_chain_start`, `chains.link_reports` and verify's
+edge-duality suite read.  Scans of every vertex pair in
+tests/test_coverage.py and tests/test_chains.py are the brute-force oracles
+of both.  Everything downstream (chains, probes) consumes the oracle, not
+the formula.  Each level's cover map is computed once and kept on the
+Diagram, beside its vertex levels and neighbour caches.
 
 Coverage depends only on the diagram shape, never on edge multiplicities.
 """
@@ -136,6 +136,7 @@ class CoverageReport(NamedTuple):
 
 
 def coverage_report(diagram: Diagram, level: int) -> CoverageReport:
+    level = _count(level, 0, what="level")
     entries = []
     bad = []
     for w in diagram.vertices(level):
@@ -206,6 +207,7 @@ class Cov2Report(NamedTuple):
 
 def check_cov2(diagram: Diagram, level: int) -> Cov2Report:
     """Score both sigma orientations of the covering-set formula at one level."""
+    level = _count(level, 0, what="level")
     if level <= diagram.arity:
         raise PreconditionNotMet(f"need level > q = {diagram.arity}, got {level}")
     checked = 0
@@ -263,6 +265,7 @@ def target_uncovered_check(diagram: Diagram, level: int) -> tuple[tuple[Vertex, 
     returns (target, uncovered source) pairs where the target is nevertheless
     covered.  Expected empty whenever level - 1 > q.
     """
+    level = _count(level, 0, what="level")
     if level - 1 <= diagram.arity:
         raise PreconditionNotMet(f"need level - 1 > q = {diagram.arity}, got level {level}")
     bad = []

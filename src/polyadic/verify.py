@@ -11,7 +11,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import coverage
-from .chains import check_link_consequences
+from .chains import link_reports
 from .core import Diagram, _count
 from .errors import InvalidWeight, PreconditionNotMet
 from .measure import (
@@ -93,10 +93,12 @@ def check_dsv_rules(diagram: Diagram, max_level: int) -> list[str]:
     d = diagram.degree
     for level in range(1, max_level + 1):
         vertices = diagram.vertices(level)
+        all_drops = []  # each vertex's drops by direction, for the rigidity half
         for w in vertices:
             sources = diagram.source_set(w)
-            for j in range(1, diagram.arity + 1):
-                u = diagram.dsv(w, j)
+            drops = [diagram.dsv(w, j) for j in range(1, diagram.arity + 1)]
+            all_drops.append(drops)
+            for j, u in enumerate(drops, start=1):
                 if (u is not None) != (w.coord(j) >= d):
                     out.append(f"dsv({w},{j}) existence disagrees with the threshold")
                 if u is not None:
@@ -107,8 +109,7 @@ def check_dsv_rules(diagram: Diagram, max_level: int) -> list[str]:
                         out.append(f"dsv({w},{j}) is not unique: {others}")
         # only a vertex fed by one of w0's drop sources can hold one
         fed = coverage._feeds(diagram, vertices)
-        for w0 in vertices:
-            drops = [diagram.dsv(w0, j) for j in range(1, diagram.arity + 1)]
+        for w0, drops in zip(vertices, all_drops):
             linked = {k for u in drops if u is not None for k in fed.get(u, ())}
             for w1 in map(vertices.__getitem__, sorted(linked)):
                 if w1 == w0:
@@ -201,18 +202,17 @@ def check_link_consequences_suite(diagram: Diagram, max_level: int) -> list[str]
     """No link with satisfied hypotheses fails any of its static consequences."""
     out = []
     for level in range(diagram.arity + 2, max_level + 1):
-        for w0, w1 in coverage._sharing_pairs(diagram, diagram.vertices(level)):
-            for a, b in ((w0, w1), (w1, w0)):
-                for j in range(1, diagram.arity + 1):
-                    report = check_link_consequences(diagram, a, b, j)
-                    for name, status in (
-                        ("drop-source-absent", report.drop_source_absent_status),
-                        ("sources-uncovered", report.sources_uncovered_status),
-                        ("targets-uncovered", report.targets_uncovered_status),
-                        ("extension-candidates", report.candidates_status),
-                    ):
-                        if status == "fail":
-                            out.append(f"link ({a}, {b}, j={j}) fails {name}")
+        for report in link_reports(diagram, level):
+            for name, status in (
+                ("drop-source-absent", report.drop_source_absent_status),
+                ("sources-uncovered", report.sources_uncovered_status),
+                ("targets-uncovered", report.targets_uncovered_status),
+                ("extension-candidates", report.candidates_status),
+            ):
+                if status == "fail":
+                    out.append(
+                        f"link ({report.w0}, {report.w1}, j={report.direction}) fails {name}"
+                    )
     return out
 
 

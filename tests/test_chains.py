@@ -11,6 +11,7 @@ from polyadic.chains import (
     build_distinguished_chain,
     check_link_consequences,
     find_chain_start,
+    link_reports,
     validate_chain,
 )
 from polyadic.coverage import is_covered_oracle
@@ -23,6 +24,7 @@ from polyadic.errors import (
 )
 
 from conftest import polynomial_specs
+from test_coverage import scan_sharing_pairs
 
 
 def chain_of(diagram, splitting, shared, direction=None):
@@ -313,3 +315,56 @@ class TestLinkConsequences:
                             assert str(exc) == f"{w0} and {w1} share no source"
                             met = False
                         assert met == share, (w0, w1)
+
+
+def scan_link_reports(diagram, level):
+    """Every link's report from the single-link check, over the pairs found by
+    testing every vertex pair: each pair in both orders, every direction."""
+    return [
+        check_link_consequences(diagram, a, b, j)
+        for pair in scan_sharing_pairs(diagram, diagram.vertices(level))
+        for a, b in (pair, pair[::-1])
+        for j in range(1, diagram.arity + 1)
+    ]
+
+
+def claim_windows(diagram, report):
+    """Whether claims (a), (b) and (c) apply to the report's link, read off
+    the windows of `check_link_consequences`' docstring."""
+    d, level, j = diagram.degree, report.w1.level, report.direction
+    a, b = report.w0.coord(j), report.w1.coord(j)
+    return b <= a, 2 * d <= b <= (level - 2) * d, 2 * d <= b <= a <= (level - 1) * d
+
+
+def assert_link_reports_match(diagram, level):
+    reports = list(link_reports(diagram, level))
+    assert reports == scan_link_reports(diagram, level)
+    for r in reports:
+        statuses = (r.drop_source_absent_status, r.sources_uncovered_status, r.candidates_status)
+        assert tuple(s != "not applicable" for s in statuses) == claim_windows(diagram, r), r
+    return reports
+
+
+class TestLinkReports:
+    @pytest.mark.parametrize(
+        "text, levels",
+        [
+            ("x1 + x2", range(10)),
+            ("x1^4 + 2 x1^3 x2 + x1^2 x2^2 + 3 x1 x2^3 + x2^4", range(7)),
+            ("x1^2 + x1 x2 + x1 x3 + x2^2 + x2 x3 + x3^2", range(8)),
+            ("2 x1 + x2", range(10)),
+            ("x1 + x2 + x3 + x4", range(6)),
+        ],
+        ids=["pascal", "quartic", "q3", "parallel-edges", "four-variables"],
+    )
+    def test_reports_match_the_single_link_check(self, text, levels):
+        # same links, same order, every field; each claim applies to some link
+        diagram = Diagram(parse_polynomial(text))
+        found = [r for level in levels for r in assert_link_reports_match(diagram, level)]
+        assert all(map(any, zip(*(claim_windows(diagram, r) for r in found))))
+
+
+@given(spec=polynomial_specs(max_degree=2, max_arity=3), level=st.integers(0, 7))
+@settings(max_examples=30, deadline=None)
+def test_link_reports_match_the_single_link_check_on_random_shapes(spec, level):
+    assert_link_reports_match(Diagram(spec), level)

@@ -355,10 +355,13 @@ FAULTS = {
     "link_consequences": [
         (
             verify,
-            "check_link_consequences",
-            lambda f: lambda d, a, b, j: f(d, a, b, j)._replace(candidates_status="fail"),
+            "link_reports",
+            lambda f: lambda d, level: (r._replace(candidates_status="fail") for r in f(d, level)),
             "fails extension-candidates",
         ),
+        # each drop is read through `dsv`: w1's first source, when w0 shares it,
+        # fails claim (a)
+        (Diagram, "dsv", _first_source, "fails drop-source-absent"),
     ],
     "measure_bounds": [
         (verify, "level_mass", lambda f: lambda d, level, w: f(d, level, w) + 1e-6, "total mass"),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyadic import Diagram, Ordering, PolynomialSpec, Vertex, coverage, parse_polynomial
-from polyadic.chains import build_distinguished_chain, find_chain_start
+from polyadic.chains import build_distinguished_chain, find_chain_start, link_reports
 from polyadic.core import compositions_desc
 from polyadic.export import document_header, export_dot, export_json, to_stable_json
 from polyadic.errors import (
@@ -608,9 +608,13 @@ COUNTS = {
     "tower_budget": (lambda d, n: Ordering(d).tower(d.vertex((2, 0)), n), ValueError),
     "export_json": (lambda d, n: export_json(d, n), ValueError),
     "export_dot": (lambda d, n: export_dot(d, n), ValueError),
-    # these two need a level above 2, so their integer cases have a test of their own
+    "coverage_report": (lambda d, n: coverage.coverage_report(d, n), ValueError),
+    "link_reports": (lambda d, n: list(link_reports(d, n)), ValueError),
+    # these four need a level above 2, so their integer cases have a test of their own
     "verify_all": (lambda d, n: verify_all(d, n), ValueError),
     "chain_start_level": (lambda d, n: find_chain_start(d, n), ValueError),
+    "check_cov2": (lambda d, n: coverage.check_cov2(d, n), ValueError),
+    "target_uncovered_check": (lambda d, n: coverage.target_uncovered_check(d, n), ValueError),
     "explicit_label": (
         lambda d, n: Ordering(d, "explicit", table={"2:1,1": [n, 1]}), NonBijectiveLabeling
     ),
@@ -638,11 +642,14 @@ class TestCounts:
          ("vertex_coding", 3), ("path_unrank", 3), ("probe_i", 4), ("probe_horizon", 0),
          ("probe_floor", -1), ("probe_budget", 0), ("vertex_count", -2),
          ("target_len", 1), ("explicit_label", 3), ("tower_budget", 0), ("export_json", -1),
-         ("export_dot", -1), ("verify_all", -1)],
+         ("export_dot", -1), ("verify_all", -1), ("check_cov2", -1),
+         ("target_uncovered_check", -1), ("coverage_report", -1), ("link_reports", -1)],
     )
     def test_a_count_out_of_its_range_raises(self, pascal, place, given):
         # slack(w, 0) once answered for the last direction, a probe floor of
-        # -1 admitted every terminal, and export_json(-1) wrote no level
+        # -1 admitted every terminal, export_json(-1) wrote no level,
+        # coverage_report(-1) returned an empty report, and check_cov2(-1)
+        # raised PreconditionNotMet
         call, expected = COUNTS[place]
         assert isinstance(raised_within(lambda: call(pascal, given)), expected)
 
@@ -656,7 +663,10 @@ class TestCounts:
         assert diagram.vertices(-1) == ()
         # 2.0 and numpy's 2 are 2 wherever a count is read
         probes = {"probe_i", "probe_horizon", "probe_floor", "probe_budget"}
-        others = {"seed", "explicit_label", "verify_all", "chain_start_level"}
+        others = {
+            "seed", "explicit_label", "verify_all", "chain_start_level", "check_cov2",
+            "target_uncovered_check",
+        }
         for place in sorted(set(COUNTS) - probes - others):
             call = COUNTS[place][0]
             assert call(diagram, 2.0) == call(diagram, np.int64(2)) == call(diagram, 2), place
@@ -674,3 +684,12 @@ class TestCounts:
         assert all(type(r.max_level) is int for r in results)
         starts = [find_chain_start(pascal, n) for n in (9, 9.0, np.int64(9))]
         assert starts[0] == starts[1] == starts[2] and starts[0]
+        # coverage_report(4.0) once wrote "level": 4.0, and numpy's 4 gave a
+        # report that to_stable_json could not write
+        covered = [coverage.coverage_report(pascal, n) for n in (4, 4.0, np.int64(4))]
+        assert len({to_stable_json(r.to_json()) for r in covered}) == 1
+        cov2 = [coverage.check_cov2(pascal, n) for n in (4, 4.0, np.int64(4))]
+        assert cov2[0] == cov2[1] == cov2[2] and cov2[0].checked
+        assert all(type(r.level) is int for r in covered + cov2)
+        targets = [coverage.target_uncovered_check(pascal, n) for n in (4, 4.0, np.int64(4))]
+        assert targets[0] == targets[1] == targets[2] == ()
