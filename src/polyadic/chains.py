@@ -12,7 +12,8 @@ until the chain collides with its own start.
 
 from __future__ import annotations
 
-from typing import Collection, Iterator, NamedTuple
+from functools import cache, partial
+from typing import Callable, Collection, Iterator, NamedTuple
 
 from .core import Diagram, Vertex, _count
 from .coverage import _sharing_pairs, is_covered_oracle
@@ -201,19 +202,13 @@ class LinkReport(NamedTuple):
 
 
 def _uncovered_around(diagram: Diagram, w: Vertex) -> tuple[bool, bool]:
-    """Whether every source of w is uncovered, and every target of those sources.
-
-    Claim (b) of a link depends on its w1 alone, so each vertex's answer is
-    kept on the diagram, beside its cover maps.
-    """
-    found = diagram._uncovered_around.get(w)
-    if found is None:
-        srcs = diagram.source_set(w)
-        found = diagram._uncovered_around[w] = (
-            not any(is_covered_oracle(diagram, u) for u in srcs),
-            not any(is_covered_oracle(diagram, t) for u in srcs for t in diagram.targets(u)),
-        )
-    return found
+    """Whether every source of w is uncovered, and every target of those sources:
+    claim (b) of a link, which depends on its w1 alone."""
+    srcs = diagram.source_set(w)
+    return (
+        not any(is_covered_oracle(diagram, u) for u in srcs),
+        not any(is_covered_oracle(diagram, t) for u in srcs for t in diagram.targets(u)),
+    )
 
 
 def check_link_consequences(diagram: Diagram, w0: Vertex, w1: Vertex, j: int) -> LinkReport:
@@ -239,7 +234,7 @@ def check_link_consequences(diagram: Diagram, w0: Vertex, w1: Vertex, j: int) ->
     if sum(map(min, w0.coords, w1.coords)) < (w0.level - 1) * diagram.degree:
         raise HypothesisNotMet(f"{w0} and {w1} share no source")
     u1 = diagram.dsv(w1, j)  # validates j
-    return _link(diagram, w0, w1, j, u1, diagram.source_set(w0))
+    return _link(diagram, w0, w1, j, u1, diagram.source_set(w0), partial(_uncovered_around, diagram))
 
 
 def link_reports(diagram: Diagram, level: int) -> Iterator[LinkReport]:
@@ -247,25 +242,28 @@ def link_reports(diagram: Diagram, level: int) -> Iterator[LinkReport]:
 
     The links are the pairs of `_sharing_pairs`, in its order, each as
     (w0, w1) and then (w1, w0), with j = 1..q.  Each vertex's drops and
-    sources are read once for the level, not once per link.
+    sources are read once for the level, not once per link, and claim (b)'s
+    facts once per w1 that needs them.
     """
     level = _count(level, 0, what="level")
     vertices = diagram.vertices(level)
     directions = range(1, diagram.arity + 1)
     drops = {w: [diagram.dsv(w, j) for j in directions] for w in vertices}
     sources = {w: frozenset(diagram.source_set(w)) for w in vertices}
+    around = cache(partial(_uncovered_around, diagram))
     for pair in _sharing_pairs(diagram, vertices):
         for w0, w1 in (pair, pair[::-1]):
             for j, u1 in enumerate(drops[w1], start=1):
-                yield _link(diagram, w0, w1, j, u1, sources[w0])
+                yield _link(diagram, w0, w1, j, u1, sources[w0], around)
 
 
 def _link(
     diagram: Diagram, w0: Vertex, w1: Vertex, j: int, u1: Vertex | None,
-    w0_sources: Collection[Vertex],
+    w0_sources: Collection[Vertex], around: Callable[[Vertex], tuple[bool, bool]],
 ) -> LinkReport:
     """Claims (a)-(c) of the link (w0, w1) in direction j, which shares a
-    source; u1 is w1's j-drop source and `w0_sources` holds w0's sources."""
+    source; u1 is w1's j-drop source, `w0_sources` holds w0's sources and
+    `around` gives `_uncovered_around` of a vertex."""
     d, level = diagram.degree, w1.level
     a, b = w0.coords[j - 1], w1.coords[j - 1]
 
@@ -275,7 +273,7 @@ def _link(
         a_status = "not applicable"
 
     if 2 * d <= b <= (level - 2) * d:
-        sources_ok, targets_ok = _uncovered_around(diagram, w1)
+        sources_ok, targets_ok = around(w1)
         b_sources = "pass" if sources_ok else "fail"
         b_targets = "pass" if targets_ok else "fail"
     else:

@@ -35,7 +35,7 @@ import functools
 import os
 import sys
 
-from .core import Diagram, parse_polynomial
+from .core import Diagram, _count, parse_polynomial
 from .errors import PolyadicError
 from .export import document_header, export_dot, export_json, to_stable_json
 from .probe import probe_depth_pairs
@@ -176,9 +176,7 @@ def _int_at_least(low: int):
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
+        return _count(value, low, what="value", error=argparse.ArgumentTypeError)
 
     return parse
 

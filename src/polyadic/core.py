@@ -361,8 +361,7 @@ class Diagram:
 
     Neighbours are cached per vertex value: `source_set` and `targets` store
     only valid vertices, so a hit needs no validation, and `coverage` keeps
-    each level's cover map in `_covers`, beside which `chains` keeps each
-    vertex's link facts in `_uncovered_around`.
+    each level's cover map in `_covers`.
     """
 
     def __init__(self, spec: PolynomialSpec) -> None:
@@ -374,7 +373,6 @@ class Diagram:
         self._intern(Vertex(0, (0,) * spec.arity), 0)
         self._powers: list[dict[Coords, int]] = [{(0,) * spec.arity: 1}]  # by level
         self._covers: dict[int, dict[Vertex, tuple[Vertex, ...]]] = {}
-        self._uncovered_around: dict[Vertex, tuple[bool, bool]] = {}
         self._sources: dict[Vertex, tuple[Vertex, ...]] = {}
         self._targets: dict[Vertex, tuple[Vertex, ...]] = {}
 

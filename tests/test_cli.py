@@ -270,6 +270,24 @@ def _root_as_source(source_set):
     return lambda d, w: source_set(d, w) + (d.root,) if w[0] == 3 else source_set(d, w)
 
 
+def _corner_as_target(targets):
+    # level-2 vertices gain the first level-3 vertex as a target: an edge
+    # that targets lists and source_set does not
+    return lambda d, u: targets(d, u) + (d.vertices(3)[0],) if u[0] == 2 else targets(d, u)
+
+
+def _first_edges_moved(multiplicity):
+    # u's edges to its first target move to its last: the counts keep their
+    # sum, so only the rule that each target gets at least one edge sees it
+    def faulty(d, u, w):
+        first, *_, last = d.targets(u)
+        if w == first:
+            return 0
+        return multiplicity(d, u, w) + (multiplicity(d, u, first) if w == last else 0)
+
+    return faulty
+
+
 def _first_source(dsv):
     # dsv answers with w's first source wherever a drop exists
     return lambda d, w, j: dsv(d, w, j) and d.source_set(w)[0]
@@ -301,7 +319,11 @@ FAULTS = {
     ],
     "edge_duality": [
         (Diagram, "multiplicity", lambda f: lambda d, u, w: f(d, u, w) + 1, "and multiplicity disagree"),
+        # a zero stays zero: only the edge count can see this one
+        (Diagram, "multiplicity", lambda f: lambda d, u, w: 2 * f(d, u, w), "and multiplicity disagree"),
         (Diagram, "targets", lambda f: lambda d, u: f(d, u)[1:], "and targets disagree"),
+        (Diagram, "targets", _corner_as_target, "and targets disagree"),
+        (Diagram, "multiplicity", _first_edges_moved, "and multiplicity disagree"),
         (Diagram, "source_set", _root_as_source, "violates the coordinate sandwich"),
         (Diagram, "source_set", _root_as_source, "differ by more than"),
         (Diagram, "vertices", _stray_vertex, "all coordinates below"),

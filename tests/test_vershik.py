@@ -3,6 +3,7 @@
 import random
 import re
 import tracemalloc
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -683,6 +684,29 @@ def diagram_orderings(draw):
     return diagram, ordering, v
 
 
+def scan_neighbours(diagram, level):
+    """The all-pairs oracle of the edges into `level`: every (u, w) of the two
+    levels, its multiplicity against the coefficient of w - u (zero off the
+    adjacency) and against `source_set` and `targets`, which must hold
+    interned vertices and be cached per vertex value."""
+    below = diagram.vertices(level - 1)
+    vertices = diagram.vertices(level)
+    for w in vertices:
+        sources = diagram.source_set(w)
+        # a scan of the level below by multiplicity, in canonical order
+        assert sources == tuple(u for u in below if diagram.multiplicity(u, w) > 0)
+        assert all(u is diagram.vertex(u.coords) for u in sources)
+        assert diagram.source_set(Vertex(w.level, w.coords)) is sources
+    for u in below:
+        targets = diagram.targets(u)
+        assert targets == tuple(w for w in vertices if diagram.multiplicity(u, w) > 0)
+        assert diagram.targets(Vertex(u.level, u.coords)) is targets
+        for w in vertices:
+            assert (u in diagram.source_set(w)) == (w in targets)
+            offset = tuple(map(sub, w.coords, u.coords))
+            assert diagram.multiplicity(u, w) == diagram.spec.coefficient(offset)
+
+
 class TestTableProperties:
     @given(case=diagram_orderings())
     @settings(max_examples=60, deadline=None)
@@ -730,21 +754,14 @@ class TestTableProperties:
     @settings(max_examples=40, deadline=None)
     def test_neighbour_caches(self, case):
         diagram, _, v = case
-        level = max(v.level, 1)
-        below = diagram.vertices(level - 1)
-        vertices = diagram.vertices(level)
-        for w in vertices:
-            sources = diagram.source_set(w)
-            # a scan of the level below by multiplicity, in canonical order
-            assert sources == tuple(u for u in below if diagram.multiplicity(u, w) > 0)
-            assert all(u is diagram.vertex(u.coords) for u in sources)
-            assert diagram.source_set(Vertex(w.level, w.coords)) is sources
-        for u in below:
-            targets = diagram.targets(u)
-            assert targets == tuple(w for w in vertices if diagram.multiplicity(u, w) > 0)
-            assert diagram.targets(Vertex(u.level, u.coords)) is targets
-            for w in vertices:
-                assert (u in diagram.source_set(w)) == (w in targets)
+        scan_neighbours(diagram, max(v.level, 1))
+
+    @pytest.mark.parametrize("level", range(1, 9))
+    def test_neighbour_caches_on_the_standing_diagrams(self, all_diagrams, level):
+        # the deterministic home of the oracle: verify-all's edge-duality
+        # suite reads only the adjacency, never a zero off it
+        for diagram in all_diagrams.values():
+            scan_neighbours(diagram, level)
 
     def test_equal_but_not_identical_paths(self, quartic):
         ordering = Ordering(quartic, preset="random", seed=3)
