@@ -16,7 +16,7 @@ from functools import cache, partial
 from typing import Callable, Collection, Iterator, NamedTuple
 
 from .core import Diagram, Vertex, _count
-from .coverage import _sharing_pairs, is_covered_oracle
+from .coverage import _sharing_pairs, _source_index, is_covered_oracle
 from .errors import DsvAbsent, HypothesisNotMet, LengthMismatch, NoExtension, PreconditionNotMet
 
 
@@ -171,12 +171,13 @@ def find_chain_start(diagram: Diagram, level: int) -> tuple[ChainStart, ...]:
     lo, hi = 2 * d * d + 4 * d, (level - 2) * d
     if lo >= hi:
         raise PreconditionNotMet(f"need level >= 2d + 7 = {2 * d + 7}, got {level}")
-    uncovered = tuple(v for v in diagram.vertices(level) if not is_covered_oracle(diagram, v))
-    pairs = _sharing_pairs(diagram, uncovered)
+    vertices, sources, _, _ = _source_index(diagram, level)
+    uncovered = {v for v in vertices if not is_covered_oracle(diagram, v)}
+    links = [(v, vp, max(sources[v] & sources[vp])) for v, vp in _sharing_pairs(diagram, level)
+             if v in uncovered and vp in uncovered]  # each witness once per pair
     out = []
-    # canonical order is descending, so the pairs sort in reverse
-    for v, vp in sorted(pairs + [(vp, v) for v, vp in pairs], reverse=True):
-        witness = max(set(diagram.source_set(v)).intersection(diagram.source_set(vp)))
+    # canonical order is descending, so the pairs, each both ways, sort in reverse
+    for v, vp, witness in sorted(links + [(vp, v, u) for v, vp, u in links], reverse=True):
         for j in range(1, diagram.arity + 1):
             if lo <= vp.coord(j) < v.coord(j) <= hi:
                 out.append(ChainStart(v, vp, j, witness))
@@ -241,17 +242,15 @@ def link_reports(diagram: Diagram, level: int) -> Iterator[LinkReport]:
     """The report of every link on `level`, as `check_link_consequences` gives it.
 
     The links are the pairs of `_sharing_pairs`, in its order, each as
-    (w0, w1) and then (w1, w0), with j = 1..q.  Each vertex's drops and
-    sources are read once for the level, not once per link, and claim (b)'s
-    facts once per w1 that needs them.
+    (w0, w1) and then (w1, w0), with j = 1..q.  Each vertex's drops are read
+    once for the level and its sources from the level's source index, not
+    once per link, and claim (b)'s facts once per w1 that needs them.
     """
     level = _count(level, 0, what="level")
-    vertices = diagram.vertices(level)
-    directions = range(1, diagram.arity + 1)
-    drops = {w: [diagram.dsv(w, j) for j in directions] for w in vertices}
-    sources = {w: frozenset(diagram.source_set(w)) for w in vertices}
+    vertices, sources, _, _ = _source_index(diagram, level)
+    drops = {w: [diagram.dsv(w, j) for j in range(1, diagram.arity + 1)] for w in vertices}
     around = cache(partial(_uncovered_around, diagram))
-    for pair in _sharing_pairs(diagram, vertices):
+    for pair in _sharing_pairs(diagram, level):
         for w0, w1 in (pair, pair[::-1]):
             for j, u1 in enumerate(drops[w1], start=1):
                 yield _link(diagram, w0, w1, j, u1, sources[w0], around)

@@ -361,7 +361,8 @@ class Diagram:
 
     Neighbours are cached per vertex value: `source_set` and `targets` store
     only valid vertices, so a hit needs no validation, and `coverage` keeps
-    each level's cover map in `_covers`.
+    each level's source index in `_covers`: the level's source sets, the
+    vertices each source feeds, and the cover map.
     """
 
     def __init__(self, spec: PolynomialSpec) -> None:
@@ -372,7 +373,7 @@ class Diagram:
         self._rows: dict[int, list[int]] = {0: [1]}
         self._intern(Vertex(0, (0,) * spec.arity), 0)
         self._powers: list[dict[Coords, int]] = [{(0,) * spec.arity: 1}]  # by level
-        self._covers: dict[int, dict[Vertex, tuple[Vertex, ...]]] = {}
+        self._covers: dict[int, tuple] = {}  # level -> coverage's source index
         self._sources: dict[Vertex, tuple[Vertex, ...]] = {}
         self._targets: dict[Vertex, tuple[Vertex, ...]] = {}
 
@@ -430,8 +431,8 @@ class Diagram:
 
     def vertex(self, coords, level: int | None = None) -> Vertex:
         """Validated vertex constructor; the level defaults to sum/degree.  A
-        coordinate must equal an integer, by the rule `PolynomialSpec` applies
-        to its numbers: 1.0 is 1, but 1.5, "1", None and inf raise ValueError."""
+        coordinate or a given level must equal an integer, by `PolynomialSpec`'s
+        rule: 1.0 is 1, but 1.5, "1", True, None and inf raise ValueError."""
         given, coords = coords, _integers(coords)
         if coords is None or len(coords) != self.arity or min(coords) < 0:
             raise ValueError(f"bad coordinates {given!r} for arity {self.arity}")
@@ -440,7 +441,7 @@ class Diagram:
             level, rem = divmod(total, self.degree)
             if rem:
                 raise ValueError(f"coordinate sum {total} is not a multiple of degree {self.degree}")
-        elif total != level * self.degree:
+        elif total != _count(level, what="level") * self.degree:  # a negative level fails here
             raise ValueError(f"coordinate sum {total} != level {level} * degree {self.degree}")
         return self._vertex(coords)
 

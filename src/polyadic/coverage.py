@@ -4,16 +4,16 @@ A vertex w is covered when some other vertex w' on the same level satisfies
 S(w) subset-of S(w').  Covered vertices admit a closed form once the level
 exceeds the number of variables: w is covered iff some coordinate exceeds
 (level - 1) * d.  The oracle here recomputes coverage from the source sets
-themselves, so the closed form can be checked level by level: a vertex
-covering w is fed by every source of w, so w is compared only with the
-vertices one of its sources feeds (`_feeds`).  That index also gives
-`_sharing_pairs`, the one list of same-level pairs with a common source,
-which `chains.find_chain_start`, `chains.link_reports` and verify's
-edge-duality suite read.  Scans of every vertex pair in
-tests/test_coverage.py and tests/test_chains.py are the brute-force oracles
-of both.  Everything downstream (chains, probes) consumes the oracle, not
-the formula.  Each level's cover map is computed once and kept on the
-Diagram, beside its vertex levels and neighbour caches.
+themselves, so the closed form can be checked level by level.  Each level's
+source index is read from `source_set` once and kept on the Diagram in
+`_covers`: every vertex's source set, the fed map (a source -> the positions
+of the vertices it feeds) and the cover map.  A vertex covering w is fed by
+every source of w, so w is compared only with those its first source feeds.
+The fed map also gives `_sharing_pairs`, the same-level pairs with a common
+source.  Chain starts, link reports and verify's suites read the index; no
+other module builds one.  Scans of every vertex pair in tests/test_coverage.py
+and tests/test_chains.py are their oracles.  Everything downstream (chains,
+probes) consumes the oracle, not the formula.
 
 Coverage depends only on the diagram shape, never on edge multiplicities.
 """
@@ -27,58 +27,53 @@ from .core import Diagram, Vertex, _count, _greedy_fill, compositions_desc
 from .errors import LadderPreconditionViolated, PreconditionNotMet
 
 
-def _feeds(diagram: Diagram, vertices: tuple[Vertex, ...]) -> dict[Vertex, list[int]]:
-    """Each source of `vertices` -> the positions of the vertices it feeds, ascending.
+class _SourceIndex(NamedTuple):
+    """One level's vertices, each one's source set, each source's fed positions
+    in `vertices`, ascending, and each vertex's covering vertices."""
 
-    Read from `source_set`, so it is the relation every suite checks; built
-    per call and not kept.
-    """
-    fed: dict[Vertex, list[int]] = {}
-    for k, w in enumerate(vertices):
-        for u in diagram.source_set(w):
-            fed.setdefault(u, []).append(k)
-    return fed
+    vertices: tuple[Vertex, ...]
+    sources: dict[Vertex, frozenset[Vertex]]
+    fed: dict[Vertex, list[int]]
+    covers: dict[Vertex, tuple[Vertex, ...]]
 
 
-def _sharing_pairs(diagram: Diagram, vertices: tuple[Vertex, ...]) -> list[tuple[Vertex, Vertex]]:
-    """Pairs (w, w') of distinct `vertices` with a common source, in the order
-    of their positions: each source's fed vertices two at a time, once per pair."""
-    fed = _feeds(diagram, vertices).values()
-    pairs = sorted({pair for positions in fed for pair in combinations(positions, 2)})
-    return [(vertices[a], vertices[b]) for a, b in pairs]
-
-
-def _covering_map(diagram: Diagram, level: int) -> dict[Vertex, tuple[Vertex, ...]]:
-    """For each level-`level` vertex, the tuple of vertices covering it.
-
-    A vertex covering w is fed by each source of w, so by its first; a w
-    with no source is compared with the whole level.
-    """
-    covers = diagram._covers
-    if level not in covers:
+def _source_index(diagram: Diagram, level: int) -> _SourceIndex:
+    """The level's index, built on first use and kept in `diagram._covers`; a
+    vertex with no source is compared with the whole level."""
+    if level not in diagram._covers:
         vertices = diagram.vertices(level)
-        sources = {w: frozenset(diagram.source_set(w)) for w in vertices}
-        fed = _feeds(diagram, vertices)
-        found = {}
+        sources, fed, covers = {}, {}, {}
+        for k, w in enumerate(vertices):
+            sources[w] = frozenset(diagram.source_set(w))
+            for u in diagram.source_set(w):
+                fed.setdefault(u, []).append(k)
         for w in vertices:
             first = next(iter(diagram.source_set(w)), None)
             candidates = vertices if first is None else map(vertices.__getitem__, fed[first])
-            found[w] = tuple(v for v in candidates if v != w and sources[w] <= sources[v])
-        covers[level] = found
-    return covers[level]
+            covers[w] = tuple(v for v in candidates if v != w and sources[w] <= sources[v])
+        diagram._covers[level] = _SourceIndex(vertices, sources, fed, covers)
+    return diagram._covers[level]
+
+
+def _sharing_pairs(diagram: Diagram, level: int) -> list[tuple[Vertex, Vertex]]:
+    """Pairs (w, w') of distinct level-`level` vertices with a common source, in the
+    order of their positions: each source's fed vertices two at a time, once per pair."""
+    vertices, _, fed, _ = _source_index(diagram, level)
+    pairs = sorted({pair for positions in fed.values() for pair in combinations(positions, 2)})
+    return [(vertices[a], vertices[b]) for a, b in pairs]
 
 
 def covering_vertices(diagram: Diagram, w: Vertex) -> tuple[Vertex, ...]:
     """All same-level vertices whose source set contains S(w), canonical order.
 
-    A vertex missing from its level's kept map is validated, so one off the
+    A vertex missing from its level's kept index is validated, so one off the
     lattice raises ValueError before any map is built for it.
     """
     try:
-        return diagram._covers[w[0]][w]
+        return diagram._covers[w[0]].covers[w]
     except (KeyError, TypeError):  # a miss, or an unhashable pair `_checked` reads
         w = diagram._checked(w)
-        return _covering_map(diagram, w.level)[w]
+        return _source_index(diagram, w.level).covers[w]
 
 
 def is_covered_oracle(diagram: Diagram, w: Vertex) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from numbers import Rational
+from numbers import Rational, Real
 from typing import NamedTuple
 
 from .core import Diagram, Vertex, _count
@@ -82,6 +82,8 @@ def weight_from_theta(diagram: Diagram, theta) -> WeightVector:
     theta = tuple(theta)
     if len(theta) != diagram.arity:
         raise InvalidWeight(f"need {diagram.arity} weights, got {len(theta)}")
+    if not all(isinstance(t, Real) and abs(t) < math.inf for t in theta):  # nan would pass the residual
+        raise InvalidWeight(f"weights must be finite real numbers, got {theta!r}")
     if any(t <= 0 for t in theta):
         raise InvalidWeight("weights must be positive")
     if all(isinstance(t, Rational) for t in theta):

@@ -75,7 +75,7 @@ def check_edge_duality(diagram: Diagram, max_level: int) -> list[str]:
                     out.append(f"sources {u}, {up} of {w} differ by more than {d}")
             if max(w.coords) * q < level * d:
                 out.append(f"{w}: all coordinates below level*d/q")
-        for w, wp in coverage._sharing_pairs(diagram, vertices):
+        for w, wp in coverage._sharing_pairs(diagram, level):
             if max(abs(a - b) for a, b in zip(w.coords, wp.coords)) > d:
                 out.append(f"{w} and {wp} share a source but sit more than {d} apart")
     return out
@@ -114,13 +114,13 @@ def check_dsv_rules(diagram: Diagram, max_level: int) -> list[str]:
                     if others:
                         out.append(f"dsv({w},{j}) is not unique: {others}")
         # only a vertex fed by one of w0's drop sources can hold one
-        fed = coverage._feeds(diagram, vertices)
+        index = coverage._source_index(diagram, level)
         for w0, drops in zip(vertices, all_drops):
-            linked = {k for u in drops if u is not None for k in fed.get(u, ())}
+            linked = {k for u in drops if u is not None for k in index.fed.get(u, ())}
             for w1 in map(vertices.__getitem__, sorted(linked)):
                 if w1 == w0:
                     continue
-                sources = diagram.source_set(w1)
+                sources = index.sources[w1]
                 present = [
                     j for j, u in enumerate(drops, start=1) if u is not None and u in sources
                 ]

@@ -7,6 +7,7 @@ import pytest
 
 from polyadic import Diagram, coverage, measure, parse_polynomial, verify
 from polyadic.cli import main
+from polyadic.errors import LadderPreconditionViolated
 
 from conftest import PASCAL_TEXT, Q3_TEXT, QUARTIC_TEXT, run_child
 
@@ -264,6 +265,15 @@ def _stray_vertex(vertices):
     return faulty
 
 
+def _repeated_vertex(vertices):
+    # level 5 lists its last vertex twice: a repeat, which strict order refuses
+    def faulty(diagram, level):
+        found = vertices(diagram, level)
+        return found + found[-1:] if level == 5 else found
+
+    return faulty
+
+
 def _root_as_source(source_set):
     # level-3 vertices gain the root as a source: sources far apart, outside
     # the coordinate sandwich, not unique in a direction, shared by every pair
@@ -316,6 +326,7 @@ FAULTS = {
         (Diagram, "vertex_count", lambda f: lambda d, level: f(d, level) + 1, "vertices, formula"),
         (Diagram, "vertices", _stray_vertex, "sums to"),
         (Diagram, "vertices", _stray_vertex, "in canonical order"),
+        (Diagram, "vertices", _repeated_vertex, "!> (0,5) in canonical order"),
     ],
     "edge_duality": [
         (Diagram, "multiplicity", lambda f: lambda d, u, w: f(d, u, w) + 1, "and multiplicity disagree"),
@@ -331,6 +342,8 @@ FAULTS = {
     ],
     "dimension_oracle": [
         (Diagram, "expansion_coefficients", _one_coefficient_off, "dimension mismatch"),
+        # the finding names the coefficient that is off, and only that one
+        (Diagram, "expansion_coefficients", _one_coefficient_off, "level 5: dimension mismatch at [(5, 0)]"),
     ],
     "dsv_rules": [
         (Diagram, "dsv", lambda f: lambda d, w, j: None, "existence disagrees"),
@@ -414,6 +427,50 @@ def test_every_verify_suite_can_fail(suite, poly, capsys, monkeypatch):
             code, doc, _ = run_json(capsys, "verify-all", "--poly", poly, "--levels", "5")
         assert code == 1
         assert any(finding in row for row in doc["result"]["findings"][suite]), (name, finding)
+
+
+# the levels each suite lists at --levels 5 on Pascal (q = 2): its own range,
+# and the level below where it reads the coverage of sources
+SUITE_LEVELS = {
+    "vertex_enumeration": range(0, 6),
+    "edge_duality": range(0, 6),
+    "dimension_oracle": range(0, 6),
+    "dsv_rules": range(1, 6),
+    "coverage_agreement": range(3, 6),
+    "cov2_convention": range(3, 6),
+    "source_uncovered": range(2, 6),
+    "target_uncovered": range(3, 6),
+    "ladder": range(1, 6),
+    "link_consequences": range(3, 6),
+    "measure_bounds": range(1, 6),
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_LEVELS)
+def test_every_verify_suite_reads_the_levels_of_its_bound(suite, monkeypatch):
+    # no suite stops a level short of max_level or reads past it
+    listed, vertices = set(), Diagram.vertices
+    monkeypatch.setattr(Diagram, "vertices", lambda d, level: listed.add(level) or vertices(d, level))
+    dict(verify._SUITES)[suite](Diagram(parse_polynomial(PASCAL_TEXT)), 5)
+    assert sorted(listed) == list(SUITE_LEVELS[suite])
+
+
+def test_the_ladder_suite_builds_every_ladder_the_precondition_admits(monkeypatch):
+    # the suite's window d <= z(j) <= (level - 1) * d, ends included, is
+    # `source_ladder`'s own: every (z, j) outside it raises
+    pascal = Diagram(parse_polynomial(PASCAL_TEXT))
+    admitted, asked, source_ladder = [], [], coverage.source_ladder
+    for level in range(1, 6):
+        for z in pascal.vertices(level):
+            for j in (1, 2):
+                try:
+                    source_ladder(pascal, z, j)
+                    admitted.append((z, j))
+                except LadderPreconditionViolated:
+                    pass
+    monkeypatch.setattr(coverage, "source_ladder", lambda d, z, j: asked.append((z, j)) or source_ladder(d, z, j))
+    assert verify.check_ladder(pascal, 5) == []
+    assert asked == admitted
 
 
 class TestFailures:

@@ -19,6 +19,7 @@ from polyadic.errors import (
     NotHomogeneous,
     PolyadicError,
     PolynomialSyntaxError,
+    PreconditionNotMet,
     RankOutOfRange,
 )
 from polyadic.measure import minimal_mass_bound, solve_symmetric_weight
@@ -583,6 +584,7 @@ COUNTS = {
     "compositions_total": (lambda d, n: list(compositions_desc(n, 2)), ValueError),
     "compositions_parts": (lambda d, n: list(compositions_desc(2, n)), ValueError),
     "vertices": (lambda d, n: d.vertices(n), ValueError),
+    "vertex_level": (lambda d, n: d.vertex((1, 0), n), ValueError),
     "expansion_coefficients": (lambda d, n: d.expansion_coefficients(n), ValueError),
     "dsv": (lambda d, n: d.dsv(d.vertex((1, 1)), n), ValueError),
     "slack": (lambda d, n: coverage.slack(d, d.vertex((3, 0)), n), ValueError),
@@ -621,8 +623,12 @@ COUNTS = {
 }
 
 
-# each place with each bad count; no seed is the random preset's seed 0
-BAD_COUNTS = [(p, n) for p in sorted(COUNTS) for n in (2.5, True, "2", None) if (p, n) != ("seed", None)]
+# each place with each bad count; no seed is the random preset's seed 0, and a
+# vertex given no level takes the one its coordinates sum to
+BAD_COUNTS = [
+    (p, n) for p in sorted(COUNTS) for n in (2.5, True, "2", None)
+    if (p, n) not in {("seed", None), ("vertex_level", None)}
+]
 
 
 class TestCounts:
@@ -630,7 +636,7 @@ class TestCounts:
     def test_a_count_that_is_no_integer_raises(self, pascal, place, given):
         # vertices(1.5) once never returned, path_unrank took rank 2.5 as 2,
         # dsv and the probe took True as 1, the probe ran on a budget of 2.5,
-        # and vertex_count(True) answered 2
+        # vertex_count(True) answered 2, and vertex((1, 0), True) returned (1,0)
         call, expected = COUNTS[place]
         error = raised_within(lambda: call(pascal, given))
         assert isinstance(error, expected), error
@@ -641,7 +647,7 @@ class TestCounts:
          ("dsv", 0), ("dsv", 3), ("slack", 0), ("source_ladder", 3), ("minimal_mass_bound", 0),
          ("vertex_coding", 3), ("path_unrank", 3), ("probe_i", 4), ("probe_horizon", 0),
          ("probe_floor", -1), ("probe_budget", 0), ("vertex_count", -2),
-         ("target_len", 1), ("explicit_label", 3), ("tower_budget", 0), ("export_json", -1),
+         ("target_len", 1), ("explicit_label", 3), ("vertex_level", -1), ("tower_budget", 0), ("export_json", -1),
          ("export_dot", -1), ("verify_all", -1), ("check_cov2", -1),
          ("target_uncovered_check", -1), ("coverage_report", -1), ("link_reports", -1)],
     )
@@ -665,16 +671,23 @@ class TestCounts:
         probes = {"probe_i", "probe_horizon", "probe_floor", "probe_budget"}
         others = {
             "seed", "explicit_label", "verify_all", "chain_start_level", "check_cov2",
-            "target_uncovered_check",
+            "target_uncovered_check", "vertex_level",
         }
         for place in sorted(set(COUNTS) - probes - others):
             call = COUNTS[place][0]
             assert call(diagram, 2.0) == call(diagram, np.int64(2)) == call(diagram, 2), place
+        # (1, 0) sits on level 1, not 2
+        assert diagram.vertex((1, 0), 1.0) is diagram.vertex((1, 0), np.int64(1)) is diagram.vertices(1)[0]
         # a seed or a label is stored as the int it equals, so a document can hold it
         random = Ordering(diagram, "random", seed=np.int64(3))
         explicit = Ordering(diagram, "explicit", table={"2:1,1": [2.0, np.int64(1)]})
         assert to_stable_json(random.describe()) == to_stable_json({"preset": "random", "seed": 3})
         assert to_stable_json(explicit.describe()) == to_stable_json({"explicit": {"2:1,1": [2, 1]}})
+
+    def test_a_whole_level_count_of_zero_is_too_few_levels(self, pascal):
+        # 0 is a count, so not the integer rule's ValueError: only too low a bound
+        with pytest.raises(PreconditionNotMet, match="verify-all needs --levels 4 or more"):
+            verify_all(pascal, 0)
 
     def test_a_whole_level_count_equal_to_an_integer_is_that_integer(self, pascal):
         # verify_all(6.0) once raised TypeError, and numpy's 6 gave a result

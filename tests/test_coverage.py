@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyadic import Diagram, PolynomialSpec, compositions_desc, parse_polynomial
+from polyadic.chains import find_chain_start, link_reports
 from polyadic.coverage import (
     _sharing_pairs,
+    _source_index,
     check_cov2,
     coverage_report,
     covering_vertices,
@@ -22,6 +24,7 @@ from polyadic.coverage import (
     target_uncovered_check,
 )
 from polyadic.errors import LadderPreconditionViolated, PreconditionNotMet
+from polyadic.verify import verify_all
 
 from conftest import all_ones, polynomial_specs
 
@@ -95,9 +98,9 @@ def scan_dsv(diagram, w, j):
 @given(spec=polynomial_specs(max_degree=3, max_arity=3), level=st.integers(0, 7))
 @settings(max_examples=40, deadline=None)
 def test_source_index_matches_the_pair_scans(spec, level):
-    # the cover map, verify's sharing pairs and dsv follow the source
-    # adjacency; each equals the scan over every vertex pair, or every source,
-    # that it replaced
+    # the level's source index (source sets, fed map, cover map), the sharing
+    # pairs and dsv follow the source adjacency; each equals the scan over
+    # every vertex pair, or every source, that it replaced
     diagram = Diagram(spec)
     vertices = diagram.vertices(level)
     sources = {w: scan_sources(diagram, w) for w in vertices}
@@ -105,7 +108,31 @@ def test_source_index_matches_the_pair_scans(spec, level):
         assert covering_vertices(diagram, w) == scan_cover(diagram, w, sources)
         for j in range(1, diagram.arity + 1):
             assert diagram.dsv(w, j) == scan_dsv(diagram, w, j)
-    assert _sharing_pairs(diagram, vertices) == scan_sharing_pairs(diagram, vertices)
+    index = _source_index(diagram, level)
+    assert index.vertices == vertices
+    assert index.sources == sources
+    assert index.fed == {
+        u: [k for k, w in enumerate(vertices) if u in sources[w]]
+        for u in diagram.vertices(level - 1)
+    }
+    assert _sharing_pairs(diagram, level) == scan_sharing_pairs(diagram, vertices)
+
+
+def test_each_level_index_is_built_once(q3):
+    # verify-all's suites, the chain starts, the link reports and the
+    # coverage report all read the index the first reader built
+    diagram = Diagram(q3.spec)
+    verify_all(diagram, 6)
+    built = dict(diagram._covers)
+    assert sorted(built) == list(range(1, 7))
+    find_chain_start(diagram, 11)
+    built[11] = diagram._covers[11]
+    verify_all(diagram, 6)
+    find_chain_start(diagram, 11)
+    list(link_reports(diagram, 6))
+    coverage_report(diagram, 6)
+    assert diagram._covers == built
+    assert all(diagram._covers[level] is index for level, index in built.items())
 
 
 class TestFormula:
@@ -153,6 +180,12 @@ def test_formula_matches_oracle_on_every_small_shape(q, d, level):
 
 
 class TestCoverageReport:
+    def test_level_zero_holds_the_uncovered_root(self, pascal):
+        # level 0 is a level like any other: the root, with nothing to compare
+        report = coverage_report(pascal, 0)
+        assert report.entries == ((pascal.root, None, False, ()),)
+        assert (report.covered_count, report.discrepancies) == (0, ())
+
     def test_quartic_level_three(self, quartic):
         report = coverage_report(quartic, 3)
         assert report.covered_count == 8
@@ -221,6 +254,13 @@ class TestCov2:
         # the opposite sign convention misplaces covering sets already at level 3
         report = check_cov2(pascal, 3)
         assert len(report.mismatches_reverse) == 2
+
+    def test_reverse_reading_shifts_by_one_sigma(self, quartic):
+        # w - sigma for b = 1..d: from (9,3), (10,2), (11,1) and (12,0), where
+        # the covering vertex is (8,4); a doubled shift would reach (11,1) alone
+        rows = {w: (missing, spurious) for w, missing, spurious in check_cov2(quartic, 3).mismatches_reverse}
+        v = quartic.vertex
+        assert rows[v((9, 3))] == ((v((8, 4)),), (v((12, 0)), v((11, 1)), v((10, 2))))
 
     def test_checked_counts_covered_only(self, quartic):
         report = check_cov2(quartic, 4)
@@ -334,7 +374,7 @@ class TestSourceLadder:
     def test_preconditions(self, quartic):
         with pytest.raises(LadderPreconditionViolated):
             source_ladder(quartic, quartic.vertex((3, 9)), 1)  # 3 < d
-        with pytest.raises(LadderPreconditionViolated):
+        with pytest.raises(LadderPreconditionViolated, match=r"^need 4 <= z\(1\) <= 8, got 12$"):
             source_ladder(quartic, quartic.vertex((12, 0)), 1)  # 12 > (3-1)*4
         with pytest.raises(ValueError):
             source_ladder(quartic, quartic.vertex((6, 6)), 3)

@@ -87,6 +87,17 @@ class TestFromTheta:
         with pytest.raises(InvalidWeight):
             weight_from_theta(pascal, (HALF, Fraction(-1, 2)))
 
+    @pytest.mark.parametrize(
+        "theta",
+        [(math.nan, math.nan), (math.nan, 0.5), (math.inf, 0.5), ("1/2", "1/2")],
+        ids=["nan", "nan-and-half", "inf-and-half", "strings"],
+    )
+    def test_an_entry_that_is_no_finite_real_is_refused(self, pascal, theta):
+        # (nan, nan) once passed with a nan residual, so level_mass read nan,
+        # and a string entry raised a bare TypeError
+        with pytest.raises(InvalidWeight, match="finite real numbers"):
+            weight_from_theta(pascal, theta)
+
     @pytest.mark.parametrize("theta", [(0, 1), (Fraction(1), Fraction(0)), (0.0, 1.0)])
     def test_a_zero_entry_on_the_curve_is_refused(self, pascal, theta):
         # m(theta) = 1 holds, so only the positivity test refuses it
